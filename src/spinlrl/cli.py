@@ -175,6 +175,8 @@ def cmd_oracle(args) -> int:
     if len(dims) != 1:
         raise UsageError("oracle expects a single dimension, not a range")
     d = dims[0]
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     try:
         a = expr.evaluate(args.expression_a, d)
         b = expr.evaluate(args.expression_b, d)

@@ -4,30 +4,31 @@ Every coefficient in the engine lives in Q(i)[alpha, E]: Gaussian-rational
 numbers extended by the two symbolic parameters of the problem, the coupling
 strength ``alpha`` and the energy ``E``.  All arithmetic is exact; there is no
 floating-point mode.
+
+``ParamPoly``, the coefficient type of the engine, keeps its value in
+content/primitive-part form: one positive integer denominator shared by all
+terms, and a Gaussian-integer numerator ``(re, im)`` of plain Python ints per
+term.  The gcd of the denominator and every numerator part is 1, so each value
+has exactly one stored form and equality stays structural.  Products and sums
+are integer arithmetic plus, when the denominator is not 1, one gcd.
+``GaussianRational`` (``fractions.Fraction`` parts) is the boundary type: it is
+what ``ParamPoly.items()`` and ``constant_value()`` hand out and what parsing,
+rendering, substitution and the Clifford matrices use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Optional, Union
-
-try:  # exact rational backend: gmpy2 is much faster, Fraction always works
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
-_Q_ZERO = _Q(0)
-_QTYPES = (int, Fraction, type(_Q(0)))
-
-Rational = Fraction
 
 ScalarLike = Union[int, Fraction, "GaussianRational", "ParamPoly"]
 
+_RATIONALS = (int, Fraction)
 
-def _to_q(value):
-    if type(value) is type(_Q_ZERO):
-        return value
-    return _Q(value)
+
+def _fraction(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class GaussianRational:
@@ -36,8 +37,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_q(re))
-        object.__setattr__(self, "im", _to_q(im))
+        object.__setattr__(self, "re", _fraction(re))
+        object.__setattr__(self, "im", _fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -56,7 +57,7 @@ class GaussianRational:
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            if not isinstance(other, _QTYPES):
+            if not isinstance(other, _RATIONALS):
                 return NotImplemented
             other = GaussianRational(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -68,7 +69,7 @@ class GaussianRational:
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            if not isinstance(other, _QTYPES):
+            if not isinstance(other, _RATIONALS):
                 return NotImplemented
             other = GaussianRational(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
@@ -78,17 +79,11 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            if not isinstance(other, _QTYPES):
+            if not isinstance(other, _RATIONALS):
                 return NotImplemented
             other = GaussianRational(other)
         a, b = self.re, self.im
         c, e = other.re, other.im
-        if not b:
-            if not e:
-                return GaussianRational(a * c)
-            return GaussianRational(a * c, a * e)
-        if not e:
-            return GaussianRational(a * c, b * c)
         return GaussianRational(a * c - b * e, a * e + b * c)
 
     __rmul__ = __mul__
@@ -108,7 +103,7 @@ class GaussianRational:
         return self * GaussianRational.of(other).inverse()
 
     def __eq__(self, other):
-        if isinstance(other, _QTYPES):
+        if isinstance(other, _RATIONALS):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
@@ -144,7 +139,7 @@ _G_MINUS_ONE = GaussianRational(-1)
 def _coerce_gaussian(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, _QTYPES):
+    if isinstance(value, _RATIONALS):
         return GaussianRational(value)
     raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
@@ -152,108 +147,146 @@ def _coerce_gaussian(value) -> GaussianRational:
 class ParamPoly:
     """Sparse polynomial in alpha and E with Gaussian-rational coefficients.
 
-    Keys of the term map are ``(alpha_power, e_power)`` pairs; no stored
-    coefficient is ever zero.  Instances are immutable and hashable.
+    Stored in content/primitive-part form: ``_den`` is a positive int and
+    ``_num`` maps ``(alpha_power, e_power)`` to a Gaussian-integer numerator
+    ``(re, im)`` of plain ints, so the coefficient of a key is
+    ``(re + im*i) / _den``.  No numerator is ``(0, 0)``, the gcd of ``_den``
+    and every numerator part is 1, and the zero polynomial has ``_den == 1``.
+    The stored form of a value is therefore unique, and ``==`` and ``hash``
+    compare it directly.  Instances are immutable and hashable.
+
+    The constructor takes a map of Gaussian-rational (or int, Fraction)
+    coefficients; ``items()`` gives them back in that form.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_den", "_num", "_hash")
 
     def __init__(self, terms: Optional[Mapping[tuple, GaussianRational]] = None):
-        clean = {}
+        values = {}
+        den = 1
         if terms:
             for key, coeff in terms.items():
                 coeff = _coerce_gaussian(coeff)
                 if coeff:
-                    clean[(int(key[0]), int(key[1]))] = coeff
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+                    values[(int(key[0]), int(key[1]))] = coeff
+                    den = lcm(den, coeff.re.denominator, coeff.im.denominator)
+        # den is the lcm of every part's reduced denominator, so the scaled
+        # numerators share no factor with it
+        _set_den(self, den)
+        _set_num(self, {key: (int(c.re * den), int(c.im * den)) for key, c in values.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
-    # -- constructors -------------------------------------------------
-
     @classmethod
     def of(cls, value: ScalarLike) -> "ParamPoly":
-        if isinstance(value, ParamPoly):
+        if type(value) is ParamPoly:
             return value
+        if isinstance(value, int):
+            return gaussian_int(value)
+        if isinstance(value, Fraction):
+            return _raw_poly(value.denominator, {(0, 0): (value.numerator, 0)}) if value else P_ZERO
         return cls({(0, 0): _coerce_gaussian(value)})
-
-    @classmethod
-    def zero(cls) -> "ParamPoly":
-        return P_ZERO
-
-    @classmethod
-    def one(cls) -> "ParamPoly":
-        return P_ONE
-
-    @classmethod
-    def imag_unit(cls) -> "ParamPoly":
-        return P_I
-
-    @classmethod
-    def alpha(cls) -> "ParamPoly":
-        return P_ALPHA
-
-    @classmethod
-    def energy(cls) -> "ParamPoly":
-        return P_E
 
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
-    def items(self):
-        return self._terms.items()
+    def _gaussian(self, num: tuple) -> GaussianRational:
+        den = self._den
+        return GaussianRational(Fraction(num[0], den), Fraction(num[1], den))
+
+    def items(self) -> "_CoefficientItems":
+        """``((alpha_power, e_power), GaussianRational)`` pairs, one per term."""
+        return _CoefficientItems(self)
 
     def constant_value(self) -> Optional[GaussianRational]:
         """The value of a constant polynomial, or None if alpha/E appear."""
-        if not self._terms:
+        num = self._num
+        if not num:
             return G_ZERO
-        if len(self._terms) == 1 and (0, 0) in self._terms:
-            return self._terms[(0, 0)]
+        if len(num) == 1 and (0, 0) in num:
+            return self._gaussian(num[(0, 0)])
         return None
 
     def max_powers(self) -> tuple:
         """Largest (alpha, E) exponents occurring in any term."""
-        pa = max((k[0] for k in self._terms), default=0)
-        pe = max((k[1] for k in self._terms), default=0)
+        pa = max((k[0] for k in self._num), default=0)
+        pe = max((k[1] for k in self._num), default=0)
         return pa, pe
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (*_QTYPES, GaussianRational, ParamPoly)):
-            return NotImplemented
-        other = ParamPoly.of(other)
-        if not self._terms:
-            return other
-        if not other._terms:
+        if type(other) is not ParamPoly:
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = ParamPoly.of(other)
+        on = other._num
+        if not on:
             return self
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
+        sn = self._num
+        if not sn:
+            return other
+        sd = self._den
+        od = other._den
+        if len(sn) == 1 and len(on) == 1 and sd == od:
+            ((k1, (r1, i1)),) = sn.items()
+            ((k2, (r2, i2)),) = on.items()
+            if k1 != k2:
+                # disjoint keys: each side's content is already 1 against sd
+                return _raw_poly(sd, {k1: (r1, i1), k2: (r2, i2)})
+            re = r1 + r2
+            im = i1 + i2
+            if not re and not im:
+                return P_ZERO
+            if sd != 1:
+                g = gcd(re, im, sd)
+                if g != 1:
+                    return _raw_poly(sd // g, {k1: (re // g, im // g)})
+            return _raw_poly(sd, {k1: (re, im)})
+        if sd == od:
+            terms = dict(sn)
+            scale_o = 1
+        else:
+            g = gcd(sd, od)
+            scale_s = od // g
+            scale_o = sd // g
+            sd *= scale_s
+            terms = {key: (re * scale_s, im * scale_s) for key, (re, im) in sn.items()}
+        merged = False
+        for key, (re, im) in on.items():
+            if scale_o != 1:
+                re *= scale_o
+                im *= scale_o
             cur = terms.get(key)
             if cur is None:
-                terms[key] = coeff
+                terms[key] = (re, im)
             else:
-                s = cur + coeff
-                if s:
-                    terms[key] = s
+                merged = True
+                re += cur[0]
+                im += cur[1]
+                if re or im:
+                    terms[key] = (re, im)
                 else:
                     del terms[key]
-        return _raw_poly(terms)
+        # without a merged key, the side with the larger power of each prime
+        # in the denominator keeps a numerator part that prime does not divide
+        if merged:
+            return _normalized(sd, terms)
+        return _raw_poly(sd, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw_poly({k: -c for k, c in self._terms.items()})
+        return _raw_poly(self._den, {key: (-re, -im) for key, (re, im) in self._num.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (*_QTYPES, GaussianRational, ParamPoly)):
+        if not isinstance(other, _SCALARS):
             return NotImplemented
         return self + (-ParamPoly.of(other))
 
@@ -261,40 +294,53 @@ class ParamPoly:
         return ParamPoly.of(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (*_QTYPES, GaussianRational, ParamPoly)):
-            return NotImplemented
-        other = ParamPoly.of(other)
-        if not self._terms or not other._terms:
+        if type(other) is not ParamPoly:
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = ParamPoly.of(other)
+        sn = self._num
+        on = other._num
+        if not sn or not on:
             return P_ZERO
         if other is P_ONE:
             return self
         if self is P_ONE:
             return other
-        if len(self._terms) == 1 and len(other._terms) == 1:
-            (a1, e1), c1 = next(iter(self._terms.items()))
-            (a2, e2), c2 = next(iter(other._terms.items()))
-            return _raw_poly({(a1 + a2, e1 + e2): c1 * c2})
+        den = self._den * other._den
+        if len(sn) == 1 and len(on) == 1:
+            (((a1, e1), (r1, i1)),) = sn.items()
+            (((a2, e2), (r2, i2)),) = on.items()
+            re = r1 * r2 - i1 * i2
+            im = r1 * i2 + i1 * r2
+            # a product of nonzero Gaussian integers is nonzero
+            if den != 1:
+                g = gcd(re, im, den)
+                if g != 1:
+                    return _raw_poly(den // g, {(a1 + a2, e1 + e2): (re // g, im // g)})
+            return _raw_poly(den, {(a1 + a2, e1 + e2): (re, im)})
         terms = {}
-        for (a1, e1), c1 in self._terms.items():
-            for (a2, e2), c2 in other._terms.items():
+        for (a1, e1), (r1, i1) in sn.items():
+            for (a2, e2), (r2, i2) in on.items():
                 key = (a1 + a2, e1 + e2)
-                prod = c1 * c2
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
                 cur = terms.get(key)
                 if cur is None:
-                    terms[key] = prod
+                    terms[key] = (re, im)
                 else:
-                    s = cur + prod
-                    if s:
-                        terms[key] = s
+                    re += cur[0]
+                    im += cur[1]
+                    if re or im:
+                        terms[key] = (re, im)
                     else:
                         del terms[key]
-        return _raw_poly(terms)
+        return _normalized(den, terms)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ParamPoly":
         """Complex conjugation; alpha and E are treated as real."""
-        return _raw_poly({k: c.conjugate() for k, c in self._terms.items()})
+        return _raw_poly(self._den, {key: (re, -im) for key, (re, im) in self._num.items()})
 
     def substitute(
         self,
@@ -305,51 +351,40 @@ class ParamPoly:
         if alpha_value is None and e_value is None:
             return self
         terms: dict = {}
-        for (pa, pe), coeff in self._terms.items():
-            factor = coeff
+        for (pa, pe), coeff in self.items():
             if alpha_value is not None:
-                factor = factor * _pow_gaussian(_coerce_gaussian(alpha_value), pa)
+                coeff = coeff * _pow_gaussian(_coerce_gaussian(alpha_value), pa)
                 pa = 0
             if e_value is not None:
-                factor = factor * _pow_gaussian(_coerce_gaussian(e_value), pe)
+                coeff = coeff * _pow_gaussian(_coerce_gaussian(e_value), pe)
                 pe = 0
-            if not factor:
-                continue
-            key = (pa, pe)
-            cur = terms.get(key)
-            if cur is None:
-                terms[key] = factor
-            else:
-                s = cur + factor
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-        return _raw_poly(terms)
+            terms[(pa, pe)] = terms.get((pa, pe), G_ZERO) + coeff
+        return ParamPoly(terms)
 
     # -- comparisons / rendering ----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (*_QTYPES, GaussianRational)):
+        if type(other) is not ParamPoly:
+            if not isinstance(other, (*_RATIONALS, GaussianRational)):
+                return NotImplemented
             other = ParamPoly.of(other)
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self._den, frozenset(self._num.items())))
+            _set_hash(self, h)
+            return h
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
-        multi = len(self._terms) > 1
+        multi = len(self._num) > 1
         parts = []
-        for (pa, pe) in sorted(self._terms, reverse=True):
-            coeff = self._terms[(pa, pe)]
+        for (pa, pe) in sorted(self._num, reverse=True):
+            coeff = self._gaussian(self._num[(pa, pe)])
             atoms = []
             if pa:
                 atoms.append("alpha" if pa == 1 else f"alpha^{pa}")
@@ -371,15 +406,63 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
+class _CoefficientItems:
+    """Sized view of a ParamPoly's terms; converts to GaussianRational only
+    while iterating, so taking its length costs nothing."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: ParamPoly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self):
+        poly = self._poly
+        return ((key, poly._gaussian(num)) for key, num in poly._num.items())
+
+
+_SCALARS = (int, Fraction, GaussianRational, ParamPoly)
+_set_den = ParamPoly._den.__set__
+_set_num = ParamPoly._num.__set__
+_set_hash = ParamPoly._hash.__set__
+_new = object.__new__
+
+
+def _raw_poly(den: int, num: dict) -> ParamPoly:
+    """A ParamPoly from data already in canonical form."""
+    poly = _new(ParamPoly)
+    _set_den(poly, den)
+    _set_num(poly, num)
+    return poly
+
+
+def _normalized(den: int, num: dict) -> ParamPoly:
+    """A ParamPoly from nonzero numerators whose content may share a factor
+    with den."""
+    if not num:
+        return P_ZERO
+    g = den
+    for re, im in num.values():
+        if g == 1:
+            return _raw_poly(den, num)
+        g = gcd(g, re, im)
+    if g != 1:
+        den //= g
+        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+    return _raw_poly(den, num)
+
+
+def gaussian_int(re: int, im: int = 0) -> ParamPoly:
+    """The constant polynomial re + im*i, built straight from ints."""
+    if not re and not im:
+        return P_ZERO
+    return _raw_poly(1, {(0, 0): (re, im)})
+
+
 def _needs_parens(coeff_str: str) -> bool:
     return coeff_str.startswith("-") or "+" in coeff_str or "-" in coeff_str[1:]
-
-
-def _raw_poly(terms: dict) -> ParamPoly:
-    poly = ParamPoly.__new__(ParamPoly)
-    object.__setattr__(poly, "_terms", terms)
-    object.__setattr__(poly, "_hash", None)
-    return poly
 
 
 def _pow_gaussian(base: GaussianRational, n: int) -> GaussianRational:
@@ -389,11 +472,11 @@ def _pow_gaussian(base: GaussianRational, n: int) -> GaussianRational:
     return out
 
 
-P_ZERO = ParamPoly()
-P_ONE = ParamPoly({(0, 0): G_ONE})
-P_I = ParamPoly({(0, 0): G_I})
-P_ALPHA = ParamPoly({(1, 0): G_ONE})
-P_E = ParamPoly({(0, 1): G_ONE})
+P_ZERO = _raw_poly(1, {})
+P_ONE = _raw_poly(1, {(0, 0): (1, 0)})
+P_I = _raw_poly(1, {(0, 0): (0, 1)})
+P_ALPHA = _raw_poly(1, {(1, 0): (1, 0)})
+P_E = _raw_poly(1, {(0, 1): (1, 0)})
 
 
 def poly(value: ScalarLike) -> ParamPoly:

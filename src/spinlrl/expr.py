@@ -349,10 +349,8 @@ def evaluate_ast(ast: Ast, d: int) -> OperatorExpr:
         return ops.build(d, ast.name, *ast.indices)
     if isinstance(ast, Neg):
         return -evaluate_ast(ast.arg, d)
-    if isinstance(ast, Add):
-        return evaluate_ast(ast.left, d) + evaluate_ast(ast.right, d)
-    if isinstance(ast, Sub):
-        return evaluate_ast(ast.left, d) - evaluate_ast(ast.right, d)
+    if isinstance(ast, (Add, Sub)):
+        return _evaluate_sum(ast, d)
     if isinstance(ast, Mul):
         return weyl.multiply(evaluate_ast(ast.left, d), evaluate_ast(ast.right, d))
     if isinstance(ast, Div):
@@ -366,6 +364,22 @@ def evaluate_ast(ast: Ast, d: int) -> OperatorExpr:
     if isinstance(ast, AntiComm):
         return weyl.anticommutator(evaluate_ast(ast.left, d), evaluate_ast(ast.right, d))
     raise TypeError(f"unknown AST node {ast!r}")
+
+
+def _evaluate_sum(ast: Union[Add, Sub], d: int) -> OperatorExpr:
+    """A left-nested chain of + and - as one linear combination.
+
+    The parser builds a sum of N terms as N-1 nested nodes; walking the chain
+    in a loop keeps long sums (canonical texts of thousands of terms) off the
+    recursion limit and canonicalizes once instead of N-1 times.
+    """
+    signed = []
+    node = ast
+    while isinstance(node, (Add, Sub)):
+        signed.append((1 if isinstance(node, Add) else -1, node.right))
+        node = node.left
+    signed.append((1, node))
+    return weyl.linear_combine([(sign, evaluate_ast(term, d)) for sign, term in reversed(signed)], d)
 
 
 def evaluate(text: str, d: int) -> OperatorExpr:

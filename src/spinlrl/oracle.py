@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from . import clifford, weyl
-from .coeff import G_ONE, GaussianRational, P_ONE, ParamPoly
+from .coeff import P_ONE, ParamPoly, gaussian_int
 from .weyl import DimensionMismatch, OperatorExpr, divide_xpoly_by_r2
 
 FuncKey = Tuple[int, Tuple[int, ...], int]  # (radial power k, x exponents, spinor index)
@@ -128,7 +128,7 @@ def zero_function(d: int) -> SpinorFunction:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_columns(d: int, word: tuple) -> Dict[int, Tuple[Tuple[int, GaussianRational], ...]]:
+def _gamma_columns(d: int, word: tuple) -> Dict[int, Tuple[Tuple[int, ParamPoly], ...]]:
     """Column s (1-based) of the word's matrix as (row, entry) pairs."""
     matrix = clifford.word_matrix(d, word)
     n = len(matrix)
@@ -138,7 +138,7 @@ def _gamma_columns(d: int, word: tuple) -> Dict[int, Tuple[Tuple[int, GaussianRa
         for t in range(n):
             entry = matrix[t][s - 1]
             if entry:
-                entries.append((t + 1, entry))
+                entries.append((t + 1, ParamPoly.of(entry)))
         cols[s] = tuple(entries)
     return cols
 
@@ -183,7 +183,7 @@ def _derivative_terms(d: int, pe: tuple, k: int, fe: tuple) -> tuple:
                     up = list(ee)
                     up[i] += 1
                     key = (kk - 1, tuple(up))
-                    extra = mult * ParamPoly.of(GaussianRational(0, -2 * kk))
+                    extra = mult * gaussian_int(0, -2 * kk)
                     cur = nxt.get(key)
                     merged = extra if cur is None else cur + extra
                     if merged:
@@ -195,7 +195,7 @@ def _derivative_terms(d: int, pe: tuple, k: int, fe: tuple) -> tuple:
                     down = list(ee)
                     down[i] -= 1
                     key = (kk, tuple(down))
-                    extra = mult * ParamPoly.of(GaussianRational(0, -n))
+                    extra = mult * gaussian_int(0, -n)
                     cur = nxt.get(key)
                     merged = extra if cur is None else cur + extra
                     if merged:
@@ -231,12 +231,9 @@ def random_function(d: int, seed: int, max_degree: int = 4, min_k: int = -2, ter
         s = rng.randint(1, spin_dim)
         re = rng.randint(-3, 3)
         im = rng.randint(-1, 1)
-        coeff = GaussianRational(re, im)
-        if not coeff:
-            coeff = G_ONE
+        add = gaussian_int(re, im) or P_ONE
         key = (k, tuple(exps), s)
         cur = raw.get(key)
-        add = ParamPoly.of(coeff)
         raw[key] = add if cur is None else cur + add
     f = SpinorFunction(d, raw)
     if f.is_zero():
@@ -280,6 +277,8 @@ def crosscheck(
     """True when a and b act identically on `trials` random functions."""
     if a.d != b.d:
         raise DimensionMismatch("crosscheck needs operators of one dimension")
+    if trials < 1:
+        raise ValueError(f"crosscheck needs at least one trial, got {trials}")
     for t in range(trials):
         f = random_function(a.d, trial_seed(seed, t), max_degree, min_k)
         fa = apply(a, f)

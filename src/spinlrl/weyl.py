@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .clifford import CliffordIndexError, check_word, pauli_reduce_word, word_adjoint, word_mul
-from .coeff import GaussianRational, P_ONE, P_ZERO, ParamPoly
+from .coeff import GaussianRational, P_ONE, P_ZERO, ParamPoly, gaussian_int
 
 Exponents = Tuple[int, ...]
 Monomial = Tuple[Exponents, Exponents, Tuple[int, ...]]
@@ -42,8 +42,7 @@ def _as_poly(value: ScalarLike) -> ParamPoly:
     return ParamPoly.of(value)
 
 
-_MINUS_I = ParamPoly({(0, 0): GaussianRational(0, -1)})
-_MINUS_ONE = ParamPoly.of(-1)
+_MINUS_ONE = gaussian_int(-1)
 
 
 class OperatorExpr:
@@ -102,7 +101,7 @@ class OperatorExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return _scale(self, ParamPoly.of(-1))
+        return _scale(self, _MINUS_ONE)
 
     def __sub__(self, other):
         if isinstance(other, OperatorExpr):
@@ -267,11 +266,11 @@ def _lmul_p(acc: Acc, i: int, d: int) -> Acc:
         if n:
             xe_dn = list(xe)
             xe_dn[ix] -= 1
-            _acc_add(out, (k, (tuple(xe_dn), pe, word)), coeff * ParamPoly({(0, 0): GaussianRational(0, -n)}))
+            _acc_add(out, (k, (tuple(xe_dn), pe, word)), coeff * gaussian_int(0, -n))
         if k:
             xe_up = list(xe)
             xe_up[ix] += 1
-            _acc_add(out, (k + 1, (tuple(xe_up), pe, word)), coeff * ParamPoly({(0, 0): GaussianRational(0, 2 * k)}))
+            _acc_add(out, (k + 1, (tuple(xe_up), pe, word)), coeff * gaussian_int(0, 2 * k))
     return out
 
 

@@ -174,6 +174,13 @@ def test_list_json(capsys):
 # -- oracle options ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_oracle_rejects_trial_counts_below_one(capsys, trials):
+    code, out, err = run(capsys, "oracle", "--d", "2", "x1", "x1", "--trials", trials)
+    assert code == 2
+    assert "--trials" in err and "confirmed" not in out
+
+
 def test_oracle_seeded_deterministic(capsys):
     args = ("oracle", "--d", "3", "--trials", "5", "--seed", "7", "[J(1,2),H]", "0")
     first = run(capsys, *args)
@@ -187,3 +194,33 @@ def test_oracle_json_witness(capsys):
     payload = json.loads(out)
     assert payload["confirmed"] is False
     assert payload["oracleWitness"]["imageB"] == "0"
+
+
+# -- byte-identity gate: outputs pinned to files made by the Fraction-based engine -------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_json_matches_golden(capsys, tmp_path, d):
+    target = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--d", str(d), "--no-timing", "--format", "json", "--output", str(target))
+    assert code == 0
+    assert target.read_bytes() == (GOLDEN / f"verify_d{d}.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", json.loads((GOLDEN / "reduce_readme.json").read_text()), ids=lambda c: c["expression"])
+def test_readme_reduce_examples_match_golden(capsys, case):
+    code, out, _ = run(capsys, "reduce", "--d", str(case["d"]), case["expression"])
+    assert code == 0
+    assert out == case["output"]
+
+
+def test_oracle_witness_json_matches_golden(capsys):
+    code, out, _ = run(
+        capsys, "oracle", "--d", "3", "--trials", "4", "--seed", "11", "--format", "json",
+        "rinv2 x1 p1 / 2", "p1 x1 rinv2 / 2",
+    )
+    assert code == 1
+    assert json.loads(out)["oracleWitness"] is not None
+    assert out == (GOLDEN / "oracle_d3_seed11.json").read_text()

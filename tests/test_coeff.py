@@ -103,6 +103,8 @@ def test_ring_axioms_bulk():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert hash(a * (b + c)) == hash(a * b + a * c)
+        assert hash((a - b) + b) == hash(a)
 
 
 def test_conjugate_involution_bulk():
@@ -121,6 +123,40 @@ def test_no_zero_coefficients_stored():
                 assert coeff
 
 
+# -- canonical storage: one int denominator, Gaussian-integer numerators ----
+
+
+def test_equal_values_through_different_denominators():
+    half = poly(Fraction(1, 2))
+    assert half + half == P_ONE
+    assert hash(half + half) == hash(P_ONE)
+    # (1/2 + i/2)(1 - i) = 1: the product's content must be divided out
+    product = poly(gauss(Fraction(1, 2), Fraction(1, 2))) * poly(gauss(1, -1))
+    assert product == P_ONE
+    assert hash(product) == hash(P_ONE)
+    thirds = poly(Fraction(1, 3)) * P_ALPHA + poly(Fraction(2, 3)) * P_ALPHA
+    assert thirds == P_ALPHA and hash(thirds) == hash(P_ALPHA)
+    sixth = poly(Fraction(1, 2)) * P_E + poly(Fraction(-1, 3)) * P_E
+    assert sixth == poly(Fraction(1, 6)) * P_E
+
+
+def test_items_round_trip():
+    rng = random.Random(5)
+    for _ in range(300):
+        p = rand_poly(rng)
+        again = ParamPoly(dict(p.items()))
+        assert again == p
+        assert hash(again) == hash(p)
+
+
+def test_items_and_constant_value_are_gaussian_rationals():
+    p = poly(gauss(Fraction(3, 4), Fraction(-1, 2))) * P_E + poly(Fraction(1, 6))
+    assert dict(p.items()) == {(0, 1): gauss(Fraction(3, 4), Fraction(-1, 2)), (0, 0): gauss(Fraction(1, 6))}
+    assert poly(gauss(Fraction(2, 4), 3)).constant_value() == gauss(Fraction(1, 2), 3)
+    assert P_ZERO.constant_value() == gauss(0)
+    assert (P_ALPHA + P_ONE).constant_value() is None
+
+
 # -- hypothesis property layer -------------------------------------------
 
 small_fraction = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -134,12 +170,14 @@ polys = st.dictionaries(exponents, gaussians, max_size=4).map(ParamPoly)
 def test_hypothesis_commutativity(a, b):
     assert a + b == b + a
     assert a * b == b * a
-
+    assert hash(a * b) == hash(b * a)
 
 @settings(max_examples=120)
 @given(polys, polys, polys)
 def test_hypothesis_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+    assert hash((a + b) + c) == hash(a + (b + c))
 
 
 @settings(max_examples=120)

@@ -137,3 +137,18 @@ def test_format_basics():
     assert expr.format_expr(weyl.zero(2)) == "0"
     assert expr.format_expr(weyl.scalar(2, I)) == "i"
     assert expr.format_expr(weyl.scalar(3, Fraction(-5, 4))) == "-5/4"
+
+
+def test_long_sum_reads_back():
+    # a canonical text of over a thousand terms used to overflow the recursion limit
+    text = " + ".join(f"x1^{k}" for k in range(1, 1200))
+    value = expr.evaluate(text, 2)
+    assert value.term_count() == 1199
+    rendered = expr.format_expr(value)
+    assert expr.format_expr(expr.evaluate(rendered, 2)) == rendered
+
+
+def test_mixed_sum_chain_keeps_each_sign():
+    x1, p2, g1 = weyl.x(2, 1), weyl.p(2, 2), weyl.gamma(2, 1)
+    expected = x1 - 2 * p2 + 3 * weyl.multiply(x1, p2) - g1
+    assert expr.evaluate("x1 - 2 p2 + 3 x1 p2 - g1", 2) == expected

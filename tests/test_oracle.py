@@ -121,6 +121,12 @@ def test_crosscheck_finds_witness():
     assert not result.image_a.is_zero()
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_crosscheck_rejects_trial_counts_below_one(trials):
+    with pytest.raises(ValueError):
+        oracle.crosscheck(weyl.x(2, 1), weyl.x(2, 1), trials=trials)
+
+
 def test_crosscheck_seeded_reproducible():
     a = weyl.commutator(weyl.x(2, 1), weyl.p(2, 1))
     first = oracle.crosscheck(a, weyl.zero(2), trials=5, seed=7)
