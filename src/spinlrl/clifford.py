@@ -121,10 +121,6 @@ def mat_conj_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a[0])))
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def _block(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     top = tuple(ra + rb for ra, rb in zip(tl, tr))
     bottom = tuple(ra + rb for ra, rb in zip(bl, br))

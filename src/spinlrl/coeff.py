@@ -213,6 +213,12 @@ class ParamPoly:
             return self._gaussian(num[(0, 0)])
         return None
 
+    def int_form(self) -> tuple:
+        """``(den, {(alpha_power, e_power): (re, im)})``: the stored content
+        form itself, for kernels that do their own integer arithmetic.  The
+        map must not be modified."""
+        return self._den, self._num
+
     def max_powers(self) -> tuple:
         """Largest (alpha, E) exponents occurring in any term."""
         pa = max((k[0] for k in self._num), default=0)
@@ -277,7 +283,7 @@ class ParamPoly:
         # without a merged key, the side with the larger power of each prime
         # in the denominator keeps a numerator part that prime does not divide
         if merged:
-            return _normalized(sd, terms)
+            return poly_from_ints(sd, terms)
         return _raw_poly(sd, terms)
 
     __radd__ = __add__
@@ -334,7 +340,7 @@ class ParamPoly:
                         terms[key] = (re, im)
                     else:
                         del terms[key]
-        return _normalized(den, terms)
+        return poly_from_ints(den, terms)
 
     __rmul__ = __mul__
 
@@ -438,20 +444,58 @@ def _raw_poly(den: int, num: dict) -> ParamPoly:
     return poly
 
 
-def _normalized(den: int, num: dict) -> ParamPoly:
-    """A ParamPoly from nonzero numerators whose content may share a factor
-    with den."""
+def poly_from_ints(den: int, num: dict) -> ParamPoly:
+    """The ParamPoly ``sum num[key] / den`` for a positive ``den`` and nonzero
+    Gaussian-integer numerators; a factor common to all of them is divided
+    out.  Takes ownership of ``num``."""
     if not num:
         return P_ZERO
+    return _raw_poly(*reduce_content(den, num))
+
+
+def common_denominator(parts: Mapping[int, dict]) -> tuple:
+    """Merge ``{den: {key: (re, im)}}`` into ``(lcm of the dens, {key: (re, im)})``.
+
+    Numerators are brought to the common denominator and added; sums that
+    cancel are dropped.  The result may still share a factor with the
+    denominator (see ``reduce_content``).
+    """
+    if len(parts) == 1:
+        ((den, num),) = parts.items()
+        return den, num
+    common = lcm(*parts)
+    out: dict = {}
+    for den, num in parts.items():
+        factor = common // den
+        for key, (re, im) in num.items():
+            merge_term(out, key, re * factor, im * factor)
+    return common, out
+
+
+def merge_term(acc: dict, key, re: int, im: int) -> None:
+    """Add the Gaussian-integer numerator ``re + im*i`` to ``acc[key]``,
+    dropping the key when the sum is zero."""
+    cur = acc.get(key)
+    if cur is not None:
+        re += cur[0]
+        im += cur[1]
+        if not re and not im:
+            del acc[key]
+            return
+    acc[key] = (re, im)
+
+
+def reduce_content(den: int, num: dict) -> tuple:
+    """``(den, num)`` divided by the gcd of ``den`` and every numerator part,
+    so that the stored form of a value is unique."""
     g = den
     for re, im in num.values():
         if g == 1:
-            return _raw_poly(den, num)
+            return den, num
         g = gcd(g, re, im)
-    if g != 1:
-        den //= g
-        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
-    return _raw_poly(den, num)
+    if g == 1:
+        return den, num
+    return den // g, {key: (re // g, im // g) for key, (re, im) in num.items()}
 
 
 def gaussian_int(re: int, im: int = 0) -> ParamPoly:

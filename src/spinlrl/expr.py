@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 from . import ops, weyl
 from .coeff import GaussianRational, P_ALPHA, P_E, P_I, ParamPoly
@@ -188,12 +188,18 @@ def _tokenize(text: str) -> List[Token]:
 
 _ATOM_STARTS = {"int", "ident", "(", "[", "{"}
 
+# Each level of brackets costs the recursive-descent parser and the evaluator
+# several stack frames, so deeper input is refused with a diagnostic instead
+# of running into the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, d: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.d = d
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -225,10 +231,21 @@ class _Parser:
         return node
 
     def signed_product(self) -> Ast:
-        if self.peek().kind == "-":
+        negations = 0
+        while self.peek().kind == "-":
             self.advance()
-            return Neg(self.signed_product())
-        return self.product()
+            negations += 1
+        node = self.product()
+        return Neg(node) if negations % 2 else node
+
+    def nested(self, tok: Token, parse_inside: Callable[[], Ast]) -> Ast:
+        """Parse a bracketed construct one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            raise ExprError(tok.line, tok.col, f"brackets nest deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        node = parse_inside()
+        self.depth -= 1
+        return node
 
     def product(self) -> Ast:
         node = self.power()
@@ -265,27 +282,29 @@ class _Parser:
             return Lit(Fraction(int(tok.text)))
         if tok.kind == "(":
             self.advance()
-            node = self.sum_()
-            self.expect(")")
-            return node
+            return self.nested(tok, self.parenthesized)
         if tok.kind == "[":
             self.advance()
-            left = self.sum_()
-            self.expect(",")
-            right = self.sum_()
-            self.expect("]")
-            return Comm(left, right)
+            return self.nested(tok, lambda: Comm(*self.pair("]")))
         if tok.kind == "{":
             self.advance()
-            left = self.sum_()
-            self.expect(",")
-            right = self.sum_()
-            self.expect("}")
-            return AntiComm(left, right)
+            return self.nested(tok, lambda: AntiComm(*self.pair("}")))
         if tok.kind == "ident":
             self.advance()
             return self.ident_atom(tok)
         raise ExprError(tok.line, tok.col, f"expected a term, found {tok.text or 'end of input'!r}")
+
+    def parenthesized(self) -> Ast:
+        node = self.sum_()
+        self.expect(")")
+        return node
+
+    def pair(self, closing: str) -> Tuple[Ast, Ast]:
+        left = self.sum_()
+        self.expect(",")
+        right = self.sum_()
+        self.expect(closing)
+        return left, right
 
     def ident_atom(self, tok: Token) -> Ast:
         name = tok.text
@@ -351,12 +370,8 @@ def evaluate_ast(ast: Ast, d: int) -> OperatorExpr:
         return -evaluate_ast(ast.arg, d)
     if isinstance(ast, (Add, Sub)):
         return _evaluate_sum(ast, d)
-    if isinstance(ast, Mul):
-        return weyl.multiply(evaluate_ast(ast.left, d), evaluate_ast(ast.right, d))
-    if isinstance(ast, Div):
-        if ast.divisor == 0:
-            raise ZeroDivisionError("division by zero literal")
-        return evaluate_ast(ast.left, d) / Fraction(ast.divisor)
+    if isinstance(ast, (Mul, Div)):
+        return _evaluate_product(ast, d)
     if isinstance(ast, Pow):
         return evaluate_ast(ast.base, d) ** ast.exponent
     if isinstance(ast, Comm):
@@ -380,6 +395,25 @@ def _evaluate_sum(ast: Union[Add, Sub], d: int) -> OperatorExpr:
         node = node.left
     signed.append((1, node))
     return weyl.linear_combine([(sign, evaluate_ast(term, d)) for sign, term in reversed(signed)], d)
+
+
+def _evaluate_product(ast: Union[Mul, Div], d: int) -> OperatorExpr:
+    """A left-nested chain of products and integer divisions, folded left to
+    right in a loop, so long juxtaposed products stay off the recursion limit."""
+    steps = []
+    node = ast
+    while isinstance(node, (Mul, Div)):
+        steps.append(node)
+        node = node.left
+    out = evaluate_ast(node, d)
+    for step in reversed(steps):
+        if isinstance(step, Mul):
+            out = weyl.multiply(out, evaluate_ast(step.right, d))
+        else:
+            if step.divisor == 0:
+                raise ZeroDivisionError("division by zero literal")
+            out = out / Fraction(step.divisor)
+    return out
 
 
 def evaluate(text: str, d: int) -> OperatorExpr:

@@ -133,14 +133,6 @@ def spin_dot_p(d: int, i: int) -> OperatorExpr:
     return weyl.linear_combine(parts, d=d)
 
 
-@lru_cache(maxsize=None)
-def spin_dot_x(d: int, i: int) -> OperatorExpr:
-    """Contraction sum_j S_ij x_j."""
-    _check_index(d, i)
-    parts = [(1, weyl.multiply(spin(d, i, j), weyl.x(d, j))) for j in range(1, d + 1) if j != i]
-    return weyl.linear_combine(parts, d=d)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian and radial operator
 # ---------------------------------------------------------------------------

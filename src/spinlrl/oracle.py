@@ -6,56 +6,83 @@ inverse square radius.  Gamma generators act through the concrete matrix
 representation rather than the abstract word algebra, so agreement between an
 engine identity and the action on random functions is evidence from a
 genuinely different code path.
+
+Storage.  A ``SpinorFunction`` keeps one positive int denominator ``den`` and
+a map ``num`` from ``(k, xk, s, alpha_power, e_power)`` to a Gaussian-integer
+numerator ``(re, im)`` of plain ints, for the term
+``r^(2k) x^xk e_s alpha^alpha_power E^e_power (re + im*i) / den``.  ``xk`` is
+the x-exponent vector packed as in the engine (``weyl.pack``): d + 1 fields
+of 16 bits, the total degree in the top field, then x1 down to xd in the
+lowest, so plain int order is graded lex order.  A total degree above
+``weyl.EXPONENT_LIMIT`` (2^16 - 1) raises ValueError before any field could
+carry into the next.  Normalisation invariant: no numerator is ``(0, 0)`` and
+the gcd of ``den`` and every numerator part is 1, so ``==`` and ``hash`` are
+structural.  ``apply``, canonicalisation and ``linear_combine`` are int
+arithmetic on these maps; ``ParamPoly`` appears only in the constructor and
+in the read-only ``terms`` view.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from . import clifford, weyl
-from .coeff import P_ONE, ParamPoly, gaussian_int
-from .weyl import DimensionMismatch, OperatorExpr, divide_xpoly_by_r2
+from .coeff import ParamPoly, common_denominator, merge_term, reduce_content
+from .weyl import DimensionMismatch, OperatorExpr, PackedTerms, divide_xpoly_by_r2
 
 FuncKey = Tuple[int, Tuple[int, ...], int]  # (radial power k, x exponents, spinor index)
 
 
-class SpinorFunction:
+class SpinorFunction(PackedTerms):
     """Exact function sum r^(2k) x^a (x) e_s with polynomial coefficients.
 
     Canonical form: for every k < 0 the x-polynomial at that radial level and
     spinor component leaves a nonzero remainder under division by sum x_i^2,
-    mirroring the engine's minimal left fractions.
+    mirroring the engine's minimal left fractions.  The constructor takes
+    ``{(k, x-exponents, s): ParamPoly}``, the form of the read-only ``terms``
+    view; the stored form is described in the module docstring.
     """
 
-    __slots__ = ("d", "spin_dim", "terms")
+    __slots__ = ("d", "spin_dim", "den", "num", "_hash", "_view")
 
     def __init__(self, d: int, terms: Dict[FuncKey, ParamPoly]):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "spin_dim", 2 ** (d // 2))
-        object.__setattr__(self, "terms", _canonicalize(d, terms))
+        acc: Dict[int, dict] = {}
+        for (k, xe, s), coeff in terms.items():
+            den, num = ParamPoly.of(coeff).int_form()
+            target = acc.setdefault(den, {})
+            xk = weyl.pack(xe)
+            for (a, e), (re, im) in num.items():
+                merge_term(target, (k, xk, s, a, e), re, im)
+        _init_function(self, d, acc)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpinorFunction is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _decode_monomial(self, key: tuple) -> tuple:
+        return key[0], weyl.unpack(key[1], self.d), key[2]
 
     def __eq__(self, other):
         if not isinstance(other, SpinorFunction):
             return NotImplemented
-        return self.d == other.d and self.terms == other.terms
+        return self.d == other.d and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.d, self.den, frozenset(self.num.items())))
+            _set_hash(self, h)
+            return h
 
     def __str__(self):
-        if not self.terms:
+        terms = self._decoded()
+        if not terms:
             return "0"
         parts = []
-        for (k, xe, s) in sorted(self.terms, key=lambda key: (key[2], -key[0], key[1])):
-            coeff = self.terms[(k, xe, s)]
+        for (k, xe, s) in sorted(terms, key=lambda key: (key[2], -key[0], key[1])):
+            coeff = terms[(k, xe, s)]
             atoms = []
             if k:
                 atoms.append(f"r2^{k}")
@@ -72,46 +99,57 @@ class SpinorFunction:
         return f"<SpinorFunction d={self.d}: {self}>"
 
 
-def _canonicalize(d: int, raw: Dict[FuncKey, ParamPoly]) -> Dict[FuncKey, ParamPoly]:
+_set_d = SpinorFunction.d.__set__
+_set_spin_dim = SpinorFunction.spin_dim.__set__
+_set_den = SpinorFunction.den.__set__
+_set_num = SpinorFunction.num.__set__
+_set_hash = SpinorFunction._hash.__set__
+
+
+def _init_function(f: SpinorFunction, d: int, acc: Dict[int, dict]) -> None:
+    den, raw = common_denominator(acc) if acc else (1, {})
+    den, num = reduce_content(den, _canonicalize(d, raw))
+    _set_d(f, d)
+    _set_spin_dim(f, 2 ** (d // 2))
+    _set_den(f, den)
+    _set_num(f, num)
+
+
+def _function(d: int, acc: Dict[int, dict]) -> SpinorFunction:
+    """A canonical function from an accumulator ``{den: {key: (re, im)}}``."""
+    f = object.__new__(SpinorFunction)
+    _init_function(f, d, acc)
+    return f
+
+
+def _canonicalize(d: int, raw: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
     """Push r^2-divisible content upward level by level; unique normal form."""
-    by_level: Dict[Tuple[int, int], Dict[Tuple[int, ...], ParamPoly]] = {}
-    for (k, xe, s), coeff in raw.items():
-        if coeff:
-            level = by_level.setdefault((k, s), {})
-            cur = level.get(xe)
-            merged = coeff if cur is None else cur + coeff
-            if merged:
-                level[xe] = merged
-            else:
-                del level[xe]
-    out: Dict[FuncKey, ParamPoly] = {}
+    by_level: Dict[tuple, Dict[int, tuple]] = {}
+    for (k, xk, s, a, e), value in raw.items():
+        level = by_level.get((k, s, a, e))
+        if level is None:
+            by_level[(k, s, a, e)] = level = {}
+        level[xk] = value
+    out: Dict[tuple, tuple] = {}
     if not by_level:
         return out
-    kmin = min(k for k, _ in by_level)
-    spinors = {s for _, s in by_level}
-    for s in spinors:
-        k = kmin
-        while k <= 0:
-            poly = by_level.get((k, s))
-            if poly:
-                if k < 0:
-                    quotient, remainder = divide_xpoly_by_r2(poly, d)
-                    for xe, coeff in remainder.items():
-                        out[(k, xe, s)] = coeff
-                    if quotient:
-                        upper = by_level.setdefault((k + 1, s), {})
-                        for xe, coeff in quotient.items():
-                            cur = upper.get(xe)
-                            merged = coeff if cur is None else cur + coeff
-                            if merged:
-                                upper[xe] = merged
-                            else:
-                                del upper[xe]
-                else:
-                    for xe, coeff in poly.items():
-                        if coeff:
-                            out[(0, xe, s)] = coeff
-            k += 1
+    kmin = min(key[0] for key in by_level)
+    for s, a, e in {key[1:] for key in by_level}:
+        for k in range(kmin, 1):
+            poly = by_level.get((k, s, a, e))
+            if not poly:
+                continue
+            if k < 0:
+                quotient, remainder = divide_xpoly_by_r2(poly, d)
+                for xk, value in remainder.items():
+                    out[(k, xk, s, a, e)] = value
+                if quotient:
+                    upper = by_level.setdefault((k + 1, s, a, e), {})
+                    for xk, (re, im) in quotient.items():
+                        merge_term(upper, xk, re, im)
+            else:
+                for xk, value in poly.items():
+                    out[(0, xk, s, a, e)] = value
     return out
 
 
@@ -119,8 +157,21 @@ def function_from_terms(d: int, terms: Dict[FuncKey, ParamPoly]) -> SpinorFuncti
     return SpinorFunction(d, terms)
 
 
-def zero_function(d: int) -> SpinorFunction:
-    return SpinorFunction(d, {})
+def linear_combine(d: int, parts: Iterable[tuple]) -> SpinorFunction:
+    """Canonical sum of (scalar, function) pairs."""
+    acc: Dict[int, dict] = {}
+    for coeff, f in parts:
+        sden, snum = ParamPoly.of(coeff).int_form()
+        if not snum:
+            continue
+        den = f.den * sden
+        target = acc.get(den)
+        if target is None:
+            acc[den] = target = {}
+        for (k, xk, s, a, e), (re, im) in f.num.items():
+            for (sa, se), (sr, si) in snum.items():
+                merge_term(target, (k, xk, s, a + sa, e + se), re * sr - im * si, re * si + im * sr)
+    return _function(d, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +179,9 @@ def zero_function(d: int) -> SpinorFunction:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_columns(d: int, word: tuple) -> Dict[int, Tuple[Tuple[int, ParamPoly], ...]]:
-    """Column s (1-based) of the word's matrix as (row, entry) pairs."""
+def _gamma_columns(d: int, word: tuple) -> Dict[int, Tuple[Tuple[int, int, int], ...]]:
+    """Column s (1-based) of the word's matrix as (row, re, im) triples; the
+    entries of every word matrix are Gaussian integers."""
     matrix = clifford.word_matrix(d, word)
     n = len(matrix)
     cols: Dict[int, tuple] = {}
@@ -138,7 +190,9 @@ def _gamma_columns(d: int, word: tuple) -> Dict[int, Tuple[Tuple[int, ParamPoly]
         for t in range(n):
             entry = matrix[t][s - 1]
             if entry:
-                entries.append((t + 1, ParamPoly.of(entry)))
+                if entry.re.denominator != 1 or entry.im.denominator != 1:
+                    raise ValueError(f"gamma matrix entry {entry} is not a Gaussian integer")
+                entries.append((t + 1, entry.re.numerator, entry.im.numerator))
         cols[s] = tuple(entries)
     return cols
 
@@ -149,61 +203,65 @@ def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
     if op.d != f.d:
         raise DimensionMismatch(f"operator at d={op.d} applied to function at d={f.d}")
     d = op.d
-    out: Dict[FuncKey, ParamPoly] = {}
+    if not op.num or not f.num:
+        return _function(d, {})
+    # differentiating r^(2k) raises an x-degree by one per momentum
+    weyl.check_degree(weyl.degree(max(key[1] for key in f.num), d) + sum(op.max_degrees()))
+    m = op.denom_pow
+    out: Dict[tuple, tuple] = {}
+    get = out.get
     columns: Dict[tuple, dict] = {}
-    for (xe, pe, word), oc in op.terms.items():
+    f_items = list(f.num.items())
+    for (xk, pk, word, al, ae), (ore, oim) in op.num.items():
         cols = columns.get(word)
         if cols is None:
             cols = _gamma_columns(d, word)
             columns[word] = cols
-        for (k, fe, s), fc in f.terms.items():
-            for (t, entry) in cols[s]:
-                coeff = fc * oc * entry
-                for (k2, fe2), mult in _derivative_terms(d, pe, k, fe):
-                    key = (k2 - op.denom_pow, tuple(a + b for a, b in zip(fe2, xe)), t)
-                    cur = out.get(key)
-                    add = coeff * mult
-                    merged = add if cur is None else cur + add
-                    if merged:
-                        out[key] = merged
+        for (k, fx, s, fa, fe), (fr, fi) in f_items:
+            cr = fr * ore - fi * oim
+            ci = fr * oim + fi * ore
+            derivs = _derivative_terms(d, pk, k, fx)
+            a = al + fa
+            e = ae + fe
+            for t, er, ei in cols[s]:
+                tr = cr * er - ci * ei
+                ti = cr * ei + ci * er
+                for k2, fx2, mr, mi in derivs:
+                    key = (k2 - m, fx2 + xk, t, a, e)
+                    re = tr * mr - ti * mi
+                    im = tr * mi + ti * mr
+                    c = get(key)
+                    if c is None:
+                        out[key] = (re, im)
                     else:
-                        del out[key]
-    return SpinorFunction(d, out)
+                        re += c[0]
+                        im += c[1]
+                        if re or im:
+                            out[key] = (re, im)
+                        else:
+                            del out[key]
+    return _function(d, {op.den * f.den: out})
 
 
 @lru_cache(maxsize=65536)
-def _derivative_terms(d: int, pe: tuple, k: int, fe: tuple) -> tuple:
-    """Expand p^pe acting on r^(2k) x^fe into ((k', exponents), multiplier)."""
-    current = {(k, fe): P_ONE}
-    for i in range(d):
-        for _ in range(pe[i]):
-            nxt: Dict[tuple, ParamPoly] = {}
-            for (kk, ee), mult in current.items():
+def _derivative_terms(d: int, pk: int, k: int, fx: int) -> tuple:
+    """Expand p^pk acting on r^(2k) x^fx into (k', packed exponents, re, im)
+    tuples, where re + im*i is the multiplier."""
+    current = {(k, fx): (1, 0)}
+    units = weyl.unit_keys(d)
+    for i in range(1, d + 1):
+        unit = units[i - 1]
+        for _ in range(weyl.exponent_of(pk, i, d)):
+            nxt: Dict[tuple, tuple] = {}
+            for (kk, ee), (mr, mi) in current.items():
                 if kk:
-                    up = list(ee)
-                    up[i] += 1
-                    key = (kk - 1, tuple(up))
-                    extra = mult * gaussian_int(0, -2 * kk)
-                    cur = nxt.get(key)
-                    merged = extra if cur is None else cur + extra
-                    if merged:
-                        nxt[key] = merged
-                    else:
-                        del nxt[key]
-                n = ee[i]
+                    # -i d/dx_i r^(2kk) = -2i kk x_i r^(2kk-2)
+                    merge_term(nxt, (kk - 1, ee + unit), 2 * kk * mi, -2 * kk * mr)
+                n = weyl.exponent_of(ee, i, d)
                 if n:
-                    down = list(ee)
-                    down[i] -= 1
-                    key = (kk, tuple(down))
-                    extra = mult * gaussian_int(0, -n)
-                    cur = nxt.get(key)
-                    merged = extra if cur is None else cur + extra
-                    if merged:
-                        nxt[key] = merged
-                    else:
-                        del nxt[key]
+                    merge_term(nxt, (kk, ee - unit), n * mi, -n * mr)
             current = nxt
-    return tuple(current.items())
+    return tuple((kk, ee, mr, mi) for (kk, ee), (mr, mi) in current.items())
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +279,7 @@ def random_function(d: int, seed: int, max_degree: int = 4, min_k: int = -2, ter
         raise ValueError("need max_degree >= 0 and min_k <= 0")
     rng = random.Random(seed)
     spin_dim = 2 ** (d // 2)
-    raw: Dict[FuncKey, ParamPoly] = {}
+    raw: Dict[tuple, tuple] = {}
     for _ in range(terms):
         k = rng.randint(min_k, 0)
         degree = rng.randint(0, max_degree)
@@ -231,13 +289,12 @@ def random_function(d: int, seed: int, max_degree: int = 4, min_k: int = -2, ter
         s = rng.randint(1, spin_dim)
         re = rng.randint(-3, 3)
         im = rng.randint(-1, 1)
-        add = gaussian_int(re, im) or P_ONE
-        key = (k, tuple(exps), s)
-        cur = raw.get(key)
-        raw[key] = add if cur is None else cur + add
-    f = SpinorFunction(d, raw)
+        if not re and not im:
+            re = 1
+        merge_term(raw, (k, weyl.pack(exps), s, 0, 0), re, im)
+    f = _function(d, {1: raw})
     if f.is_zero():
-        return SpinorFunction(d, {(0, (0,) * d, 1): P_ONE})
+        return _function(d, {1: {(0, 0, 1, 0, 0): (1, 0)}})
     return f
 
 

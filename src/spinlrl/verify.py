@@ -70,21 +70,18 @@ class OpSum:
         object.__setattr__(flipped, "terms", tuple((-c, f) for c, f in self.terms))
         return flipped
 
-    def apply(self, f: SpinorFunction) -> SpinorFunction:
-        acc: dict = {}
+    def apply(self, f: SpinorFunction, apply_one: Optional[Callable] = None) -> SpinorFunction:
+        """The sum acting on f, each factor chain applied right to left by
+        ``apply_one(operator, function)``, which defaults to ``oracle.apply``."""
+        if apply_one is None:
+            apply_one = oracle.apply
+        parts = []
         for coeff, factors in self.terms:
             g = f
             for factor in reversed(factors):
-                g = oracle.apply(factor, g)
-            for key, c in g.terms.items():
-                add = c * coeff
-                cur = acc.get(key)
-                merged = add if cur is None else cur + add
-                if merged:
-                    acc[key] = merged
-                else:
-                    del acc[key]
-        return SpinorFunction(self.d, acc)
+                g = apply_one(factor, g)
+            parts.append((coeff, g))
+        return oracle.linear_combine(self.d, parts)
 
 
 def osum(d: int, *terms: tuple) -> OpSum:
@@ -1501,6 +1498,8 @@ def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max
     same builders and the same seeded functions recur across the index tuples
     of one check, so this saves most of the work without changing results.
     """
+    if trials < 1:
+        raise ValueError(f"crosscheck needs at least one trial, got {trials}")
     check = get_check(check_id)
     pairs = check.pairs(d)
     functions = [oracle.random_function(d, oracle.trial_seed(seed, t), max_degree, min_k) for t in range(trials)]
@@ -1516,29 +1515,13 @@ def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max
         memo[key] = (op, f, result)
         return result
 
-    def apply_sum(opsum: OpSum, f: SpinorFunction) -> SpinorFunction:
-        acc: dict = {}
-        for coeff, factors in opsum.terms:
-            g = f
-            for factor in reversed(factors):
-                g = apply_one(factor, g)
-            for fkey, c in g.terms.items():
-                add = c * coeff
-                cur = acc.get(fkey)
-                merged = add if cur is None else cur + add
-                if merged:
-                    acc[fkey] = merged
-                else:
-                    del acc[fkey]
-        return SpinorFunction(d, acc)
-
     entries = []
     for label, lhs, rhs in pairs:
         agreed = True
         witness = None
         for t in range(trials):
             f = functions[t]
-            if apply_sum(lhs, f) != apply_sum(rhs, f):
+            if lhs.apply(f, apply_one) != rhs.apply(f, apply_one):
                 agreed = False
                 witness = f
                 break
@@ -1547,6 +1530,8 @@ def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max
 
 
 def crosscheck_suites(suites: Sequence[str], d: int, trials: int = 20, seed: int = 0, max_degree: int = 4, min_k: int = -2) -> List[ConcordanceEntry]:
+    if trials < 1:
+        raise ValueError(f"crosscheck needs at least one trial, got {trials}")
     entries: List[ConcordanceEntry] = []
     for suite in suites:
         for check in list_checks(suite):

@@ -16,77 +16,229 @@ together with Clifford word reduction; positive powers of r^2 are always
 expanded into sum x_i^2.  With these conventions equality of canonical forms
 is equality in the localized algebra, so the zero test behind every
 verification is simply "no terms left".
+
+Storage.  Besides ``d`` and ``denom_pow`` (the m above) an element keeps one
+positive int denominator ``den`` and a map ``num`` from
+``(xk, pk, word, alpha_power, e_power)`` to a Gaussian-integer numerator
+``(re, im)`` of plain ints; the key stands for the term
+``x^xk p^pk word alpha^alpha_power E^e_power (re + im*i) / den``.
+Normalisation invariant: no numerator is ``(0, 0)`` and the gcd of ``den`` and
+every numerator part is 1, so each element has exactly one stored form and
+``==`` and ``hash`` compare it directly.  ``terms`` is a read-only view of the
+same element as ``{(x-exponents, p-exponents, word): ParamPoly}``.
+
+Packed exponents.  ``xk`` and ``pk`` each pack an exponent vector into one
+int of d + 1 fields of ``FIELD_BITS`` = 16 bits: the total degree in the top
+field, then the exponent of x1 (p1) in the highest field below it, down to
+xd (pd) in the lowest.  Plain int order of packed vectors is therefore graded
+lex order (total degree first, then x1, x2, ... lexicographically), which is
+the term order of the r^2 division, and multiplying monomials is adding
+their packed ints.  The total degree of any x- or p-monomial, and with it
+every single exponent, is limited to ``EXPONENT_LIMIT`` = 2^16 - 1.  An
+operation whose result could pass the limit raises ValueError before it
+builds a single key, so a field never carries into the next one.  All the
+arithmetic of products, sums, canonicalisation and r^2 division is int
+arithmetic on these keys and numerators; ``ParamPoly`` appears only at the
+boundary (scalar inputs, ``constant_value``, ``substitute``, ``terms`` and
+rendering).
 """
 
 from __future__ import annotations
 
 import heapq
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .clifford import CliffordIndexError, check_word, pauli_reduce_word, word_adjoint, word_mul
-from .coeff import GaussianRational, P_ONE, P_ZERO, ParamPoly, gaussian_int
+from .coeff import GaussianRational, P_ONE, P_ZERO, ParamPoly, common_denominator, merge_term, poly_from_ints, reduce_content
 
 Exponents = Tuple[int, ...]
 Monomial = Tuple[Exponents, Exponents, Tuple[int, ...]]
 ScalarLike = Union[int, Fraction, GaussianRational, ParamPoly]
+
+FIELD_BITS = 16
+EXPONENT_LIMIT = (1 << FIELD_BITS) - 1
+_MASK = EXPONENT_LIMIT
 
 
 class DimensionMismatch(ValueError):
     pass
 
 
-def _as_poly(value: ScalarLike) -> ParamPoly:
-    return ParamPoly.of(value)
+# ---------------------------------------------------------------------------
+# packed exponent vectors
+# ---------------------------------------------------------------------------
 
 
-_MINUS_ONE = gaussian_int(-1)
+def check_degree(degree: int) -> None:
+    if degree > EXPONENT_LIMIT:
+        raise ValueError(f"total degree {degree} exceeds the exponent limit {EXPONENT_LIMIT}")
 
 
-class OperatorExpr:
+def pack(exps: Sequence[int]) -> int:
+    """One int for an exponent vector: total degree on top, then x1 ... xd."""
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {tuple(exps)}")
+    key = sum(exps)
+    check_degree(key)
+    for e in exps:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def unpack(key: int, d: int) -> Exponents:
+    out = [0] * d
+    for i in range(d - 1, -1, -1):
+        out[i] = key & _MASK
+        key >>= FIELD_BITS
+    return tuple(out)
+
+
+def degree(key: int, d: int) -> int:
+    """Total degree of a packed exponent vector."""
+    return key >> (FIELD_BITS * d)
+
+
+@lru_cache(maxsize=None)
+def unit_keys(d: int) -> Tuple[int, ...]:
+    """Packed unit vectors; entry i - 1 is the one of variable i."""
+    top = 1 << (FIELD_BITS * d)
+    return tuple(top | (1 << (FIELD_BITS * (d - i))) for i in range(1, d + 1))
+
+
+def exponent_of(key: int, i: int, d: int) -> int:
+    """Exponent of variable i (1-based) in a packed vector."""
+    return (key >> (FIELD_BITS * (d - i))) & _MASK
+
+
+def _int_scalar(value: ScalarLike) -> Optional[tuple]:
+    """A scalar as ``(den, ((alpha_power, e_power, re, im), ...))``, None for 0."""
+    den, num = ParamPoly.of(value).int_form()
+    if not num:
+        return None
+    return den, tuple((a, e, re, im) for (a, e), (re, im) in num.items())
+
+
+_UNIT = (1, ((0, 0, 1, 0),))
+_MINUS = (1, ((0, 0, -1, 0),))
+
+
+# ---------------------------------------------------------------------------
+# the element type
+# ---------------------------------------------------------------------------
+
+
+class TermView(Mapping):
+    """Read-only decoded view of an element's terms, built on first use; its
+    length is the number of distinct monomials and costs no decoding."""
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, owner: "PackedTerms"):
+        self._owner = owner
+
+    def __len__(self) -> int:
+        return self._owner.term_count()
+
+    def __getitem__(self, key):
+        return self._owner._decoded()[key]
+
+    def __iter__(self):
+        return iter(self._owner._decoded())
+
+
+class PackedTerms:
+    """Queries shared by the packed integer element types (``OperatorExpr``
+    here, ``oracle.SpinorFunction``): ``num`` maps keys whose first three
+    entries name a monomial and whose last two are the alpha and E powers to
+    Gaussian-integer numerators over the common denominator ``den``."""
+
+    __slots__ = ()
+
+    def _decode_monomial(self, key: tuple) -> tuple:
+        raise NotImplementedError
+
+    @property
+    def terms(self) -> TermView:
+        """``{monomial: ParamPoly}``, read-only."""
+        return TermView(self)
+
+    def _decoded(self) -> dict:
+        try:
+            return self._view
+        except AttributeError:
+            grouped: dict = {}
+            for key, value in self.num.items():
+                group = grouped.get(key[:3])
+                if group is None:
+                    grouped[key[:3]] = group = {}
+                group[key[3:]] = value
+            view = {self._decode_monomial(mono): poly_from_ints(self.den, group) for mono, group in grouped.items()}
+            object.__setattr__(self, "_view", view)
+            return view
+
+    def term_count(self) -> int:
+        """Number of distinct monomials."""
+        return len({key[:3] for key in self.num})
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+
+class OperatorExpr(PackedTerms):
     """An element of the localized Weyl x Clifford algebra at fixed dimension.
 
     Immutable; always canonical.  Supports +, -, * (scalars and operators),
-    ** with non-negative integer exponents, and exact equality.
+    ** with non-negative integer exponents, and exact equality.  ``terms`` is
+    ``{(x-exponents, p-exponents, word): ParamPoly}``.
     """
 
-    __slots__ = ("d", "denom_pow", "terms")
+    __slots__ = ("d", "denom_pow", "den", "num", "_hash", "_degrees", "_view")
 
-    def __init__(self, d: int, denom_pow: int, terms: Dict[Monomial, ParamPoly]):
+    def __init__(self, d: int, denom_pow: int, den: int, num: Dict[tuple, tuple]):
         # internal constructor: callers must hand over canonical data
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "denom_pow", denom_pow)
-        object.__setattr__(self, "terms", terms)
+        _set_d(self, d)
+        _set_denom_pow(self, denom_pow)
+        _set_den(self, den)
+        _set_num(self, num)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorExpr is immutable")
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _decode_monomial(self, key: tuple) -> Monomial:
+        return unpack(key[0], self.d), unpack(key[1], self.d), key[2]
 
-    def term_count(self) -> int:
-        return len(self.terms)
+    def max_degrees(self) -> tuple:
+        """Largest total x-degree and p-degree of any term."""
+        try:
+            return self._degrees
+        except AttributeError:
+            d = self.d
+            degs = (degree(max((k[0] for k in self.num), default=0), d), degree(max((k[1] for k in self.num), default=0), d))
+            _set_degrees(self, degs)
+            return degs
 
     def constant_value(self) -> Optional[ParamPoly]:
         """The scalar a purely scalar operator represents, else None."""
-        if not self.terms:
+        if not self.num:
             return P_ZERO
-        if self.denom_pow == 0 and len(self.terms) == 1:
-            trivial = _trivial_monomial(self.d)
-            if trivial in self.terms:
-                return self.terms[trivial]
-        return None
+        if self.denom_pow:
+            return None
+        params = {}
+        for (xk, pk, word, a, e), value in self.num.items():
+            if xk or pk or word:
+                return None
+            params[(a, e)] = value
+        return poly_from_ints(self.den, params)
 
     def max_param_powers(self) -> tuple:
-        pa = pe = 0
-        for coeff in self.terms.values():
-            a, e = coeff.max_powers()
-            pa = max(pa, a)
-            pe = max(pe, e)
+        pa = max((k[3] for k in self.num), default=0)
+        pe = max((k[4] for k in self.num), default=0)
         return pa, pe
 
     # -- arithmetic --------------------------------------------------------
@@ -101,13 +253,13 @@ class OperatorExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return _scale(self, _MINUS_ONE)
+        return OperatorExpr(self.d, self.denom_pow, self.den, {key: (-re, -im) for key, (re, im) in self.num.items()})
 
     def __sub__(self, other):
         if isinstance(other, OperatorExpr):
             return _add(self, -other)
         if isinstance(other, (int, Fraction, GaussianRational, ParamPoly)):
-            return _add(self, scalar(self.d, -_as_poly(other)))
+            return _add(self, -scalar(self.d, other))
         return NotImplemented
 
     def __rsub__(self, other):
@@ -117,28 +269,33 @@ class OperatorExpr:
         if isinstance(other, OperatorExpr):
             return multiply(self, other)
         if isinstance(other, (int, Fraction, GaussianRational, ParamPoly)):
-            return _scale(self, _as_poly(other))
+            return _scale(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
         # scalars commute with everything, so left scaling is plain scaling
         if isinstance(other, (int, Fraction, GaussianRational, ParamPoly)):
-            return _scale(self, _as_poly(other))
+            return _scale(self, other)
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            inv = GaussianRational.of(other).inverse()
-            return _scale(self, ParamPoly.of(inv))
+            return _scale(self, GaussianRational.of(other).inverse())
         return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator powers must be non-negative integers")
-        out = one(self.d)
-        for _ in range(n):
-            out = multiply(out, self)
-        return out
+        # repeated squaring: about 2 log2(n) products instead of n
+        out = None
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else multiply(out, base)
+            n >>= 1
+            if n:
+                base = multiply(base, base)
+        return one(self.d) if out is None else out
 
     # -- structure ---------------------------------------------------------
 
@@ -146,20 +303,21 @@ class OperatorExpr:
         return adjoint(self)
 
     def substitute(self, alpha_value=None, e_value=None) -> "OperatorExpr":
-        acc: Dict[tuple, ParamPoly] = {}
-        for mono, coeff in self.terms.items():
-            sub = coeff.substitute(alpha_value, e_value)
-            if sub:
-                acc[(self.denom_pow, mono)] = sub
-        return _finalize(self.d, acc)
+        subs = {mono: coeff.substitute(alpha_value, e_value) for mono, coeff in self.terms.items()}
+        return reduce_denominator(self.d, subs, self.denom_pow)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorExpr):
             return NotImplemented
-        return self.d == other.d and self.denom_pow == other.denom_pow and self.terms == other.terms
+        return self.d == other.d and self.denom_pow == other.denom_pow and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.d, self.denom_pow, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.d, self.denom_pow, self.den, frozenset(self.num.items())))
+            _set_hash(self, h)
+            return h
 
     def __str__(self):
         return render(self)
@@ -168,117 +326,113 @@ class OperatorExpr:
         return f"<OperatorExpr d={self.d}: {render(self)}>"
 
 
+_set_d = OperatorExpr.d.__set__
+_set_denom_pow = OperatorExpr.denom_pow.__set__
+_set_den = OperatorExpr.den.__set__
+_set_num = OperatorExpr.num.__set__
+_set_hash = OperatorExpr._hash.__set__
+_set_degrees = OperatorExpr._degrees.__set__
+
+
+def _make(d: int, denom_pow: int, den: int, num: dict) -> OperatorExpr:
+    """An element from a numerator that is canonical up to its content."""
+    if not num:
+        return zero(d)
+    den, num = reduce_content(den, num)
+    return OperatorExpr(d, denom_pow, den, num)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
 
-def _trivial_monomial(d: int) -> Monomial:
-    z = (0,) * d
-    return (z, z, ())
-
-
 def zero(d: int) -> OperatorExpr:
-    return OperatorExpr(d, 0, {})
+    return OperatorExpr(d, 0, 1, {})
 
 
 def one(d: int) -> OperatorExpr:
-    return OperatorExpr(d, 0, {_trivial_monomial(d): P_ONE})
+    return OperatorExpr(d, 0, 1, {(0, 0, (), 0, 0): (1, 0)})
 
 
 def scalar(d: int, value: ScalarLike) -> OperatorExpr:
-    coeff = _as_poly(value)
-    if not coeff:
-        return zero(d)
-    return OperatorExpr(d, 0, {_trivial_monomial(d): coeff})
+    den, num = ParamPoly.of(value).int_form()
+    return OperatorExpr(d, 0, den, {(0, 0, (), a, e): v for (a, e), v in num.items()})
 
 
-def _unit_exp(d: int, i: int) -> Exponents:
+def _unit_key(d: int, i: int) -> int:
     if not 1 <= i <= d:
         raise CliffordIndexError(f"generator index {i} outside 1..{d}")
-    return tuple(1 if k == i - 1 else 0 for k in range(d))
+    return unit_keys(d)[i - 1]
 
 
 def x(d: int, i: int) -> OperatorExpr:
-    z = (0,) * d
-    return OperatorExpr(d, 0, {(_unit_exp(d, i), z, ()): P_ONE})
+    return OperatorExpr(d, 0, 1, {(_unit_key(d, i), 0, (), 0, 0): (1, 0)})
 
 
 def p(d: int, i: int) -> OperatorExpr:
-    z = (0,) * d
-    return OperatorExpr(d, 0, {(z, _unit_exp(d, i), ()): P_ONE})
+    return OperatorExpr(d, 0, 1, {(0, _unit_key(d, i), (), 0, 0): (1, 0)})
 
 
 def gamma(d: int, i: int) -> OperatorExpr:
     check_word((i,), d)
-    z = (0,) * d
-    return OperatorExpr(d, 0, {(z, z, (i,)): P_ONE})
+    return OperatorExpr(d, 0, 1, {(0, 0, (i,), 0, 0): (1, 0)})
 
 
 def rinv2(d: int) -> OperatorExpr:
-    return OperatorExpr(d, 1, {_trivial_monomial(d): P_ONE})
+    return OperatorExpr(d, 1, 1, {(0, 0, (), 0, 0): (1, 0)})
 
 
 def r_squared(d: int) -> OperatorExpr:
-    z = (0,) * d
-    terms = {}
-    for i in range(1, d + 1):
-        e = tuple(2 if k == i - 1 else 0 for k in range(d))
-        terms[(e, z, ())] = P_ONE
-    return OperatorExpr(d, 0, terms)
+    return OperatorExpr(d, 0, 1, {(2 * unit, 0, (), 0, 0): (1, 0) for unit in unit_keys(d)})
 
 
 # ---------------------------------------------------------------------------
-# accumulator helpers: dict[(denom_pow, monomial)] -> ParamPoly
+# accumulators
+#
+# An accumulator maps a denominator to a numerator map whose keys are
+# (r^-2 power, xk, pk, word, alpha_power, e_power); products with different
+# denominators go to different maps, merged once by _finalize.
 # ---------------------------------------------------------------------------
 
-Acc = Dict[tuple, ParamPoly]
+Acc = Dict[int, Dict[tuple, tuple]]
 
 
-def _acc_add(acc: Acc, key: tuple, coeff: ParamPoly) -> None:
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = coeff
-    else:
-        s = cur + coeff
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
+def _acc_scaled(out: Acc, a: OperatorExpr, scale: tuple) -> None:
+    """Accumulate scale * a into out."""
+    sden, sterms = scale
+    den = a.den * sden
+    target = out.get(den)
+    if target is None:
+        out[den] = target = {}
+    m = a.denom_pow
+    for (xk, pk, word, al, ae), (re, im) in a.num.items():
+        for sa, se, sr, si in sterms:
+            merge_term(target, (m, xk, pk, word, al + sa, ae + se), re * sr - im * si, re * si + im * sr)
 
 
-def _lmul_word(acc: Acc, w: Tuple[int, ...], d: int) -> Acc:
-    out: Acc = {}
-    for (k, (xe, pe, word)), coeff in acc.items():
+def _lmul_word(terms: dict, w: Tuple[int, ...], d: int) -> dict:
+    # left multiplication by a word is injective on words, so no keys merge
+    out = {}
+    for (k, xk, pk, word, a, e), (re, im) in terms.items():
         new_word, sign = word_mul(w, word, d)
-        _acc_add(out, (k, (xe, pe, new_word)), -coeff if sign < 0 else coeff)
+        out[(k, xk, pk, new_word, a, e)] = (re, im) if sign > 0 else (-re, -im)
     return out
 
 
-def _lmul_p(acc: Acc, i: int, d: int) -> Acc:
-    ix = i - 1
-    out: Acc = {}
-    for (k, (xe, pe, word)), coeff in acc.items():
-        pe_up = list(pe)
-        pe_up[ix] += 1
-        _acc_add(out, (k, (xe, tuple(pe_up), word)), coeff)
-        n = xe[ix]
+def _lmul_p(terms: dict, i: int, d: int) -> dict:
+    shift = FIELD_BITS * (d - i)
+    unit = unit_keys(d)[i - 1]
+    # p_i moves right past every term; these keys are distinct from each other
+    out = {(k, xk, pk + unit, word, a, e): value for (k, xk, pk, word, a, e), value in terms.items()}
+    for (k, xk, pk, word, a, e), (re, im) in terms.items():
+        n = (xk >> shift) & _MASK
         if n:
-            xe_dn = list(xe)
-            xe_dn[ix] -= 1
-            _acc_add(out, (k, (tuple(xe_dn), pe, word)), coeff * gaussian_int(0, -n))
+            # p_i x_i^n = x_i^n p_i - i n x_i^(n-1)
+            merge_term(out, (k, xk - unit, pk, word, a, e), n * im, -n * re)
         if k:
-            xe_up = list(xe)
-            xe_up[ix] += 1
-            _acc_add(out, (k + 1, (tuple(xe_up), pe, word)), coeff * gaussian_int(0, 2 * k))
-    return out
-
-
-def _lmul_x_multi(acc: Acc, xexp: Exponents) -> Acc:
-    out: Acc = {}
-    for (k, (xe, pe, word)), coeff in acc.items():
-        new_xe = tuple(a + b for a, b in zip(xe, xexp))
-        _acc_add(out, (k, (new_xe, pe, word)), coeff)
+            # p_i r^-2k = r^-2k p_i + 2 i k x_i r^-(2k+2)
+            merge_term(out, (k + 1, xk + unit, pk, word, a, e), -2 * k * im, 2 * k * re)
     return out
 
 
@@ -287,119 +441,120 @@ def _lmul_x_multi(acc: Acc, xexp: Exponents) -> Acc:
 # ---------------------------------------------------------------------------
 
 
-def _grlex_key(exps: Exponents) -> tuple:
-    return (sum(exps), exps)
-
-
-def divide_xpoly_by_r2(xpoly: Dict[Exponents, ParamPoly], d: int) -> tuple:
+def divide_xpoly_by_r2(xpoly: Dict[int, tuple], d: int) -> tuple:
     """Divide a position polynomial by sum x_i^2 under graded lex order.
 
-    Returns (quotient, remainder) as exponent maps; the input is divisible
-    exactly when the remainder is empty.  The divisor's coefficients are all
-    one, so division with remainder is unique over any coefficient ring.
+    ``xpoly`` maps packed exponent vectors to Gaussian-integer numerators
+    ``(re, im)``.  Returns (quotient, remainder) in the same form; the input
+    is divisible exactly when the remainder is empty.  The divisor's
+    coefficients are all one, so the division stays in the integers and its
+    result is unique over any coefficient ring.
     """
-    import heapq
-
     f = dict(xpoly)
-    # lazy max-heap over graded-lex keys; stale entries are skipped on pop
-    heap = [(-deg, _neg_exps(exps), exps) for exps, deg in ((e, sum(e)) for e in f)]
+    units = unit_keys(d)
+    two_x1 = 2 * units[0]
+    steps = [2 * unit - two_x1 for unit in units[1:]]
+    x1_shift = FIELD_BITS * (d - 1)
+    # packed int order is graded lex order: a max-heap of keys pops leading
+    # terms; stale entries are skipped on pop
+    heap = [-key for key in f]
     heapq.heapify(heap)
-    quotient: Dict[Exponents, ParamPoly] = {}
-    remainder: Dict[Exponents, ParamPoly] = {}
+    quotient: Dict[int, tuple] = {}
+    remainder: Dict[int, tuple] = {}
     while heap:
-        _, _, lead = heapq.heappop(heap)
+        lead = -heapq.heappop(heap)
         coeff = f.pop(lead, None)
         if coeff is None:
             continue
-        if lead[0] >= 2:
-            t = (lead[0] - 2,) + lead[1:]
-            cur = quotient.get(t)
-            quotient[t] = coeff if cur is None else cur + coeff
-            for j in range(1, d):
-                key = tuple(e + (2 if idx == j else 0) for idx, e in enumerate(t))
+        if (lead >> x1_shift) & _MASK >= 2:
+            # every new key is x1^-2 x_j^2 times the lead, so it sorts below
+            # it and no lead comes back
+            quotient[lead - two_x1] = coeff
+            re, im = coeff
+            for step in steps:
+                key = lead + step
                 got = f.get(key)
-                s = -coeff if got is None else got - coeff
-                if s:
-                    if got is None:
-                        heapq.heappush(heap, (-sum(key), _neg_exps(key), key))
-                    f[key] = s
+                if got is None:
+                    heapq.heappush(heap, -key)
+                    f[key] = (-re, -im)
                 else:
-                    f.pop(key, None)
+                    sr = got[0] - re
+                    si = got[1] - im
+                    if sr or si:
+                        f[key] = (sr, si)
+                    else:
+                        del f[key]
         else:
             remainder[lead] = coeff
     return quotient, remainder
 
 
-def _neg_exps(exps: Exponents) -> tuple:
-    return tuple(-e for e in exps)
-
-
-def _try_divide_numerator(terms: Dict[Monomial, ParamPoly], d: int) -> Optional[Dict[Monomial, ParamPoly]]:
-    """One left division of the numerator by r^2, or None when impossible."""
-    groups: Dict[tuple, Dict[Exponents, ParamPoly]] = {}
-    for (xe, pe, word), coeff in terms.items():
-        groups.setdefault((pe, word), {})[xe] = coeff
-    out: Dict[Monomial, ParamPoly] = {}
-    for (pe, word), xpoly in groups.items():
+def _try_divide_numerator(num: Dict[tuple, tuple], d: int) -> Optional[Dict[tuple, tuple]]:
+    """One left division of a numerator map by r^2, or None when impossible."""
+    groups: Dict[tuple, dict] = {}
+    for (xk, pk, word, a, e), value in num.items():
+        group = groups.get((pk, word, a, e))
+        if group is None:
+            groups[(pk, word, a, e)] = group = {}
+        group[xk] = value
+    out: Dict[tuple, tuple] = {}
+    for (pk, word, a, e), xpoly in groups.items():
         quotient, remainder = divide_xpoly_by_r2(xpoly, d)
         if remainder:
             return None
-        for xe, coeff in quotient.items():
-            out[(xe, pe, word)] = coeff
+        for xk, value in quotient.items():
+            out[(xk, pk, word, a, e)] = value
     return out
 
 
 def _finalize(d: int, acc: Acc) -> OperatorExpr:
-    if not acc:
+    den, flat = common_denominator(acc) if acc else (1, {})
+    if not flat:
         return zero(d)
-    kmax = max(k for k, _ in acc)
-    terms: Dict[Monomial, ParamPoly] = {}
-    for (k, mono), coeff in acc.items():
+    kmax = max(key[0] for key in flat)
+    num = {key[1:]: value for key, value in flat.items() if key[0] == kmax}
+    get = num.get
+    for (k, xk, pk, word, a, e), (re, im) in flat.items():
         if k == kmax:
-            _merge_term(terms, mono, coeff)
-        else:
-            for xe, mult in _r2_power_expansion(mono[0], kmax - k, d):
-                _merge_term(terms, (xe, mono[1], mono[2]), coeff * mult)
+            continue
+        # bring the term to the common denominator r^-2kmax
+        for xk2, mult in _r2_power_expansion(xk, kmax - k, d):
+            key = (xk2, pk, word, a, e)
+            r = re * mult
+            j = im * mult
+            c = get(key)
+            if c is not None:
+                r += c[0]
+                j += c[1]
+                if not r and not j:
+                    del num[key]
+                    continue
+            num[key] = (r, j)
     m = kmax
-    while m > 0:
-        if not terms:
-            m = 0
-            break
-        divided = _try_divide_numerator(terms, d)
+    while m > 0 and num:
+        divided = _try_divide_numerator(num, d)
         if divided is None:
             break
-        terms = divided
+        num = divided
         m -= 1
-    if not terms:
+    if not num:
         return zero(d)
-    return OperatorExpr(d, m, terms)
-
-
-def _merge_term(terms: Dict[Monomial, ParamPoly], mono: Monomial, coeff: ParamPoly) -> None:
-    cur = terms.get(mono)
-    if cur is None:
-        if coeff:
-            terms[mono] = coeff
-    else:
-        s = cur + coeff
-        if s:
-            terms[mono] = s
-        else:
-            del terms[mono]
+    return _make(d, m, den, num)
 
 
 @lru_cache(maxsize=65536)
-def _r2_power_expansion(xe: Exponents, power: int, d: int) -> tuple:
-    """Expand (sum x_j^2)^power * x^xe into (exponents, multiplicity) pairs."""
-    current = {xe: 1}
+def _r2_power_expansion(xk: int, power: int, d: int) -> tuple:
+    """Expand (sum x_j^2)^power * x^xk into (packed exponents, multiplicity) pairs."""
+    check_degree(degree(xk, d) + 2 * power)
+    steps = [2 * unit for unit in unit_keys(d)]
+    current = {xk: 1}
     for _ in range(power):
-        nxt: Dict[Exponents, int] = {}
-        for exps, mult in current.items():
-            for j in range(d):
-                key = tuple(e + (2 if idx == j else 0) for idx, e in enumerate(exps))
-                nxt[key] = nxt.get(key, 0) + mult
+        nxt: Dict[int, int] = {}
+        for key, mult in current.items():
+            for step in steps:
+                nxt[key + step] = nxt.get(key + step, 0) + mult
         current = nxt
-    return tuple((exps, ParamPoly.of(mult)) for exps, mult in current.items())
+    return tuple(current.items())
 
 
 # ---------------------------------------------------------------------------
@@ -412,40 +567,67 @@ def _require_same_d(a: OperatorExpr, b: OperatorExpr) -> None:
         raise DimensionMismatch(f"cannot combine operators at d={a.d} and d={b.d}")
 
 
-def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: ParamPoly) -> None:
-    """Accumulate scale * a * b into out without canonicalizing."""
+def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UNIT) -> None:
+    """Accumulate scale * a * b into out without canonicalizing.
+
+    ``scale`` is a scalar in the form of ``_int_scalar``.
+    """
     d = a.d
-    if not a.terms or not b.terms or not scale:
+    if not a.num or not b.num:
         return
-    b_base: Acc = {(b.denom_pow, mono): coeff for mono, coeff in b.terms.items()}
+    ax, ap = a.max_degrees()
+    bx, bp = b.max_degrees()
+    # moving a's momenta past b raises an x-degree by at most one per
+    # momentum, and only past a power of r^-2
+    check_degree(ax + bx + (ap if b.denom_pow else 0))
+    check_degree(ap + bp)
+    sden, sterms = scale
+    den = a.den * b.den * sden
+    target = out.get(den)
+    if target is None:
+        out[den] = target = {}
+    get = target.get
     shift = a.denom_pow
-    one_scale = scale is P_ONE
-    pushed: Dict[tuple, Acc] = {}
-    for (xe, pe, word), ca in a.terms.items():
-        cur = pushed.get((pe, word))
-        if cur is None:
-            cur = b_base
-            if word:
-                cur = _lmul_word(cur, word, d)
-            for i in range(d, 0, -1):
-                for _ in range(pe[i - 1]):
-                    cur = _lmul_p(cur, i, d)
-            pushed[(pe, word)] = cur
-        factor = ca if one_scale else ca * scale
-        if any(xe):
-            for (k, (bxe, bpe, bw)), coeff in cur.items():
-                mono = (tuple(u + v for u, v in zip(bxe, xe)), bpe, bw)
-                _acc_add(out, (k + shift, mono), coeff * factor)
-        else:
-            for (k, mono), coeff in cur.items():
-                _acc_add(out, (k + shift, mono), coeff * factor)
+    # a's terms grouped by what b has to be pushed past: x^xk p^pk w * b
+    # = x^xk (p^pk w b), and p^pk w b is computed once per group
+    groups: Dict[tuple, list] = {}
+    for (xk, pk, word, al, ae), (re, im) in a.num.items():
+        factors = groups.get((pk, word))
+        if factors is None:
+            groups[(pk, word)] = factors = []
+        for sa, se, sr, si in sterms:
+            factors.append((xk, al + sa, ae + se, re * sr - im * si, re * si + im * sr))
+    b_base = {(b.denom_pow,) + key: value for key, value in b.num.items()}
+    for (pk, word), factors in groups.items():
+        cur = b_base
+        if word:
+            cur = _lmul_word(cur, word, d)
+        for i in range(d, 0, -1):
+            for _ in range(exponent_of(pk, i, d)):
+                cur = _lmul_p(cur, i, d)
+        pushed = [(k + shift, bxk, bpk, bw, ba, be, br, bi) for (k, bxk, bpk, bw, ba, be), (br, bi) in cur.items()]
+        for xk, al, ae, fr, fi in factors:
+            for k, bxk, bpk, bw, ba, be, br, bi in pushed:
+                key = (k, bxk + xk, bpk, bw, ba + al, be + ae)
+                re = br * fr - bi * fi
+                im = br * fi + bi * fr
+                c = get(key)
+                if c is None:
+                    target[key] = (re, im)
+                else:
+                    re += c[0]
+                    im += c[1]
+                    if re or im:
+                        target[key] = (re, im)
+                    else:
+                        del target[key]
 
 
 def multiply(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     """Exact noncommutative product in canonical left-fraction form."""
     _require_same_d(a, b)
     out: Acc = {}
-    _multiply_acc(a, b, out, P_ONE)
+    _multiply_acc(a, b, out)
     return _finalize(a.d, out)
 
 
@@ -457,44 +639,43 @@ def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
     denominator merging.
     """
     out: Acc = {}
-    trivial = _trivial_monomial(d)
     for coeff, factors in terms:
-        poly = _as_poly(coeff)
-        if not poly:
+        scale = _int_scalar(coeff)
+        if scale is None:
             continue
         if not factors:
-            _acc_add(out, (0, trivial), poly)
+            _acc_scaled(out, one(d), scale)
             continue
         if len(factors) == 1:
-            expr = factors[0]
-            for mono, c in expr.terms.items():
-                _acc_add(out, (expr.denom_pow, mono), c * poly)
+            _acc_scaled(out, factors[0], scale)
             continue
         prefix = factors[0]
         for factor in factors[1:-1]:
             prefix = multiply(prefix, factor)
-        _multiply_acc(prefix, factors[-1], out, poly)
+        _multiply_acc(prefix, factors[-1], out, scale)
     return _finalize(d, out)
 
 
 def _add(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     _require_same_d(a, b)
     acc: Acc = {}
-    for mono, coeff in a.terms.items():
-        _acc_add(acc, (a.denom_pow, mono), coeff)
-    for mono, coeff in b.terms.items():
-        _acc_add(acc, (b.denom_pow, mono), coeff)
+    _acc_scaled(acc, a, _UNIT)
+    _acc_scaled(acc, b, _UNIT)
     return _finalize(a.d, acc)
 
 
-def _scale(a: OperatorExpr, factor: ParamPoly) -> OperatorExpr:
-    if not factor:
+def _scale(a: OperatorExpr, factor: ScalarLike) -> OperatorExpr:
+    scale = _int_scalar(factor)
+    if scale is None:
         return zero(a.d)
-    if factor is P_ONE:
+    if scale == _UNIT:
         return a
     # scaling by a nonzero polynomial cannot create r^2-divisibility, so the
     # left fraction stays minimal and no re-reduction is needed
-    return OperatorExpr(a.d, a.denom_pow, {mono: coeff * factor for mono, coeff in a.terms.items()})
+    acc: Acc = {}
+    _acc_scaled(acc, a, scale)
+    ((den, flat),) = acc.items()
+    return _make(a.d, a.denom_pow, den, {key[1:]: value for key, value in flat.items()})
 
 
 def linear_combine(parts: Iterable[tuple], d: Optional[int] = None) -> OperatorExpr:
@@ -509,11 +690,9 @@ def linear_combine(parts: Iterable[tuple], d: Optional[int] = None) -> OperatorE
             d = expr.d
         elif expr.d != d:
             raise DimensionMismatch("mixed dimensions in linear combination")
-        poly = _as_poly(factor)
-        if not poly:
-            continue
-        for mono, coeff in expr.terms.items():
-            _acc_add(acc, (expr.denom_pow, mono), coeff * poly)
+        scale = _int_scalar(factor)
+        if scale is not None:
+            _acc_scaled(acc, expr, scale)
     if d is None:
         raise ValueError("linear_combine needs at least one term or an explicit dimension")
     return _finalize(d, acc)
@@ -522,20 +701,20 @@ def linear_combine(parts: Iterable[tuple], d: Optional[int] = None) -> OperatorE
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     _require_same_d(a, b)
     out: Acc = {}
-    _multiply_acc(a, b, out, P_ONE)
-    _multiply_acc(b, a, out, _MINUS_ONE)
+    _multiply_acc(a, b, out)
+    _multiply_acc(b, a, out, _MINUS)
     return _finalize(a.d, out)
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     _require_same_d(a, b)
     out: Acc = {}
-    _multiply_acc(a, b, out, P_ONE)
-    _multiply_acc(b, a, out, P_ONE)
+    _multiply_acc(a, b, out)
+    _multiply_acc(b, a, out)
     return _finalize(a.d, out)
 
 
-def reduce_denominator(d: int, numerator: Dict[Monomial, ParamPoly], m: int) -> OperatorExpr:
+def reduce_denominator(d: int, numerator: Dict[Monomial, ScalarLike], m: int) -> OperatorExpr:
     """Canonical element r^-2m * numerator with the left fraction minimized.
 
     Divides the numerator on the left by r^2 while possible (every graded
@@ -544,8 +723,17 @@ def reduce_denominator(d: int, numerator: Dict[Monomial, ParamPoly], m: int) -> 
     if m < 0:
         raise ValueError("denominator power must be non-negative")
     acc: Acc = {}
-    for mono, coeff in numerator.items():
-        _acc_add(acc, (m, mono), ParamPoly.of(coeff))
+    for (xe, pe, word), coeff in numerator.items():
+        scale = _int_scalar(coeff)
+        if scale is None:
+            continue
+        sden, sterms = scale
+        target = acc.get(sden)
+        if target is None:
+            acc[sden] = target = {}
+        xk, pk = pack(xe), pack(pe)
+        for a, e, re, im in sterms:
+            merge_term(target, (m, xk, pk, tuple(word), a, e), re, im)
     return _finalize(d, acc)
 
 
@@ -562,7 +750,7 @@ def normalize(d: int, factors: Sequence[Union[OperatorExpr, ScalarLike]]) -> Ope
         if isinstance(factor, OperatorExpr):
             out = multiply(out, factor)
         else:
-            out = _scale(out, _as_poly(factor))
+            out = _scale(out, factor)
     return out
 
 
@@ -574,25 +762,24 @@ def adjoint(a: OperatorExpr) -> OperatorExpr:
     the map an anti-automorphism: (ab)^+ = b^+ a^+.
     """
     d = a.d
-    if not a.terms:
+    if not a.num:
         return zero(d)
     m = a.denom_pow
-    zero_exp = (0,) * d
-    out: Acc = {}
-    for (xe, pe, word), coeff in a.terms.items():
+    xdeg, pdeg = a.max_degrees()
+    check_degree(xdeg + (pdeg if m else 0))
+    out: Dict[tuple, tuple] = {}
+    for (xk, pk, word, al, ae), (re, im) in a.num.items():
         w_adj, sign = word_adjoint(word)
-        cur: Acc = {(m, (xe, zero_exp, ())): P_ONE}
+        cur = {(m, xk, 0, (), 0, 0): (1, 0)}
         for i in range(d, 0, -1):
-            for _ in range(pe[i - 1]):
+            for _ in range(exponent_of(pk, i, d)):
                 cur = _lmul_p(cur, i, d)
         if w_adj:
             cur = _lmul_word(cur, w_adj, d)
-        factor = coeff.conjugate()
-        if sign < 0:
-            factor = -factor
-        for (k, mono), c in cur.items():
-            _acc_add(out, (k, mono), c * factor)
-    return _finalize(d, out)
+        fr, fi = (re, -im) if sign > 0 else (-re, im)
+        for (k, xk2, pk2, w2, _, _), (cr, ci) in cur.items():
+            merge_term(out, (k, xk2, pk2, w2, al, ae), cr * fr - ci * fi, cr * fi + ci * fr)
+    return _finalize(d, {a.den: out})
 
 
 def pauli_project(a: OperatorExpr) -> OperatorExpr:
@@ -604,9 +791,10 @@ def pauli_project(a: OperatorExpr) -> OperatorExpr:
     if a.d != 3:
         raise DimensionMismatch("the Pauli quotient exists only at d=3")
     acc: Acc = {}
-    for (xe, pe, word), coeff in a.terms.items():
+    for (xk, pk, word, al, ae), (re, im) in a.num.items():
         scalar_part, new_word = pauli_reduce_word(word)
-        _acc_add(acc, (a.denom_pow, (xe, pe, new_word)), coeff * scalar_part)
+        term = OperatorExpr(3, a.denom_pow, a.den, {(xk, pk, new_word, al, ae): (re, im)})
+        _acc_scaled(acc, term, _int_scalar(scalar_part))
     return _finalize(3, acc)
 
 
@@ -649,7 +837,7 @@ def _monomial_atoms(mono: Monomial) -> List[str]:
 
 def render(a: OperatorExpr) -> str:
     """Canonical text form; parsing it back yields an equal operator."""
-    if not a.terms:
+    if not a.num:
         return "0"
     scalar_value = a.constant_value()
     if scalar_value is not None:

@@ -224,3 +224,43 @@ def test_oracle_witness_json_matches_golden(capsys):
     assert code == 1
     assert json.loads(out)["oracleWitness"] is not None
     assert out == (GOLDEN / "oracle_d3_seed11.json").read_text()
+
+
+@pytest.mark.parametrize("case", json.loads((GOLDEN / "reduce_kernel.json").read_text()), ids=lambda c: f"d{c['d']}:{c['expression']}")
+def test_reduce_kernel_matches_golden(capsys, case):
+    # nonzero canonical outputs: r^-2 powers, unlike Gaussian denominators,
+    # alpha and E powers, triple products up to d=5
+    code, out, _ = run(capsys, "reduce", "--d", str(case["d"]), case["expression"])
+    assert code == 0
+    assert out == case["output"]
+
+
+# -- hostile input: clean results or exit 2, never a traceback --------------------------
+
+
+def test_reduce_long_product(capsys):
+    code, out, _ = run(capsys, "reduce", "--d", "2", " ".join(["x1"] * 1200))
+    assert code == 0 and out == "x1^1200\n"
+
+
+def test_reduce_deep_nesting_exits_two(capsys):
+    code, out, err = run(capsys, "reduce", "--d", "2", "(" * 400 + "x1" + ")" * 400)
+    assert code == 2 and out == ""
+    assert "nest deeper" in err
+
+
+def test_reduce_at_the_exponent_limit(capsys):
+    code, out, _ = run(capsys, "reduce", "--d", "3", "x1^65535")
+    assert code == 0 and out == "x1^65535\n"
+    code, out, _ = run(capsys, "reduce", "--d", "3", "x2^32768 x3^32767 p1^65535")
+    assert code == 0 and out == "x2^32768 x3^32767 p1^65535\n"
+    # the sum brings x1^65533 to the common denominator r^-2: degree 65535
+    code, out, _ = run(capsys, "reduce", "--d", "3", "x1^65533 + rinv2 x2")
+    assert code == 0 and out == "rinv2 (x1^65535 + x1^65533 x2^2 + x1^65533 x3^2 + x2)\n"
+
+
+@pytest.mark.parametrize("text", ["x1^65536", "x2^32768 x3^32768", "x1^65535 x1", "x1^65534 + rinv2 x2", "p1 rinv2 x1^65534", "p1^65535 p2"])
+def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
+    code, out, err = run(capsys, "reduce", "--d", "3", text)
+    assert code == 2 and out == ""
+    assert "exponent limit" in err

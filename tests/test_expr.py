@@ -152,3 +152,26 @@ def test_mixed_sum_chain_keeps_each_sign():
     x1, p2, g1 = weyl.x(2, 1), weyl.p(2, 2), weyl.gamma(2, 1)
     expected = x1 - 2 * p2 + 3 * weyl.multiply(x1, p2) - g1
     assert expr.evaluate("x1 - 2 p2 + 3 x1 p2 - g1", 2) == expected
+
+
+def test_long_product_evaluates():
+    # 1,200 juxtaposed factors: folded in a loop, not one recursion per factor
+    assert expr.evaluate(" ".join(["x1"] * 1200), 2) == weyl.x(2, 1) ** 1200
+    assert expr.evaluate(" * ".join(["p1"] * 300) + " / 2 / 3", 2) == weyl.p(2, 1) ** 300 / 6
+
+
+def test_nesting_cap():
+    deep = "(" * expr.MAX_NESTING + "x1" + ")" * expr.MAX_NESTING
+    assert expr.evaluate(deep, 2) == weyl.x(2, 1)
+    # {a, 1/2} = a at every level
+    braces = "{" * expr.MAX_NESTING + "x1" + ", 1/2}" * expr.MAX_NESTING
+    assert expr.evaluate(braces, 2) == weyl.x(2, 1)
+    with pytest.raises(expr.ExprError, match="nest deeper"):
+        expr.evaluate("(" + deep + ")", 2)
+    with pytest.raises(expr.ExprError, match="nest deeper"):
+        expr.evaluate("{" * 400 + "x1" + ", p1}" * 400, 2)
+
+
+def test_repeated_unary_minus():
+    assert expr.evaluate("- - - x1", 2) == -weyl.x(2, 1)
+    assert expr.evaluate("-" * 3000 + "x1", 2) == weyl.x(2, 1)

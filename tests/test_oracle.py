@@ -65,11 +65,12 @@ def test_function_canonicalization_lifts_divisible_levels():
 def test_function_canonical_invariant():
     for seed in range(30):
         f = oracle.random_function(3, seed)
-        by_level = {}
         for (k, xe, s), coeff in f.terms.items():
             assert coeff
+        by_level = {}
+        for (k, xk, s, a, e), value in f.num.items():
             if k < 0:
-                by_level.setdefault((k, s), {})[xe] = coeff
+                by_level.setdefault((k, s, a, e), {})[xk] = value
         for poly in by_level.values():
             _, remainder = divide_xpoly_by_r2(poly, 3)
             assert remainder, "negative level left divisible by r^2"
@@ -189,3 +190,27 @@ def test_faithfulness_on_nonzero_operators():
         max_p = max(sum(pe) for (_, pe, _) in op.terms)
         res = oracle.crosscheck(op, weyl.zero(d), trials=20, max_degree=max(4, max_p), min_k=-2)
         assert not res.ok, weyl.render(op)
+
+
+def test_function_remainders_follow_graded_lex_order():
+    # at d=3 the leading term x1^2 is divided away: x1^2 = r^2 - x2^2 - x3^2
+    f = oracle.function_from_terms(3, {(-1, (2, 0, 0), 1): P_ONE})
+    assert dict(f.terms) == {(0, (0, 0, 0), 1): P_ONE, (-1, (0, 2, 0), 1): -P_ONE, (-1, (0, 0, 2), 1): -P_ONE}
+    # x2^2 and x3^2 lead with no x1: they are remainders already
+    g = oracle.function_from_terms(3, {(-1, (0, 2, 0), 1): P_ONE, (-1, (0, 0, 2), 2): P_ONE})
+    assert set(g.terms) == {(-1, (0, 2, 0), 1), (-1, (0, 0, 2), 2)}
+    # mixed degrees: r^-2 (x1^3 + x1 x2) at d=2 = x1 + r^-2 (x1 x2 - x1 x2^2)
+    h = oracle.function_from_terms(2, {(-1, (3, 0), 1): P_ONE, (-1, (1, 1), 1): P_ONE})
+    assert dict(h.terms) == {(0, (1, 0), 1): P_ONE, (-1, (1, 1), 1): P_ONE, (-1, (1, 2), 1): -P_ONE}
+    # two levels: r^-4 x1^4 at d=2 = 1 - 2 r^-2 x2^2 + r^-4 x2^4
+    q = oracle.function_from_terms(2, {(-2, (4, 0), 1): P_ONE})
+    assert dict(q.terms) == {(0, (0, 0), 1): P_ONE, (-1, (0, 2), 1): ParamPoly.of(-2), (-2, (0, 4), 1): P_ONE}
+
+
+def test_function_equal_through_different_denominators():
+    half = oracle.function_from_terms(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 2))})
+    sixths = oracle.function_from_terms(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 6))})
+    thirds = oracle.function_from_terms(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 3))})
+    total = oracle.linear_combine(2, [(1, sixths), (1, thirds)])
+    assert total == half and hash(total) == hash(half) and total.den == 2
+    assert oracle.linear_combine(2, [(1, half), (-1, half)]) == oracle.function_from_terms(2, {})

@@ -176,3 +176,27 @@ def test_opsum_to_expr_matches_manual_product():
 
     a, b = weyl.x(2, 1), weyl.p(2, 1)
     assert comm(a, b).to_expr() == weyl.commutator(a, b)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_crosscheck_rejects_trial_counts_below_one(trials):
+    with pytest.raises(ValueError):
+        verify.crosscheck_check("GAMMA-CLIFF", 2, trials=trials)
+    with pytest.raises(ValueError):
+        verify.crosscheck_suites(("core",), 2, trials=trials)
+
+
+def test_opsum_apply_uses_the_given_single_apply():
+    from spinlrl import oracle
+    from spinlrl.verify import comm
+
+    seen = []
+
+    def apply_one(op, f):
+        seen.append(op)
+        return oracle.apply(op, f)
+
+    a, b = weyl.x(2, 1), weyl.p(2, 1)
+    f = oracle.random_function(2, 3)
+    assert comm(a, b).apply(f, apply_one) == comm(a, b).apply(f) == oracle.apply(weyl.commutator(a, b), f)
+    assert len(seen) == 4

@@ -131,16 +131,17 @@ def test_is_zero():
 
 
 def test_xpoly_division_cases():
+    pack = weyl.pack
     d = 3
-    r2 = {(2, 0, 0): P_ONE, (0, 2, 0): P_ONE, (0, 0, 2): P_ONE}
+    r2 = {pack((2, 0, 0)): (1, 0), pack((0, 2, 0)): (1, 0), pack((0, 0, 2)): (1, 0)}
     quotient, remainder = divide_xpoly_by_r2(r2, d)
-    assert quotient == {(0, 0, 0): P_ONE} and not remainder
+    assert quotient == {pack((0, 0, 0)): (1, 0)} and not remainder
 
     # x1^2 is not divisible: division writes it as 1*r^2 - x2^2
-    only_x1 = {(2, 0): P_ONE}
+    only_x1 = {pack((2, 0)): (1, 0)}
     quotient, remainder = divide_xpoly_by_r2(only_x1, 2)
-    assert remainder == {(0, 2): -P_ONE}
-    assert quotient == {(0, 0): P_ONE}
+    assert remainder == {pack((0, 2)): (-1, 0)}
+    assert quotient == {pack((0, 0)): (1, 0)}
 
 
 def test_reduce_denominator_cases():
@@ -178,7 +179,7 @@ def test_minimality_invariant_random():
         b = rand_operator(d, rng)
         for result in (multiply(a, b), a + b, commutator(a, b)):
             if result.denom_pow > 0:
-                assert weyl._try_divide_numerator(result.terms, d) is None, result
+                assert weyl._try_divide_numerator(result.num, d) is None, result
 
 
 # -- confluence and associativity ---------------------------------------------------
@@ -284,3 +285,80 @@ def test_render_denominator_prefix():
     d = 2
     e = multiply(weyl.rinv2(d), weyl.gamma(d, 1) * weyl.x(d, 1))
     assert weyl.render(e) == "rinv2 (x1 g1)"
+
+
+# -- packed integer storage -------------------------------------------------------------
+
+
+def test_packed_order_is_graded_lex():
+    rng = random.Random(9)
+    for d in (2, 3, 5):
+        vectors = {tuple(rng.randint(0, 6) for _ in range(d)) for _ in range(300)}
+        by_grlex = sorted(vectors, key=lambda v: (sum(v), v))
+        assert sorted(vectors, key=weyl.pack) == by_grlex
+        assert all(weyl.unpack(weyl.pack(v), d) == v for v in vectors)
+
+
+def test_exponent_limit_never_carries():
+    d = 2
+    top = weyl.x(d, 1) ** weyl.EXPONENT_LIMIT
+    assert top.terms == {((weyl.EXPONENT_LIMIT, 0), (0, 0), ()): P_ONE}
+    with pytest.raises(ValueError):
+        multiply(top, weyl.x(d, 2))
+    with pytest.raises(ValueError):
+        weyl.pack((weyl.EXPONENT_LIMIT, 1))
+    with pytest.raises(ValueError):
+        multiply(weyl.p(d, 1) ** weyl.EXPONENT_LIMIT, weyl.p(d, 2))
+
+
+def test_power_by_squaring_matches_repeated_products():
+    d = 2
+    a = weyl.p(d, 1) + Fraction(1, 3) * multiply(weyl.rinv2(d), weyl.x(d, 2)) + P_ALPHA * weyl.gamma(d, 1)
+    expected = weyl.one(d)
+    for n in range(7):
+        assert a ** n == expected
+        expected = multiply(expected, a)
+
+
+def test_equal_operators_through_different_denominators():
+    d = 2
+    x1p1 = multiply(weyl.x(d, 1), weyl.p(d, 1))
+    thirds = Fraction(1, 6) * x1p1 + Fraction(1, 3) * x1p1
+    halves = x1p1 / 2
+    assert thirds == halves and hash(thirds) == hash(halves)
+    assert halves.den == 2
+    # (1/2 + i/2)(1 - i) = 1: the product's content cancels the denominator
+    unit = (GaussianRational(Fraction(1, 2), Fraction(1, 2)) * weyl.x(d, 1)) * GaussianRational(1, -1)
+    assert unit == weyl.x(d, 1) and hash(unit) == hash(weyl.x(d, 1)) and unit.den == 1
+    # r^-2 (x1^2 + x2^2) / 3 times 3 is the identity
+    third = multiply(weyl.rinv2(d), weyl.r_squared(d) / 3) * 3
+    assert third == weyl.one(d) and hash(third) == hash(weyl.one(d))
+    # the same element through products with different denominators
+    a = multiply(weyl.p(d, 1) / 4, weyl.x(d, 1) * Fraction(2, 3))
+    b = multiply(weyl.p(d, 1) / 6, weyl.x(d, 1))
+    assert a == b and hash(a) == hash(b)
+
+
+def test_cancellation_gives_canonical_zero():
+    d = 3
+    a = rand_operator(d, random.Random(4)) / 7
+    for z in (a - a, linear_combine([(Fraction(1, 3), a), (Fraction(-1, 3), a)]), commutator(weyl.x(d, 1), weyl.x(d, 2) / 5)):
+        assert z.is_zero() and z == weyl.zero(d) and hash(z) == hash(weyl.zero(d))
+        assert (z.denom_pow, z.den, z.num) == (0, 1, {})
+        assert weyl.render(z) == "0"
+
+
+def test_stored_form_is_primitive():
+    rng = random.Random(6)
+    from math import gcd
+
+    for _ in range(100):
+        d = rng.choice((2, 3))
+        e = rand_operator(d, rng) * GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-2, 2))
+        if e.is_zero():
+            continue
+        g = e.den
+        for re, im in e.num.values():
+            assert (re, im) != (0, 0)
+            g = gcd(g, re, im)
+        assert g == 1 and e.den > 0
