@@ -219,12 +219,6 @@ class ParamPoly:
         map must not be modified."""
         return self._den, self._num
 
-    def max_powers(self) -> tuple:
-        """Largest (alpha, E) exponents occurring in any term."""
-        pa = max((k[0] for k in self._num), default=0)
-        pe = max((k[1] for k in self._num), default=0)
-        return pa, pe
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):

@@ -306,7 +306,7 @@ def lorentz_generator(d: int, a: int, b: int) -> OperatorExpr:
 # three-dimensional vector forms
 # ---------------------------------------------------------------------------
 
-_EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
+EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
 
 
 def _require_d3(d: int) -> None:
@@ -320,7 +320,7 @@ def _vector_from(d: int, pair_builder, i: int) -> OperatorExpr:
     parts = []
     for j in range(1, 4):
         for k in range(1, 4):
-            sign = _EPS3.get((i, j, k), 0)
+            sign = EPS3.get((i, j, k), 0)
             if sign:
                 parts.append((Fraction(sign, 2), pair_builder(d, j, k)))
     return weyl.linear_combine(parts, d=d)

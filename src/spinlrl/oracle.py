@@ -42,7 +42,8 @@ class SpinorFunction(PackedTerms):
     spinor component leaves a nonzero remainder under division by sum x_i^2,
     mirroring the engine's minimal left fractions.  The constructor takes
     ``{(k, x-exponents, s): ParamPoly}``, the form of the read-only ``terms``
-    view; the stored form is described in the module docstring.
+    view, and raises ValueError for a radial power k > 0, which lies outside
+    the test space; the stored form is described in the module docstring.
     """
 
     __slots__ = ("d", "spin_dim", "den", "num", "_hash", "_view")
@@ -50,6 +51,8 @@ class SpinorFunction(PackedTerms):
     def __init__(self, d: int, terms: Dict[FuncKey, ParamPoly]):
         acc: Dict[int, dict] = {}
         for (k, xe, s), coeff in terms.items():
+            if k > 0:
+                raise ValueError(f"radial power r^(2k) with k = {k} > 0 is outside the test space (k <= 0)")
             den, num = ParamPoly.of(coeff).int_form()
             target = acc.setdefault(den, {})
             xk = weyl.pack(xe)
@@ -151,10 +154,6 @@ def _canonicalize(d: int, raw: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
                 for xk, value in poly.items():
                     out[(0, xk, s, a, e)] = value
     return out
-
-
-def function_from_terms(d: int, terms: Dict[FuncKey, ParamPoly]) -> SpinorFunction:
-    return SpinorFunction(d, terms)
 
 
 def linear_combine(d: int, parts: Iterable[tuple]) -> SpinorFunction:

@@ -7,6 +7,24 @@ with the factor chains on random spinor functions.  The identity itself is
 never used to simplify itself: left and right sides are built independently
 from the named operators.
 
+How a check is stated.  A law over free indices is written once, by one of
+three combinators that the registry table calls with the operator builders:
+
+* ``closure(name, X, index_pairs, metric=None)``: the closure law
+  [X_ij, X_kl] = i(g_i d_ik X_jl + g_i d_il X_kj + g_j d_jk X_li + g_j d_jl X_ik)
+  of S and J, and of the so(d+1,1) generators with g = diag(1..1, -1);
+* ``covariant(name, V)``: the vector law [J_ij, V_k] = i(d_ik V_j - d_jk V_i)
+  of A, M, G, B and the conserved vector;
+* ``family(label, a, b, rhs, indices, bracket=comm)``: one bracket per index
+  tuple against its right side, vanishing ones included.
+
+The other checks (contractions, squares, the appendix chains) have one-off
+``_pr_*`` builders, which write the repeated sums sum_i X_i Y_i and
+sum_{i != j} X_ij X_ij / 2 through ``_dot`` and ``_half_square``.  Either way
+lhs and rhs stay separate formal sums, and a bracket enters only through
+``comm`` (``acomm`` for the Clifford relation) as its two factor chains, so
+the engine and the oracle see the same products.
+
 Checks carry a severity tier.  "transcription" marks identities whose failure
 would most likely indicate a typo in the transcribed source formula; they are
 reported with the minimal canonical residual instead of failing the run
@@ -19,10 +37,12 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import combinations, combinations_with_replacement, product
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__, ops, oracle, weyl
-from .coeff import GaussianRational, P_ALPHA, P_E, P_I, P_ONE, ParamPoly
+from .coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from .oracle import SpinorFunction
 from .weyl import OperatorExpr
 
@@ -157,64 +177,88 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# shared builder shorthands
+# index families: each law stated once
 # ---------------------------------------------------------------------------
 
 I_ = P_I
-MI = ParamPoly.of(GaussianRational(0, -1))
-
-
-def _i(v=1) -> ParamPoly:
-    return ParamPoly.of(GaussianRational(0, Fraction(v)))
-
-
-def _q(v) -> ParamPoly:
-    return ParamPoly.of(Fraction(v))
-
-
-def _delta(i: int, j: int) -> int:
-    return 1 if i == j else 0
 
 
 def _idx(d: int):
     return range(1, d + 1)
 
 
-def _pairs_upper(d: int):
-    return [(i, j) for i in _idx(d) for j in range(i + 1, d + 1)]
+def family(label: str, a: Callable, b: Callable, rhs: Callable, indices: Iterable[tuple], bracket: Callable = comm) -> Pairs:
+    """One pair per index tuple ix: ``bracket(a(*ix), b(*ix))`` against the
+    sum of the ``(scalar, factors)`` terms ``rhs(*ix)``, labelled
+    ``label.format(*ix)``.  Index tuples of one index come from
+    ``product(_idx(d))``."""
+    out = []
+    for ix in indices:
+        lhs = bracket(a(*ix), b(*ix))
+        out.append((label.format(*ix), lhs, OpSum(lhs.d, rhs(*ix))))
+    return out
+
+
+def vanishes(*ix) -> tuple:
+    """The right side of a bracket that is zero."""
+    return ()
+
+
+def covariant(name: str, V: Callable[[int], OperatorExpr]) -> Pairs:
+    """[J_ij, V_k] = i(d_ik V_j - d_jk V_i) for i < j and every k: V is a
+    vector under rotations."""
+    d = V(1).d
+    return family(
+        f"[J{{}}{{}},{name}{{}}]",
+        lambda i, j, k: ops.so_j(d, i, j),
+        lambda i, j, k: V(k),
+        lambda i, j, k: [(I_ * (i == k), (V(j),)), (-I_ * (j == k), (V(i),))],
+        [(i, j, k) for i, j in combinations(_idx(d), 2) for k in _idx(d)],
+    )
+
+
+def closure(name: str, X: Callable[[int, int], OperatorExpr], index_pairs: Iterable[tuple], metric: Optional[Sequence[int]] = None) -> Pairs:
+    """[X_ij, X_kl] = i(g_i d_ik X_jl + g_i d_il X_kj + g_j d_jk X_li + g_j d_jl X_ik)
+    for every (i, j) and (k, l) of index_pairs, with g_i = metric[i - 1]
+    (1 without a metric): the so(n) and so(n-1,1) closure laws."""
+    index_pairs = list(index_pairs)
+
+    def g(i: int) -> int:
+        return 1 if metric is None else metric[i - 1]
+
+    out = []
+    for i, j in index_pairs:
+        for k, l in index_pairs:
+            lhs = comm(X(i, j), X(k, l))
+            terms = (
+                (g(i) * (i == k), (j, l)),
+                (g(i) * (i == l), (k, j)),
+                (g(j) * (j == k), (l, i)),
+                (g(j) * (j == l), (i, k)),
+            )
+            rhs = OpSum(lhs.d, [(I_ * c, (X(*ab),)) for c, ab in terms if c])
+            out.append((f"[{name}{i}{j},{name}{k}{l}]", lhs, rhs))
+    return out
+
+
+def _interleave(*families: Pairs) -> Pairs:
+    """The first pair of every family, then the second of every family, ..."""
+    return [pair for pairs in zip(*families) for pair in pairs]
+
+
+def _dot(d: int, X: Callable, Y: Callable) -> OpSum:
+    """sum_i X_i Y_i for builders X(d, i) and Y(d, i)."""
+    return OpSum(d, [(1, (X(d, i), Y(d, i))) for i in _idx(d)])
+
+
+def _half_square(d: int, X: Callable) -> OpSum:
+    """sum_{i != j} X_ij X_ij / 2 for a builder X(d, i, j)."""
+    return OpSum(d, [(Fraction(1, 2), (X(d, i, j), X(d, i, j))) for i, j in product(_idx(d), repeat=2) if i != j])
 
 
 # ---------------------------------------------------------------------------
 # pair builders, Clifford and defining relations
 # ---------------------------------------------------------------------------
-
-
-def _pr_gamma_cliff(d: int) -> Pairs:
-    out = []
-    for i in _idx(d):
-        for j in range(i, d + 1):
-            lhs = acomm(weyl.gamma(d, i), weyl.gamma(d, j))
-            rhs = osum(d, (2 * _delta(i, j), ()))
-            out.append((f"{{g{i},g{j}}}", lhs, rhs))
-    return out
-
-
-def _pr_s_sod(d: int) -> Pairs:
-    out = []
-    for i in _idx(d):
-        for j in _idx(d):
-            for k in _idx(d):
-                for l in _idx(d):
-                    lhs = comm(ops.spin(d, i, j), ops.spin(d, k, l))
-                    rhs = osum(
-                        d,
-                        (_i(_delta(i, k)), (ops.spin(d, j, l),)),
-                        (_i(_delta(i, l)), (ops.spin(d, k, j),)),
-                        (_i(_delta(j, k)), (ops.spin(d, l, i),)),
-                        (_i(_delta(j, l)), (ops.spin(d, i, k),)),
-                    )
-                    out.append((f"[S{i}{j},S{k}{l}]", lhs, rhs))
-    return out
 
 
 def _pr_gx_square(d: int) -> Pairs:
@@ -238,160 +282,14 @@ def _pr_k_h_rel(d: int) -> Pairs:
 # ---------------------------------------------------------------------------
 
 
-def _pr_so_jj(d: int) -> Pairs:
-    out = []
-    for (i, j) in _pairs_upper(d):
-        for (k, l) in _pairs_upper(d):
-            lhs = comm(ops.so_j(d, i, j), ops.so_j(d, k, l))
-            rhs = osum(
-                d,
-                (_i(_delta(i, k)), (ops.so_j(d, j, l),)),
-                (_i(_delta(i, l)), (ops.so_j(d, k, j),)),
-                (_i(_delta(j, k)), (ops.so_j(d, l, i),)),
-                (_i(_delta(j, l)), (ops.so_j(d, i, k),)),
-            )
-            out.append((f"[J{i}{j},J{k}{l}]", lhs, rhs))
-    return out
-
-
-def _vector_rotation_pairs(d: int, name: str, vec) -> Pairs:
-    out = []
-    for (i, j) in _pairs_upper(d):
-        for k in _idx(d):
-            lhs = comm(ops.so_j(d, i, j), vec(d, k))
-            rhs = osum(d, (_i(_delta(i, k)), (vec(d, j),)), (_i(-_delta(j, k)), (vec(d, i),)))
-            out.append((f"[J{i}{j},{name}{k}]", lhs, rhs))
-    return out
-
-
-def _pr_so_ja(d: int) -> Pairs:
-    return _vector_rotation_pairs(d, "A", ops.boost_a)
-
-
-def _pr_so_jm(d: int) -> Pairs:
-    return _vector_rotation_pairs(d, "M", ops.boost_m)
-
-
-def _pr_so_jt(d: int) -> Pairs:
-    T = ops.dilation(d)
-    return [(f"[J{i}{j},T]", comm(ops.so_j(d, i, j), T), zero_sum(d)) for (i, j) in _pairs_upper(d)]
-
-
-def _pr_so_aa(d: int) -> Pairs:
-    return [
-        (f"[A{i},A{j}]", comm(ops.boost_a(d, i), ops.boost_a(d, j)), osum(d, (I_, (ops.so_j(d, i, j),))))
-        for (i, j) in _pairs_upper(d)
-    ]
-
-
-def _pr_so_mm(d: int) -> Pairs:
-    return [
-        (f"[M{i},M{j}]", comm(ops.boost_m(d, i), ops.boost_m(d, j)), osum(d, (MI, (ops.so_j(d, i, j),))))
-        for (i, j) in _pairs_upper(d)
-    ]
-
-
-def _pr_so_am(d: int) -> Pairs:
-    T = ops.dilation(d)
-    out = []
-    for i in _idx(d):
-        for j in _idx(d):
-            lhs = comm(ops.boost_a(d, i), ops.boost_m(d, j))
-            rhs = osum(d, (_i(_delta(i, j)), (T,)))
-            out.append((f"[A{i},M{j}]", lhs, rhs))
-    return out
-
-
-def _pr_so_at(d: int) -> Pairs:
-    T = ops.dilation(d)
-    return [(f"[A{i},T]", comm(ops.boost_a(d, i), T), osum(d, (MI, (ops.boost_m(d, i),)))) for i in _idx(d)]
-
-
-def _pr_so_mt(d: int) -> Pairs:
-    T = ops.dilation(d)
-    return [(f"[M{i},T]", comm(ops.boost_m(d, i), T), osum(d, (MI, (ops.boost_a(d, i),)))) for i in _idx(d)]
-
-
-def _pr_so21_metric(d: int) -> Pairs:
-    g = ops.metric_signature(d)
-    n = d + 2
-    out = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                for e in range(1, n + 1):
-                    lhs = comm(ops.lorentz_generator(d, a, b), ops.lorentz_generator(d, c, e))
-                    rhs = osum(
-                        d,
-                        (_i(g[a - 1] * _delta(a, c)), (ops.lorentz_generator(d, b, e),)),
-                        (_i(g[a - 1] * _delta(a, e)), (ops.lorentz_generator(d, c, b),)),
-                        (_i(g[b - 1] * _delta(b, c)), (ops.lorentz_generator(d, e, a),)),
-                        (_i(g[b - 1] * _delta(b, e)), (ops.lorentz_generator(d, a, c),)),
-                    )
-                    out.append((f"[L{a}{b},L{c}{e}]", lhs, rhs))
-    return out
-
-
 def _pr_casimir_q2(d: int) -> Pairs:
-    structured_terms: list = [(_q(Fraction(1, 2)), (ops.so_j(d, i, j), ops.so_j(d, i, j))) for i in _idx(d) for j in _idx(d) if i != j]
-    structured_terms += [(1, (ops.boost_a(d, i), ops.boost_a(d, i))) for i in _idx(d)]
-    structured_terms += [(-1, (ops.boost_m(d, i), ops.boost_m(d, i))) for i in _idx(d)]
-    structured_terms.append((-1, (ops.dilation(d), ops.dilation(d))))
-    structured = OpSum(d, structured_terms)
-    constant = osum(d, (_q(Fraction(-(d - 1) * (d + 2), 8)), ()))
+    structured = _half_square(d, ops.so_j) + _dot(d, ops.boost_a, ops.boost_a) + -_dot(d, ops.boost_m, ops.boost_m)
+    structured += osum(d, (-1, (ops.dilation(d), ops.dilation(d))))
+    constant = osum(d, (Fraction(-(d - 1) * (d + 2), 8), ()))
     return [
         ("Q2 definition matches contraction builder", of_expr(ops.casimir_q2(d)), structured),
         ("Q2 = -(d-1)(d+2)/8", structured, constant),
     ]
-
-
-def _pr_so_gamma_jgk(d: int) -> Pairs:
-    out = []
-    for (i, j) in _pairs_upper(d):
-        for k in _idx(d):
-            lhs = comm(ops.so_j(d, i, j), ops.gamma_i(d, k))
-            rhs = osum(d, (_i(_delta(i, k)), (ops.gamma_i(d, j),)), (_i(-_delta(j, k)), (ops.gamma_i(d, i),)))
-            out.append((f"[J{i}{j},G{k}]", lhs, rhs))
-    return out
-
-
-def _pr_so_gamma_agd1(d: int) -> Pairs:
-    return [
-        (f"[A{i},Gd1]", comm(ops.boost_a(d, i), ops.gamma_d1(d)), osum(d, (MI, (ops.gamma_i(d, i),))))
-        for i in _idx(d)
-    ]
-
-
-def _pr_so_gamma_mg0(d: int) -> Pairs:
-    return [
-        (f"[M{i},G0]", comm(ops.boost_m(d, i), ops.gamma0(d)), osum(d, (I_, (ops.gamma_i(d, i),))))
-        for i in _idx(d)
-    ]
-
-
-def _pr_so_gamma_tg0(d: int) -> Pairs:
-    return [("[T,G0]", comm(ops.dilation(d), ops.gamma0(d)), osum(d, (I_, (ops.gamma_d1(d),))))]
-
-
-def _pr_so_gamma_tgd1(d: int) -> Pairs:
-    return [("[T,Gd1]", comm(ops.dilation(d), ops.gamma_d1(d)), osum(d, (I_, (ops.gamma0(d),))))]
-
-
-def _pr_so_gamma_zeros_j(d: int) -> Pairs:
-    out = []
-    for (i, j) in _pairs_upper(d):
-        out.append((f"[J{i}{j},G0]", comm(ops.so_j(d, i, j), ops.gamma0(d)), zero_sum(d)))
-        out.append((f"[J{i}{j},Gd1]", comm(ops.so_j(d, i, j), ops.gamma_d1(d)), zero_sum(d)))
-    return out
-
-
-def _pr_so_gamma_zeros_amt(d: int) -> Pairs:
-    out = []
-    for i in _idx(d):
-        out.append((f"[A{i},G0]", comm(ops.boost_a(d, i), ops.gamma0(d)), zero_sum(d)))
-        out.append((f"[M{i},Gd1]", comm(ops.boost_m(d, i), ops.gamma_d1(d)), zero_sum(d)))
-        out.append((f"[T,G{i}]", comm(ops.dilation(d), ops.gamma_i(d, i)), zero_sum(d)))
-    return out
 
 
 def _pr_nonclose_g0gd1(d: int) -> Pairs:
@@ -399,7 +297,7 @@ def _pr_nonclose_g0gd1(d: int) -> Pairs:
     rhs = osum(
         d,
         (I_, (ops.dilation(d),)),
-        (_q(Fraction(-(d - 1), 2)), ()),
+        (Fraction(-(d - 1), 2), ()),
         (-1, (ops.ls_contraction(d),)),
     )
     return [("[G0,Gd1]", lhs, rhs)]
@@ -421,7 +319,7 @@ def _nonclose_vector_rhs(d: int, i: int, spin_sign: int) -> list:
         terms.append((-1, (S, xj, P2)))
         terms.append((spin_sign, (S, xj)))
         terms.append((I_, (S, weyl.p(d, j))))
-    terms.append((_q(Fraction(-(d - 1), 2)), (weyl.p(d, i),)))
+    terms.append((Fraction(-(d - 1), 2), (weyl.p(d, i),)))
     terms.append((-1, (ops.ls_contraction(d), weyl.p(d, i))))
     return terms
 
@@ -430,7 +328,7 @@ def _pr_nonclose_gig0(d: int) -> Pairs:
     out = []
     for i in _idx(d):
         lhs = comm(ops.gamma_i(d, i), ops.gamma0(d))
-        rhs = OpSum(d, [(MI, (ops.boost_m(d, i),))] + _nonclose_vector_rhs(d, i, -1))
+        rhs = OpSum(d, [(-I_, (ops.boost_m(d, i),))] + _nonclose_vector_rhs(d, i, -1))
         out.append((f"[G{i},G0]", lhs, rhs))
     return out
 
@@ -439,16 +337,16 @@ def _pr_nonclose_gigd1(d: int) -> Pairs:
     out = []
     for i in _idx(d):
         lhs = comm(ops.gamma_i(d, i), ops.gamma_d1(d))
-        rhs = OpSum(d, [(MI, (ops.boost_a(d, i),))] + _nonclose_vector_rhs(d, i, +1))
+        rhs = OpSum(d, [(-I_, (ops.boost_a(d, i),))] + _nonclose_vector_rhs(d, i, +1))
         out.append((f"[G{i},Gd1]", lhs, rhs))
     return out
 
 
 def _pr_nonclose_gigj(d: int) -> Pairs:
     out = []
-    for (i, j) in _pairs_upper(d):
+    for (i, j) in combinations(_idx(d), 2):
         lhs = comm(ops.gamma_i(d, i), ops.gamma_i(d, j))
-        terms = [(MI, (ops.so_j(d, i, j),)), (I_, (ops.spin(d, i, j),))]
+        terms = [(-I_, (ops.so_j(d, i, j),)), (I_, (ops.spin(d, i, j),))]
         for k in _idx(d):
             terms.append((-2, (weyl.x(d, k), ops.spin(d, i, k), weyl.p(d, j))))
             terms.append((2, (weyl.x(d, k), ops.spin(d, j, k), weyl.p(d, i))))
@@ -464,7 +362,7 @@ def _pr_rel_gxgi(d: int) -> Pairs:
         terms = [(1, (weyl.x(d, i),))]
         for j in _idx(d):
             if j != i:
-                terms.append((_i(-2), (ops.spin(d, i, j), weyl.x(d, j))))
+                terms.append((-2 * I_, (ops.spin(d, i, j), weyl.x(d, j))))
         out.append((f"(g.x)g{i}", lhs, OpSum(d, terms)))
     return out
 
@@ -482,7 +380,7 @@ def _pr_cas_gamma(d: int) -> Pairs:
         (-1, (ops.gamma_d1(d), ops.gamma_d1(d))),
         (-1, (ops.dilation(d), ops.dilation(d))),
     )
-    rhs = osum(d, (1, (ops.j_squared(d),)), (_q(Fraction((d - 1) * (d - 2), 8)), ()))
+    rhs = osum(d, (1, (ops.j_squared(d),)), (Fraction((d - 1) * (d - 2), 8), ()))
     return [("G0^2 - Gd1^2 - T^2", lhs, rhs)]
 
 
@@ -498,13 +396,6 @@ def _pr_k_decomp(d: int) -> Pairs:
     return [("K from ladder pair", of_expr(ops.sturm_k(d)), rhs)]
 
 
-def _pr_sturm_inv(d: int) -> Pairs:
-    K = ops.sturm_k(d)
-    out = [(f"[J{i}{j},K]", comm(ops.so_j(d, i, j), K), zero_sum(d)) for (i, j) in _pairs_upper(d)]
-    out += [(f"[B{i},K]", comm(ops.sturm_b(d, i), K), zero_sum(d)) for i in _idx(d)]
-    return out
-
-
 def _pr_b_explicit(d: int) -> Pairs:
     one_minus = (P_ONE - 2 * P_E) * Fraction(1, 2)
     one_plus = (P_ONE + 2 * P_E) * Fraction(1, 2)
@@ -515,26 +406,12 @@ def _pr_b_explicit(d: int) -> Pairs:
     return out
 
 
-def _pr_jb_alg(d: int) -> Pairs:
-    out = []
-    for (i, j) in _pairs_upper(d):
-        for k in _idx(d):
-            lhs = comm(ops.so_j(d, i, j), ops.sturm_b(d, k))
-            rhs = osum(d, (_i(_delta(i, k)), (ops.sturm_b(d, j),)), (_i(-_delta(j, k)), (ops.sturm_b(d, i),)))
-            out.append((f"[J{i}{j},B{k}]", lhs, rhs))
-    for (i, j) in _pairs_upper(d):
-        lhs = comm(ops.sturm_b(d, i), ops.sturm_b(d, j))
-        rhs = osum(d, (P_E * GaussianRational(0, -2), (ops.so_j(d, i, j),)))
-        out.append((f"[B{i},B{j}]", lhs, rhs))
-    return out
-
-
 def _b_square_common_terms(d: int) -> list:
     R2, P2, XP = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d)
     return [
         (P_E, (R2, P2)),
         (-2 * P_E, (XP, XP)),
-        (P_E * GaussianRational(0, 2 * d - 3), (XP,)),
+        (I_ * (2 * d - 3) * P_E, (XP,)),
         (P_E * Fraction(d * (d - 1), 2), ()),
         (P_E * P_E, (R2,)),
     ]
@@ -542,23 +419,19 @@ def _b_square_common_terms(d: int) -> list:
 
 def _pr_b1_square(d: int) -> Pairs:
     R2, P2, T = ops.r_squared(d), ops.p_squared(d), ops.dilation(d)
-    lhs = OpSum(d, [(1, (ops.sturm_b1(d, i), ops.sturm_b1(d, i))) for i in _idx(d)])
-    rhs = OpSum(d, [(_q(Fraction(1, 4)), (R2, P2, P2)), (_i(Fraction(-1, 2)), (T, P2))] + _b_square_common_terms(d))
+    lhs = _dot(d, ops.sturm_b1, ops.sturm_b1)
+    rhs = OpSum(d, [(Fraction(1, 4), (R2, P2, P2)), (I_ * Fraction(-1, 2), (T, P2))] + _b_square_common_terms(d))
     return [("(B1)^2", lhs, rhs)]
 
 
 def _pr_b_cross(d: int) -> Pairs:
-    terms = []
-    for i in _idx(d):
-        terms.append((1, (ops.sturm_b1(d, i), ops.sturm_b2(d, i))))
-        terms.append((1, (ops.sturm_b2(d, i), ops.sturm_b1(d, i))))
-    lhs = OpSum(d, terms)
-    rhs = osum(d, (_q(Fraction(1, 2)), (ops.ls_contraction(d), ops.p_squared(d))), (P_E, (ops.ls_contraction(d),)))
+    lhs = _dot(d, ops.sturm_b1, ops.sturm_b2) + _dot(d, ops.sturm_b2, ops.sturm_b1)
+    rhs = osum(d, (Fraction(1, 2), (ops.ls_contraction(d), ops.p_squared(d))), (P_E, (ops.ls_contraction(d),)))
     return [("B1.B2 + B2.B1", lhs, rhs)]
 
 
 def _pr_b2_square(d: int) -> Pairs:
-    lhs = OpSum(d, [(1, (ops.sturm_b2(d, i), ops.sturm_b2(d, i))) for i in _idx(d)])
+    lhs = _dot(d, ops.sturm_b2, ops.sturm_b2)
     contracted = OpSum(
         d,
         [
@@ -571,14 +444,14 @@ def _pr_b2_square(d: int) -> Pairs:
     symmetrized = OpSum(
         d,
         [
-            (_q(Fraction(1, 2)), (s1, s2, weyl.p(d, j), weyl.p(d, k)))
+            (Fraction(1, 2), (s1, s2, weyl.p(d, j), weyl.p(d, k)))
             for i in _idx(d)
             for j in _idx(d)
             for k in _idx(d)
             for (s1, s2) in ((ops.spin(d, i, j), ops.spin(d, i, k)), (ops.spin(d, i, k), ops.spin(d, i, j)))
         ],
     )
-    constant = osum(d, (_q(Fraction(d - 1, 4)), (ops.p_squared(d),)))
+    constant = osum(d, (Fraction(d - 1, 4), (ops.p_squared(d),)))
     return [
         ("(B2)^2 = S_ij S_ik p_j p_k", lhs, contracted),
         ("(B2)^2 symmetrized", lhs, symmetrized),
@@ -594,20 +467,20 @@ def _pr_s_anticomm(d: int) -> Pairs:
             for i in _idx(d):
                 terms.append((1, (ops.spin(d, i, j), ops.spin(d, i, k))))
                 terms.append((1, (ops.spin(d, i, k), ops.spin(d, i, j))))
-            rhs = osum(d, (_q(Fraction((d - 1) * _delta(j, k), 2)), ()))
+            rhs = osum(d, (Fraction((d - 1) * (j == k), 2), ()))
             out.append((f"sum_i {{S_i{j},S_i{k}}}", OpSum(d, terms), rhs))
     return out
 
 
 def _pr_b_square(d: int) -> Pairs:
     R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    lhs = OpSum(d, [(1, (ops.sturm_b(d, i), ops.sturm_b(d, i))) for i in _idx(d)])
+    lhs = _dot(d, ops.sturm_b, ops.sturm_b)
     rhs = OpSum(
         d,
         [
-            (_q(Fraction(1, 4)), (R2, P2, P2)),
-            (_i(Fraction(-1, 2)), (XP, P2)),
-            (_q(Fraction(1, 2)), (LS, P2)),
+            (Fraction(1, 4), (R2, P2, P2)),
+            (I_ * Fraction(-1, 2), (XP, P2)),
+            (Fraction(1, 2), (LS, P2)),
             (P_E, (LS,)),
         ]
         + _b_square_common_terms(d),
@@ -619,14 +492,14 @@ def _pr_k_square(d: int) -> Pairs:
     R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
     K = ops.sturm_k(d)
     bracket = comm(P2, ops.gamma_dot_x(d))
-    bracket_rhs = osum(d, (_i(-2), (ops.gamma_dot_p(d),)))
+    bracket_rhs = osum(d, (-2 * I_, (ops.gamma_dot_p(d),)))
     rhs = osum(
         d,
-        (_q(Fraction(1, 4)), (R2, P2, P2)),
-        (_i(Fraction(-1, 2)), (XP, P2)),
-        (_q(Fraction(1, 2)), (LS, P2)),
+        (Fraction(1, 4), (R2, P2, P2)),
+        (I_ * Fraction(-1, 2), (XP, P2)),
+        (Fraction(1, 2), (LS, P2)),
         (-P_E, (R2, P2)),
-        (P_E * GaussianRational(0, 1), (XP,)),
+        (I_ * P_E, (XP,)),
         (-P_E, (LS,)),
         (P_E * P_E, (R2,)),
     )
@@ -637,7 +510,7 @@ def _pr_k_square(d: int) -> Pairs:
 
 
 def _pr_b2_k2_j2(d: int) -> Pairs:
-    lhs = OpSum(d, [(1, (ops.sturm_b(d, i), ops.sturm_b(d, i))) for i in _idx(d)])
+    lhs = _dot(d, ops.sturm_b, ops.sturm_b)
     rhs = osum(
         d,
         (1, (ops.sturm_k(d), ops.sturm_k(d))),
@@ -650,16 +523,6 @@ def _pr_b2_k2_j2(d: int) -> Pairs:
 # ---------------------------------------------------------------------------
 # pair builders, Schroedinger picture
 # ---------------------------------------------------------------------------
-
-
-def _pr_jh_comm(d: int) -> Pairs:
-    H = ops.hamiltonian(d)
-    return [(f"[J{i}{j},H]", comm(ops.so_j(d, i, j), H), zero_sum(d)) for (i, j) in _pairs_upper(d)]
-
-
-def _pr_lrl_conserved(d: int) -> Pairs:
-    H = ops.hamiltonian(d)
-    return [(f"[LRL{i},H]", comm(ops.lrl(d, i), H), zero_sum(d)) for i in _idx(d)]
 
 
 def _pr_xh_comm(d: int) -> Pairs:
@@ -690,10 +553,10 @@ def _pr_bh_chain(d: int) -> Pairs:
             (
                 f"[B{i},Y](g.x) = -i p{i}",
                 osum(d, (1, (B, Y, gx)), (-1, (Y, B, gx))),
-                osum(d, (MI, (weyl.p(d, i),))),
+                osum(d, (-I_, (weyl.p(d, i),))),
             )
         )
-        out.append((f"[B{i},Y] = -i p{i} Y", comm(B, Y), osum(d, (MI, (weyl.p(d, i), Y)))))
+        out.append((f"[B{i},Y] = -i p{i} Y", comm(B, Y), osum(d, (-I_, (weyl.p(d, i), Y)))))
     return out
 
 
@@ -713,26 +576,11 @@ def _pr_lrl_explicit(d: int) -> Pairs:
     return out
 
 
-def _pr_lrl_alg(d: int) -> Pairs:
-    H = ops.hamiltonian(d)
-    out = []
-    for (i, j) in _pairs_upper(d):
-        for k in _idx(d):
-            lhs = comm(ops.so_j(d, i, j), ops.lrl(d, k))
-            rhs = osum(d, (_i(_delta(i, k)), (ops.lrl(d, j),)), (_i(-_delta(j, k)), (ops.lrl(d, i),)))
-            out.append((f"[J{i}{j},LRL{k}]", lhs, rhs))
-    for (i, j) in _pairs_upper(d):
-        lhs = comm(ops.lrl(d, i), ops.lrl(d, j))
-        rhs = osum(d, (_i(-2), (H, ops.so_j(d, i, j))))
-        out.append((f"[LRL{i},LRL{j}]", lhs, rhs))
-    return out
-
-
 def _pr_lrl_aux_1(d: int) -> Pairs:
     H = ops.hamiltonian(d)
     hme = H - weyl.scalar(d, P_E)
     out = []
-    for (i, j) in _pairs_upper(d):
+    for (i, j) in combinations(_idx(d), 2):
         Bi, Bj = ops.sturm_b(d, i), ops.sturm_b(d, j)
         xi, xj = weyl.x(d, i), weyl.x(d, j)
         lhs = osum(
@@ -742,7 +590,7 @@ def _pr_lrl_aux_1(d: int) -> Pairs:
             (-1, (Bj, xi, hme)),
             (1, (xi, hme, Bj)),
         )
-        rhs = osum(d, (_i(-2), (ops.so_j(d, i, j), hme)), (I_, (ops.angular(d, i, j), hme)))
+        rhs = osum(d, (-2 * I_, (ops.so_j(d, i, j), hme)), (I_, (ops.angular(d, i, j), hme)))
         out.append((f"[B{i},x{j}(H-E)] antisymmetrized", lhs, rhs))
     return out
 
@@ -750,10 +598,10 @@ def _pr_lrl_aux_1(d: int) -> Pairs:
 def _pr_lrl_aux_2(d: int) -> Pairs:
     hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
     out = []
-    for (i, j) in _pairs_upper(d):
+    for (i, j) in combinations(_idx(d), 2):
         xi, xj = weyl.x(d, i), weyl.x(d, j)
         lhs = osum(d, (1, (xi, hme, xj, hme)), (-1, (xj, hme, xi, hme)))
-        rhs = osum(d, (MI, (ops.angular(d, i, j), hme)))
+        rhs = osum(d, (-I_, (ops.angular(d, i, j), hme)))
         out.append((f"[x{i}(H-E),x{j}(H-E)]", lhs, rhs))
     return out
 
@@ -767,17 +615,17 @@ def _pr_lrl_aux_3(d: int) -> Pairs:
             lhs = comm(Bi, weyl.x(d, j))
             diff = ops.boost_m(d, j) - ops.boost_a(d, j)
             out.append((f"[B{i},x{j}] via boosts", lhs, comm(Bi, diff)))
-            rhs = osum(d, (_i(_delta(i, j)), (T,)), (MI, (ops.so_j(d, i, j),)))
+            rhs = osum(d, (I_ * (i == j), (T,)), (-I_, (ops.so_j(d, i, j),)))
             out.append((f"[B{i},x{j}]", lhs, rhs))
     return out
 
 
 def _pr_lrl_square(d: int) -> Pairs:
-    lhs = OpSum(d, [(1, (ops.lrl(d, i), ops.lrl(d, i))) for i in _idx(d)])
+    lhs = _dot(d, ops.lrl, ops.lrl)
     rhs = osum(
         d,
         (2, (ops.hamiltonian(d), ops.j_squared(d))),
-        (_q(Fraction(d * (d - 1), 4)), (ops.hamiltonian(d),)),
+        (Fraction(d * (d - 1), 4), (ops.hamiltonian(d),)),
         (P_ALPHA * P_ALPHA, ()),
     )
     return [("LRL^2 = 2H(J^2 + d(d-1)/8) + alpha^2", lhs, rhs)]
@@ -787,53 +635,30 @@ def _pr_lrl_square(d: int) -> Pairs:
 # pair builders, d=3 vector identities
 # ---------------------------------------------------------------------------
 
-_EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
-
-
-def _pr_d3_vec_comm(d: int) -> Pairs:
-    out = []
-    for name, vec in (("J", ops.vector_j), ("L", ops.vector_l), ("S", ops.vector_s)):
-        for (i, j) in _pairs_upper(3):
-            lhs = comm(vec(3, i), vec(3, j))
-            terms = []
-            for k in _idx(3):
-                sign = _EPS3.get((i, j, k), 0)
-                if sign:
-                    terms.append((_i(sign), (vec(3, k),)))
-            out.append((f"[{name}{i},{name}{j}]", lhs, OpSum(3, terms)))
-    return out
-
 
 def _pr_d3_dots(d: int) -> Pairs:
     XS, PS, XP, P2 = ops.x_dot_s(3), ops.p_dot_s(3), ops.x_dot_p(3), ops.p_squared(3)
-    lb1 = OpSum(3, [(1, (ops.vector_l(3, i), ops.sturm_b1(3, i))) for i in _idx(3)])
-    lb2 = OpSum(3, [(1, (ops.vector_l(3, i), ops.sturm_b2(3, i))) for i in _idx(3)])
-    sb1 = OpSum(3, [(1, (ops.vector_s(3, i), ops.sturm_b1(3, i))) for i in _idx(3)])
-    sb2 = OpSum(3, [(1, (ops.vector_s(3, i), ops.sturm_b2(3, i))) for i in _idx(3)])
     return [
-        ("L.B1 = 0", lb1, zero_sum(3)),
-        ("L.B2", lb2, osum(3, (1, (XP, PS)), (-1, (XS, P2)))),
-        ("S.B1", sb1, osum(3, (_q(Fraction(1, 2)), (XS, P2)), (-1, (XP, PS)), (I_, (PS,)), (P_E, (XS,)))),
-        ("S.B2", sb2, osum(3, (MI, (PS,)))),
+        ("L.B1 = 0", _dot(3, ops.vector_l, ops.sturm_b1), zero_sum(3)),
+        ("L.B2", _dot(3, ops.vector_l, ops.sturm_b2), osum(3, (1, (XP, PS)), (-1, (XS, P2)))),
+        ("S.B1", _dot(3, ops.vector_s, ops.sturm_b1), osum(3, (Fraction(1, 2), (XS, P2)), (-1, (XP, PS)), (I_, (PS,)), (P_E, (XS,)))),
+        ("S.B2", _dot(3, ops.vector_s, ops.sturm_b2), osum(3, (-I_, (PS,)))),
     ]
 
 
 def _pr_jb_dot(d: int) -> Pairs:
-    lhs = OpSum(3, [(1, (ops.vector_j(3, i), ops.sturm_b(3, i))) for i in _idx(3)])
-    rhs = osum(3, (_q(Fraction(-1, 2)), (ops.x_dot_s(3), ops.p_squared(3))), (P_E, (ops.x_dot_s(3),)))
-    return [("J.B = -(x.S)(p^2/2 - E)", lhs, rhs)]
+    rhs = osum(3, (Fraction(-1, 2), (ops.x_dot_s(3), ops.p_squared(3))), (P_E, (ops.x_dot_s(3),)))
+    return [("J.B = -(x.S)(p^2/2 - E)", _dot(3, ops.vector_j, ops.sturm_b), rhs)]
 
 
 def _pr_jb_dot_sigma(d: int) -> Pairs:
-    lhs = OpSum(3, [(1, (ops.vector_j(3, i), ops.sturm_b(3, i))) for i in _idx(3)])
-    rhs = osum(3, (_q(Fraction(-1, 2)), (ops.sturm_k(3),)))
-    return [("J.B = -K/2 (Pauli)", lhs, rhs)]
+    rhs = osum(3, (Fraction(-1, 2), (ops.sturm_k(3),)))
+    return [("J.B = -K/2 (Pauli)", _dot(3, ops.vector_j, ops.sturm_b), rhs)]
 
 
 def _pr_ja_dot(d: int) -> Pairs:
-    lhs = OpSum(3, [(1, (ops.vector_j(3, i), ops.lrl(3, i))) for i in _idx(3)])
     rhs = osum(3, (P_ALPHA * Fraction(1, 2), ()))
-    return [("J.LRL = alpha/2 (Pauli)", lhs, rhs)]
+    return [("J.LRL = alpha/2 (Pauli)", _dot(3, ops.vector_j, ops.lrl), rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -843,51 +668,44 @@ def _pr_ja_dot(d: int) -> Pairs:
 
 def _pr_app_a_j2(d: int) -> Pairs:
     J2 = ops.j_squared(d)
-    half_all = OpSum(d, [(_q(Fraction(1, 2)), (ops.so_j(d, i, j), ops.so_j(d, i, j))) for i in _idx(d) for j in _idx(d) if i != j])
     split_terms = []
     for i in _idx(d):
         for j in _idx(d):
             if i == j:
                 continue
             L, S = ops.angular(d, i, j), ops.spin(d, i, j)
-            split_terms += [(_q(Fraction(1, 2)), (L, L)), (1, (L, S)), (_q(Fraction(1, 2)), (S, S))]
+            split_terms += [(Fraction(1, 2), (L, L)), (1, (L, S)), (Fraction(1, 2), (S, S))]
     reduced = osum(
         d,
         (1, (ops.r_squared(d), ops.p_squared(d))),
         (-1, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (_i(d - 2), (ops.x_dot_p(d),)),
+        (I_ * (d - 2), (ops.x_dot_p(d),)),
         (1, (ops.ls_contraction(d),)),
-        (_q(Fraction(d * (d - 1), 8)), ()),
+        (Fraction(d * (d - 1), 8), ()),
     )
     return [
-        ("J^2 = J_ij J_ij / 2", of_expr(J2), half_all),
+        ("J^2 = J_ij J_ij / 2", of_expr(J2), _half_square(d, ops.so_j)),
         ("J^2 split into L, LS, S", of_expr(J2), OpSum(d, split_terms)),
         ("J^2 reduced", of_expr(J2), reduced),
     ]
 
 
 def _pr_app_a_ll(d: int) -> Pairs:
-    lhs = OpSum(d, [(_q(Fraction(1, 2)), (ops.angular(d, i, j), ops.angular(d, i, j))) for i in _idx(d) for j in _idx(d) if i != j])
     rhs = osum(
         d,
         (1, (ops.r_squared(d), ops.p_squared(d))),
         (-1, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (_i(d - 2), (ops.x_dot_p(d),)),
+        (I_ * (d - 2), (ops.x_dot_p(d),)),
     )
-    return [("L_ij L_ij / 2", lhs, rhs)]
+    return [("L_ij L_ij / 2", _half_square(d, ops.angular), rhs)]
 
 
 def _pr_app_a_ss(d: int) -> Pairs:
-    lhs = OpSum(d, [(_q(Fraction(1, 2)), (ops.spin(d, i, j), ops.spin(d, i, j))) for i in _idx(d) for j in _idx(d) if i != j])
-    return [("S_ij S_ij / 2 = d(d-1)/8", lhs, osum(d, (_q(Fraction(d * (d - 1), 8)), ())))]
+    return [("S_ij S_ij / 2 = d(d-1)/8", _half_square(d, ops.spin), osum(d, (Fraction(d * (d - 1), 8), ())))]
 
 
 def _pr_app_a_am2(d: int) -> Pairs:
-    lhs_terms = []
-    for i in _idx(d):
-        lhs_terms.append((1, (ops.boost_a(d, i), ops.boost_a(d, i))))
-        lhs_terms.append((-1, (ops.boost_m(d, i), ops.boost_m(d, i))))
-    lhs = OpSum(d, lhs_terms)
+    lhs = _dot(d, ops.boost_a, ops.boost_a) + -_dot(d, ops.boost_m, ops.boost_m)
     anticomm_terms = []
     for i in _idx(d):
         core = ops.boost_a(d, i) + Fraction(1, 2) * weyl.x(d, i)  # the common boost core
@@ -897,9 +715,9 @@ def _pr_app_a_am2(d: int) -> Pairs:
         d,
         (-1, (ops.r_squared(d), ops.p_squared(d))),
         (2, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (_i(-(2 * d - 3)), (ops.x_dot_p(d),)),
+        (I_ * -(2 * d - 3), (ops.x_dot_p(d),)),
         (-1, (ops.ls_contraction(d),)),
-        (_q(Fraction(-d * (d - 1), 2)), ()),
+        (Fraction(-d * (d - 1), 2), ()),
     )
     return [
         ("A^2 - M^2 as anticommutator", lhs, OpSum(d, anticomm_terms)),
@@ -912,8 +730,8 @@ def _pr_app_a_t2(d: int) -> Pairs:
     rhs = osum(
         d,
         (1, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (_i(-(d - 1)), (ops.x_dot_p(d),)),
-        (_q(Fraction(-(d - 1) * (d - 1), 4)), ()),
+        (I_ * -(d - 1), (ops.x_dot_p(d),)),
+        (Fraction(-(d - 1) * (d - 1), 4), ()),
     )
     return [("T^2 reduced", osum(d, (1, (T, T))), rhs)]
 
@@ -921,16 +739,16 @@ def _pr_app_a_t2(d: int) -> Pairs:
 def _pr_app_a_g2(d: int) -> Pairs:
     G0, Gd1, T = ops.gamma0(d), ops.gamma_d1(d), ops.dilation(d)
     gdiff = osum(d, (1, (G0, G0)), (-1, (Gd1, Gd1)))
-    with_gammas = osum(d, (1, (ops.gamma_dot_x(d), ops.gamma_dot_x(d), ops.p_squared(d))), (MI, (ops.gamma_dot_x(d), ops.gamma_dot_p(d))))
-    reduced = osum(d, (1, (ops.r_squared(d), ops.p_squared(d))), (MI, (ops.x_dot_p(d),)), (1, (ops.ls_contraction(d),)))
+    with_gammas = osum(d, (1, (ops.gamma_dot_x(d), ops.gamma_dot_x(d), ops.p_squared(d))), (-I_, (ops.gamma_dot_x(d), ops.gamma_dot_p(d))))
+    reduced = osum(d, (1, (ops.r_squared(d), ops.p_squared(d))), (-I_, (ops.x_dot_p(d),)), (1, (ops.ls_contraction(d),)))
     full = gdiff + osum(d, (-1, (T, T)))
     full_rhs = osum(
         d,
         (1, (ops.r_squared(d), ops.p_squared(d))),
         (-1, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (_i(d - 2), (ops.x_dot_p(d),)),
+        (I_ * (d - 2), (ops.x_dot_p(d),)),
         (1, (ops.ls_contraction(d),)),
-        (_q(Fraction((d - 1) * (d - 1), 4)), ()),
+        (Fraction((d - 1) * (d - 1), 4), ()),
     )
     return [
         ("G0^2 - Gd1^2 via (g.x)(g.p)", gdiff, with_gammas),
@@ -949,7 +767,7 @@ def _pr_app_b1(d: int) -> Pairs:
     R = ops.rinv2(d)
     out = []
     for i in _idx(d):
-        rhs = osum(d, (MI, (R, weyl.gamma(d, i))), (_i(2), (R, R, weyl.x(d, i), ops.gamma_dot_x(d))))
+        rhs = osum(d, (-I_, (R, weyl.gamma(d, i))), (2 * I_, (R, R, weyl.x(d, i), ops.gamma_dot_x(d))))
         out.append((f"[p{i}, Y]", comm(weyl.p(d, i), Y), rhs))
     return out
 
@@ -959,9 +777,9 @@ def _pr_app_b2(d: int) -> Pairs:
     R = ops.rinv2(d)
     rhs = osum(
         d,
-        (_i(-2), (R, ops.gamma_dot_p(d))),
-        (_i(4), (R, R, ops.gamma_dot_x(d), ops.x_dot_p(d))),
-        (_q(2 * (d - 2)), (R, R, ops.gamma_dot_x(d))),
+        (-2 * I_, (R, ops.gamma_dot_p(d))),
+        (4 * I_, (R, R, ops.gamma_dot_x(d), ops.x_dot_p(d))),
+        (2 * (d - 2), (R, R, ops.gamma_dot_x(d))),
     )
     return [("[p^2, Y]", comm(ops.p_squared(d), Y), rhs)]
 
@@ -982,10 +800,10 @@ def _pr_app_b4(d: int) -> Pairs:
         gi, xi = weyl.gamma(d, i), weyl.x(d, i)
         rhs = osum(
             d,
-            (MI, (R, gi, XP)),
-            (_q(Fraction(-(d - 5), 2)), (R, gi)),
-            (_i(2), (R, R, xi, GX, XP)),
-            (_q(d - 5), (R, R, xi, GX)),
+            (-I_, (R, gi, XP)),
+            (Fraction(-(d - 5), 2), (R, gi)),
+            (2 * I_, (R, R, xi, GX, XP)),
+            (d - 5, (R, R, xi, GX)),
             (I_, (R, GX, weyl.p(d, i))),
         )
         out.append((f"[T p{i}, Y]", comm(tp, Y), rhs))
@@ -1005,14 +823,14 @@ def _pr_app_b5(d: int) -> Pairs:
             if j == i:
                 continue
             S = ops.spin(d, i, j)
-            first_terms.append((MI, (S, R, weyl.gamma(d, j))))
-            first_terms.append((_i(2), (S, R, R, weyl.x(d, j), GX)))
+            first_terms.append((-I_, (S, R, weyl.gamma(d, j))))
+            first_terms.append((2 * I_, (S, R, R, weyl.x(d, j), GX)))
         first_terms.append((I_, (R, xi, GP)))
-        first_terms.append((MI, (R, gi, XP)))
+        first_terms.append((-I_, (R, gi, XP)))
         second = osum(
             d,
-            (MI, (R, gi, XP)),
-            (_q(Fraction(-(d - 3), 2)), (R, gi)),
+            (-I_, (R, gi, XP)),
+            (Fraction(-(d - 3), 2), (R, gi)),
             (-1, (R, R, xi, GX)),
             (I_, (R, xi, GP)),
         )
@@ -1026,10 +844,10 @@ def _pr_app_b6(d: int) -> Pairs:
     out = []
     for i in _idx(d):
         sg = OpSum(d, [(1, (ops.spin(d, i, j), weyl.gamma(d, j))) for j in _idx(d) if j != i])
-        sg_rhs = osum(d, (_i(Fraction(-(d - 1), 2)), (weyl.gamma(d, i),)))
+        sg_rhs = osum(d, (I_ * Fraction(-(d - 1), 2), (weyl.gamma(d, i),)))
         out.append((f"S{i}j g_j", sg, sg_rhs))
         sx = OpSum(d, [(1, (ops.spin(d, i, j), weyl.x(d, j))) for j in _idx(d) if j != i])
-        sx_rhs = osum(d, (_i(Fraction(-1, 2)), (weyl.gamma(d, i), GX)), (_i(Fraction(1, 2)), (weyl.x(d, i),)))
+        sx_rhs = osum(d, (I_ * Fraction(-1, 2), (weyl.gamma(d, i), GX)), (I_ * Fraction(1, 2), (weyl.x(d, i),)))
         out.append((f"S{i}j x_j", sx, sx_rhs))
     return out
 
@@ -1044,7 +862,7 @@ def _pr_app_b7(d: int) -> Pairs:
             d,
             (2, (R, R, weyl.x(d, i), GX)),
             (-1, (R, weyl.gamma(d, i))),
-            (MI, (R, GX, weyl.p(d, i))),
+            (-I_, (R, GX, weyl.p(d, i))),
         )
         out.append((f"[B{i}, Y]", comm(ops.sturm_b(d, i), Y), rhs))
     return out
@@ -1062,7 +880,7 @@ def _xhme_squared(d: int) -> OpSum:
 
 def _pr_app_c2(d: int) -> Pairs:
     hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
-    rhs = osum(d, (1, (ops.r_squared(d), hme, hme)), (MI, (ops.x_dot_p(d), hme)))
+    rhs = osum(d, (1, (ops.r_squared(d), hme, hme)), (-I_, (ops.x_dot_p(d), hme)))
     return [("x(H-E).x(H-E)", _xhme_squared(d), rhs)]
 
 
@@ -1072,9 +890,9 @@ def _pr_app_c3(d: int) -> Pairs:
     P2, XP, LS = ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
     rhs = osum(
         d,
-        (_q(Fraction(1, 4)), (P2, P2)),
+        (Fraction(1, 4), (P2, P2)),
         (P_ALPHA, (Y, P2)),
-        (P_ALPHA * GaussianRational(0, 1), (Y, R, XP)),
+        (I_ * P_ALPHA, (Y, R, XP)),
         (P_ALPHA * (d - 2), (Y, R)),
         (P_ALPHA, (Y, R, LS)),
         (P_ALPHA * P_ALPHA, (R,)),
@@ -1089,13 +907,13 @@ def _pr_app_c4(d: int) -> Pairs:
     hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
     Y = ops.gx_over_r2(d)
     P2, XP = ops.p_squared(d), ops.x_dot_p(d)
-    lhs = osum(d, (MI, (XP, hme)))
+    lhs = osum(d, (-I_, (XP, hme)))
     rhs = osum(
         d,
-        (_i(Fraction(-1, 2)), (XP, P2)),
-        (P_ALPHA * GaussianRational(0, -1), (Y, XP)),
+        (I_ * Fraction(-1, 2), (XP, P2)),
+        (-I_ * P_ALPHA, (Y, XP)),
         (P_ALPHA, (Y,)),
-        (P_E * GaussianRational(0, 1), (XP,)),
+        (I_ * P_E, (XP,)),
     )
     return [("-i x.p (H-E)", lhs, rhs)]
 
@@ -1111,14 +929,14 @@ def _pr_app_c5(d: int) -> Pairs:
     )
     rhs = osum(
         d,
-        (_q(Fraction(1, 4)), (R2, P2, P2)),
-        (_i(Fraction(-1, 2)), (XP, P2)),
+        (Fraction(1, 4), (R2, P2, P2)),
+        (I_ * Fraction(-1, 2), (XP, P2)),
         (P_ALPHA, (GX, P2)),
         (P_ALPHA * (d - 1), (GX, R)),
         (P_ALPHA, (GX, R, LS)),
         (P_ALPHA * P_ALPHA, ()),
         (-P_E, (R2, P2)),
-        (P_E * GaussianRational(0, 1), (XP,)),
+        (I_ * P_E, (XP,)),
         (-2 * P_E * P_ALPHA, (GX,)),
         (P_E * P_E, (R2,)),
     )
@@ -1126,8 +944,8 @@ def _pr_app_c5(d: int) -> Pairs:
 
 
 def _pr_app_c6(d: int) -> Pairs:
-    lhs = osum(d, (MI, (ops.gamma_dot_p(d),)))
-    rhs = osum(d, (MI, (ops.gx_over_r2(d), ops.x_dot_p(d))), (1, (ops.gx_over_r2(d), ops.ls_contraction(d))))
+    lhs = osum(d, (-I_, (ops.gamma_dot_p(d),)))
+    rhs = osum(d, (-I_, (ops.gx_over_r2(d), ops.x_dot_p(d))), (1, (ops.gx_over_r2(d), ops.ls_contraction(d))))
     return [("-i g.p via Y", lhs, rhs)]
 
 
@@ -1137,9 +955,9 @@ def _c7_w_terms(d: int, tail: tuple) -> list:
     return [
         (1, (R2, P2) + tail),
         (-2, (XP, XP) + tail),
-        (_i(2 * (d - 1)), (XP,) + tail),
+        (I_ * 2 * (d - 1), (XP,) + tail),
         (1, (LS,) + tail),
-        (_q(Fraction(d * (d - 1), 2)), tail),
+        (Fraction(d * (d - 1), 2), tail),
         (2 * P_E, (R2,) + tail),
     ]
 
@@ -1148,15 +966,20 @@ def _w_expr(d: int) -> OperatorExpr:
     return OpSum(d, _c7_w_terms(d, ())).to_expr()
 
 
+def _mixed_terms(d: int) -> OpSum:
+    """x(H-E).B + B.x(H-E): the first side of APP-C-7, the left side of APP-C-13."""
+    hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
+    terms = []
+    for i in _idx(d):
+        xi, Bi = weyl.x(d, i), ops.sturm_b(d, i)
+        terms += [(1, (xi, hme, Bi)), (1, (Bi, xi, hme))]
+    return OpSum(d, terms)
+
+
 def _pr_app_c7(d: int) -> Pairs:
     H = ops.hamiltonian(d)
     hme = H - weyl.scalar(d, P_E)
     T, XP = ops.dilation(d), ops.x_dot_p(d)
-    e1_terms = []
-    for i in _idx(d):
-        xi, Bi = weyl.x(d, i), ops.sturm_b(d, i)
-        e1_terms += [(1, (xi, hme, Bi)), (1, (Bi, xi, hme))]
-    e1 = OpSum(d, e1_terms)
     e2_terms = []
     for i in _idx(d):
         xi, Bi = weyl.x(d, i), ops.sturm_b(d, i)
@@ -1164,35 +987,53 @@ def _pr_app_c7(d: int) -> Pairs:
     e2_terms.append((I_, (XP, hme)))
     e2 = OpSum(d, e2_terms)
     e3_terms = [(2, (weyl.x(d, i), ops.sturm_b(d, i), hme)) for i in _idx(d)]
-    e3_terms += [(_i(d), (T, hme)), (I_, (XP, hme))]
+    e3_terms += [(I_ * d, (T, hme)), (I_, (XP, hme))]
     e3 = OpSum(d, e3_terms)
     e4 = OpSum(d, _c7_w_terms(d, (hme,)))
     return [
-        ("x(H-E).B + B.x(H-E), step 1", e1, e2),
+        ("x(H-E).B + B.x(H-E), step 1", _mixed_terms(d), e2),
         ("x(H-E).B + B.x(H-E), step 2", e2, e3),
         ("x(H-E).B + B.x(H-E), step 3", e3, e4),
     ]
 
 
-def _pr_app_c8(d: int) -> Pairs:
+def _w_kinetic(d: int) -> OpSum:
+    """W p^2/2 reduced: the right side of APP-C-8."""
     R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    half_p2 = Fraction(1, 2) * P2
-    lhs = osum(d, (1, (_w_expr(d), half_p2)))
-    rhs = osum(
+    return osum(
         d,
-        (_q(Fraction(1, 2)), (R2, P2, P2)),
+        (Fraction(1, 2), (R2, P2, P2)),
         (-1, (XP, XP, P2)),
-        (_i(d - 1), (XP, P2)),
-        (_q(Fraction(1, 2)), (LS, P2)),
-        (_q(Fraction(d * (d - 1), 4)), (P2,)),
+        (I_ * (d - 1), (XP, P2)),
+        (Fraction(1, 2), (LS, P2)),
+        (Fraction(d * (d - 1), 4), (P2,)),
         (P_E, (R2, P2)),
     )
-    return [("W p^2/2", lhs, rhs)]
+
+
+def _pr_app_c8(d: int) -> Pairs:
+    half_p2 = Fraction(1, 2) * ops.p_squared(d)
+    return [("W p^2/2", osum(d, (1, (_w_expr(d), half_p2))), _w_kinetic(d))]
+
+
+def _w_coupling(d: int) -> OpSum:
+    """alpha W Y reduced: the last side of APP-C-9."""
+    Y = ops.gx_over_r2(d)
+    R2, P2, XP, LS, GX = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d), ops.gamma_dot_x(d)
+    return osum(
+        d,
+        (P_ALPHA, (Y, R2, P2)),
+        (-2 * P_ALPHA, (Y, XP, XP)),
+        (I_ * 2 * (d - 2) * P_ALPHA, (Y, XP)),
+        (P_ALPHA, (Y, LS)),
+        (P_ALPHA * Fraction((d - 1) * (d - 2), 2), (Y,)),
+        (2 * P_ALPHA * P_E, (GX,)),
+    )
 
 
 def _pr_app_c9(d: int) -> Pairs:
     Y = ops.gx_over_r2(d)
-    R2, P2, XP, LS, GX = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d), ops.gamma_dot_x(d)
+    R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
     W = _w_expr(d)
     e1 = osum(d, (P_ALPHA, (W, Y)))
     e2 = osum(
@@ -1200,26 +1041,17 @@ def _pr_app_c9(d: int) -> Pairs:
         (P_ALPHA, (Y, W)),
         (P_ALPHA, (R2, weyl.commutator(P2, Y))),
         (-2 * P_ALPHA, (weyl.commutator(weyl.multiply(XP, XP), Y),)),
-        (P_ALPHA * GaussianRational(0, 2 * (d - 1)), (weyl.commutator(XP, Y),)),
+        (I_ * 2 * (d - 1) * P_ALPHA, (weyl.commutator(XP, Y),)),
         (P_ALPHA, (weyl.commutator(LS, Y),)),
     )
-    e3 = osum(
-        d,
-        (P_ALPHA, (Y, R2, P2)),
-        (-2 * P_ALPHA, (Y, XP, XP)),
-        (P_ALPHA * GaussianRational(0, 2 * (d - 2)), (Y, XP)),
-        (P_ALPHA, (Y, LS)),
-        (P_ALPHA * Fraction((d - 1) * (d - 2), 2), (Y,)),
-        (2 * P_ALPHA * P_E, (GX,)),
-    )
-    return [("alpha W Y, step 1", e1, e2), ("alpha W Y, step 2", e2, e3)]
+    return [("alpha W Y, step 1", e1, e2), ("alpha W Y, step 2", e2, _w_coupling(d))]
 
 
 def _pr_app_c10(d: int) -> Pairs:
     Y = ops.gx_over_r2(d)
     XP = ops.x_dot_p(d)
     lhs = comm(weyl.multiply(XP, XP), Y)
-    rhs = osum(d, (_i(2), (Y, XP)), (-1, (Y,)))
+    rhs = osum(d, (2 * I_, (Y, XP)), (-1, (Y,)))
     return [("[(x.p)^2, Y]", lhs, rhs)]
 
 
@@ -1229,78 +1061,54 @@ def _pr_app_c11(d: int) -> Pairs:
     lhs = comm(ops.ls_contraction(d), Y)
     rhs = osum(
         d,
-        (_i(-2), (R, ops.gamma_dot_x(d), ops.x_dot_p(d))),
-        (_q(-(d - 1)), (R, ops.gamma_dot_x(d))),
-        (_i(2), (R, ops.r_squared(d), ops.gamma_dot_p(d))),
+        (-2 * I_, (R, ops.gamma_dot_x(d), ops.x_dot_p(d))),
+        (-(d - 1), (R, ops.gamma_dot_x(d))),
+        (2 * I_, (R, ops.r_squared(d), ops.gamma_dot_p(d))),
     )
     return [("[LS, Y]", lhs, rhs)]
 
 
-def _pr_app_c12(d: int) -> Pairs:
+def _w_energy(d: int) -> OpSum:
+    """-E W expanded: the right side of APP-C-12."""
     R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    lhs = osum(d, (-P_E, (_w_expr(d),)))
-    rhs = osum(
+    return osum(
         d,
         (-P_E, (R2, P2)),
         (2 * P_E, (XP, XP)),
-        (P_E * GaussianRational(0, -2 * (d - 1)), (XP,)),
+        (I_ * -2 * (d - 1) * P_E, (XP,)),
         (-P_E, (LS,)),
         (-P_E * Fraction(d * (d - 1), 2), ()),
         (-2 * P_E * P_E, (R2,)),
     )
-    return [("-E W", lhs, rhs)]
+
+
+def _pr_app_c12(d: int) -> Pairs:
+    return [("-E W", osum(d, (-P_E, (_w_expr(d),))), _w_energy(d))]
 
 
 def _pr_app_c13(d: int) -> Pairs:
-    H = ops.hamiltonian(d)
-    hme = H - weyl.scalar(d, P_E)
-    Y = ops.gx_over_r2(d)
-    R2, P2, XP, LS, GX = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d), ops.gamma_dot_x(d)
-    lhs_terms = []
-    for i in _idx(d):
-        xi, Bi = weyl.x(d, i), ops.sturm_b(d, i)
-        lhs_terms += [(1, (xi, hme, Bi)), (1, (Bi, xi, hme))]
-    rhs = osum(
-        d,
-        (_q(Fraction(1, 2)), (R2, P2, P2)),
-        (-1, (XP, XP, P2)),
-        (_i(d - 1), (XP, P2)),
-        (_q(Fraction(1, 2)), (LS, P2)),
-        (_q(Fraction(d * (d - 1), 4)), (P2,)),
-        (P_ALPHA, (Y, R2, P2)),
-        (-2 * P_ALPHA, (Y, XP, XP)),
-        (P_ALPHA * GaussianRational(0, 2 * (d - 2)), (Y, XP)),
-        (P_ALPHA, (Y, LS)),
-        (P_ALPHA * Fraction((d - 1) * (d - 2), 2), (Y,)),
-        (2 * P_ALPHA * P_E, (GX,)),
-        (2 * P_E, (XP, XP)),
-        (P_E * GaussianRational(0, -2 * (d - 1)), (XP,)),
-        (-P_E, (LS,)),
-        (-P_E * Fraction(d * (d - 1), 2), ()),
-        (-2 * P_E * P_E, (R2,)),
-    )
-    return [("x(H-E).B + B.x(H-E) total", OpSum(d, lhs_terms), rhs)]
+    # W(H-E) = W p^2/2 + alpha W Y - E W; the +-E r^2 p^2 pair cancels
+    return [("x(H-E).B + B.x(H-E) total", _mixed_terms(d), _w_kinetic(d) + _w_coupling(d) + _w_energy(d))]
 
 
 def _pr_app_c14(d: int) -> Pairs:
     Y = ops.gx_over_r2(d)
     R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    lhs = OpSum(d, [(1, (ops.lrl(d, i), ops.lrl(d, i))) for i in _idx(d)])
     rhs = osum(
         d,
         (1, (R2, P2, P2)),
         (-1, (XP, XP, P2)),
-        (_i(d - 2), (XP, P2)),
+        (I_ * (d - 2), (XP, P2)),
         (1, (LS, P2)),
-        (_q(Fraction(d * (d - 1), 4)), (P2,)),
+        (Fraction(d * (d - 1), 4), (P2,)),
         (2 * P_ALPHA, (Y, R2, P2)),
         (-2 * P_ALPHA, (Y, XP, XP)),
-        (P_ALPHA * GaussianRational(0, 2 * (d - 2)), (Y, XP)),
+        (I_ * 2 * (d - 2) * P_ALPHA, (Y, XP)),
         (2 * P_ALPHA, (Y, LS)),
         (P_ALPHA * Fraction(d * (d - 1), 2), (Y,)),
         (P_ALPHA * P_ALPHA, ()),
     )
-    return [("LRL^2 fully reduced", lhs, rhs)]
+    return [("LRL^2 fully reduced", _dot(d, ops.lrl, ops.lrl), rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -1317,30 +1125,37 @@ def _registry() -> Tuple[Check, ...]:
     c = Check
     checks = [
         # defining relations
-        c("GAMMA-CLIFF", "Clifford generators anticommute to 2 delta", "{g_i, g_j} = 2 d_ij", "core", _ALL, _pr_gamma_cliff),
-        c("S-SO(D)", "spin matrices close the rotation algebra", "[S_ij, S_kl] = i(d_ik S_jl + d_il S_kj + d_jk S_li + d_jl S_ik)", "core", _ALL, _pr_s_sod),
+        c("GAMMA-CLIFF", "Clifford generators anticommute to 2 delta", "{g_i, g_j} = 2 d_ij", "core", _ALL, lambda d: family("{{g{},g{}}}", lambda i, j: weyl.gamma(d, i), lambda i, j: weyl.gamma(d, j), lambda i, j: [(2 * (i == j), ())], combinations_with_replacement(_idx(d), 2), acomm)),
+        c("S-SO(D)", "spin matrices close the rotation algebra", "[S_ij, S_kl] = i(d_ik S_jl + d_il S_kj + d_jk S_li + d_jl S_ik)", "core", _ALL, lambda d: closure("S", partial(ops.spin, d), product(_idx(d), repeat=2))),
         c("GX-SQUARE", "the coupling vector squares to r^2", "(g.x)^2 = r^2", "core", _ALL, _pr_gx_square),
         c("K-H-REL", "radial and Schroedinger operators interconvert", "K = (g.x)(H-E) - alpha; H = (g.x)/r^2 (K+alpha) + E", "core", _ALL, _pr_k_h_rel),
         # so(d+1,1) commutators
-        c("SO-COM-JJ", "rotation-rotation commutators", "[J_ij, J_kl] = i(d_ik J_jl + d_il J_kj + d_jk J_li + d_jl J_ik)", "core", _ALL, _pr_so_jj),
-        c("SO-COM-JA", "rotations act on the first boost vector", "[J_ij, A_k] = i(d_ik A_j - d_jk A_i)", "core", _ALL, _pr_so_ja),
-        c("SO-COM-JM", "rotations act on the second boost vector", "[J_ij, M_k] = i(d_ik M_j - d_jk M_i)", "core", _ALL, _pr_so_jm),
-        c("SO-COM-JT", "rotations commute with the dilation", "[J_ij, T] = 0", "core", _ALL, _pr_so_jt),
-        c("SO-COM-AA", "first boosts close on rotations", "[A_i, A_j] = i J_ij", "core", _ALL, _pr_so_aa),
-        c("SO-COM-MM", "second boosts close on rotations with a sign", "[M_i, M_j] = -i J_ij", "core", _ALL, _pr_so_mm),
-        c("SO-COM-AM", "mixed boosts produce the dilation", "[A_i, M_j] = i d_ij T", "core", _ALL, _pr_so_am),
-        c("SO-COM-AT", "dilation rotates A into M", "[A_i, T] = -i M_i", "core", _ALL, _pr_so_at),
-        c("SO-COM-MT", "dilation rotates M into A", "[M_i, T] = -i A_i", "core", _ALL, _pr_so_mt),
-        c("SO21-METRIC", "all generators satisfy the metric form of the algebra", "[L_ab, L_cd] = i(g_ac L_bd + g_ad L_cb + g_bc L_da + g_bd L_ac), g = diag(1..1,-1)", "core", _METRIC_DIMS, _pr_so21_metric),
+        c("SO-COM-JJ", "rotation-rotation commutators", "[J_ij, J_kl] = i(d_ik J_jl + d_il J_kj + d_jk J_li + d_jl J_ik)", "core", _ALL, lambda d: closure("J", partial(ops.so_j, d), combinations(_idx(d), 2))),
+        c("SO-COM-JA", "rotations act on the first boost vector", "[J_ij, A_k] = i(d_ik A_j - d_jk A_i)", "core", _ALL, lambda d: covariant("A", partial(ops.boost_a, d))),
+        c("SO-COM-JM", "rotations act on the second boost vector", "[J_ij, M_k] = i(d_ik M_j - d_jk M_i)", "core", _ALL, lambda d: covariant("M", partial(ops.boost_m, d))),
+        c("SO-COM-JT", "rotations commute with the dilation", "[J_ij, T] = 0", "core", _ALL, lambda d: family("[J{}{},T]", partial(ops.so_j, d), lambda i, j: ops.dilation(d), vanishes, combinations(_idx(d), 2))),
+        c("SO-COM-AA", "first boosts close on rotations", "[A_i, A_j] = i J_ij", "core", _ALL, lambda d: family("[A{},A{}]", lambda i, j: ops.boost_a(d, i), lambda i, j: ops.boost_a(d, j), lambda i, j: [(I_, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
+        c("SO-COM-MM", "second boosts close on rotations with a sign", "[M_i, M_j] = -i J_ij", "core", _ALL, lambda d: family("[M{},M{}]", lambda i, j: ops.boost_m(d, i), lambda i, j: ops.boost_m(d, j), lambda i, j: [(-I_, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
+        c("SO-COM-AM", "mixed boosts produce the dilation", "[A_i, M_j] = i d_ij T", "core", _ALL, lambda d: family("[A{},M{}]", lambda i, j: ops.boost_a(d, i), lambda i, j: ops.boost_m(d, j), lambda i, j: [(I_ * (i == j), (ops.dilation(d),))], product(_idx(d), repeat=2))),
+        c("SO-COM-AT", "dilation rotates A into M", "[A_i, T] = -i M_i", "core", _ALL, lambda d: family("[A{},T]", partial(ops.boost_a, d), lambda i: ops.dilation(d), lambda i: [(-I_, (ops.boost_m(d, i),))], product(_idx(d)))),
+        c("SO-COM-MT", "dilation rotates M into A", "[M_i, T] = -i A_i", "core", _ALL, lambda d: family("[M{},T]", partial(ops.boost_m, d), lambda i: ops.dilation(d), lambda i: [(-I_, (ops.boost_a(d, i),))], product(_idx(d)))),
+        c("SO21-METRIC", "all generators satisfy the metric form of the algebra", "[L_ab, L_cd] = i(g_ac L_bd + g_ad L_cb + g_bc L_da + g_bd L_ac), g = diag(1..1,-1)", "core", _METRIC_DIMS, lambda d: closure("L", partial(ops.lorentz_generator, d), product(range(1, d + 3), repeat=2), ops.metric_signature(d))),
         c("CASIMIR-Q2", "quadratic Casimir reduces to a constant", "J^2 + A^2 - M^2 - T^2 = -(d-1)(d+2)/8", "core", _ALL, _pr_casimir_q2),
         # ladder operators
-        c("SO-GAMMA-JGK", "rotations act on the ladder vector", "[J_ij, G_k] = i(d_ik G_j - d_jk G_i)", "core", _ALL, _pr_so_gamma_jgk),
-        c("SO-GAMMA-AGD1", "first boost lowers the ladder pair", "[A_i, G_d+1] = -i G_i", "core", _ALL, _pr_so_gamma_agd1),
-        c("SO-GAMMA-MG0", "second boost raises the ladder pair", "[M_i, G_0] = i G_i", "core", _ALL, _pr_so_gamma_mg0),
-        c("SO-GAMMA-TG0", "dilation maps G_0 to G_d+1", "[T, G_0] = i G_d+1", "core", _ALL, _pr_so_gamma_tg0),
-        c("SO-GAMMA-TGD1", "dilation maps G_d+1 to G_0", "[T, G_d+1] = i G_0", "core", _ALL, _pr_so_gamma_tgd1),
-        c("SO-GAMMA-ZEROS-J", "rotations commute with both scalar ladders", "[J_ij, G_0] = [J_ij, G_d+1] = 0", "core", _ALL, _pr_so_gamma_zeros_j),
-        c("SO-GAMMA-ZEROS-AMT", "vanishing boost and dilation actions", "[A_i, G_0] = [M_i, G_d+1] = [T, G_i] = 0", "core", _ALL, _pr_so_gamma_zeros_amt),
+        c("SO-GAMMA-JGK", "rotations act on the ladder vector", "[J_ij, G_k] = i(d_ik G_j - d_jk G_i)", "core", _ALL, lambda d: covariant("G", partial(ops.gamma_i, d))),
+        c("SO-GAMMA-AGD1", "first boost lowers the ladder pair", "[A_i, G_d+1] = -i G_i", "core", _ALL, lambda d: family("[A{},Gd1]", partial(ops.boost_a, d), lambda i: ops.gamma_d1(d), lambda i: [(-I_, (ops.gamma_i(d, i),))], product(_idx(d)))),
+        c("SO-GAMMA-MG0", "second boost raises the ladder pair", "[M_i, G_0] = i G_i", "core", _ALL, lambda d: family("[M{},G0]", partial(ops.boost_m, d), lambda i: ops.gamma0(d), lambda i: [(I_, (ops.gamma_i(d, i),))], product(_idx(d)))),
+        c("SO-GAMMA-TG0", "dilation maps G_0 to G_d+1", "[T, G_0] = i G_d+1", "core", _ALL, lambda d: family("[T,G0]", lambda: ops.dilation(d), lambda: ops.gamma0(d), lambda: [(I_, (ops.gamma_d1(d),))], [()])),
+        c("SO-GAMMA-TGD1", "dilation maps G_d+1 to G_0", "[T, G_d+1] = i G_0", "core", _ALL, lambda d: family("[T,Gd1]", lambda: ops.dilation(d), lambda: ops.gamma_d1(d), lambda: [(I_, (ops.gamma0(d),))], [()])),
+        c("SO-GAMMA-ZEROS-J", "rotations commute with both scalar ladders", "[J_ij, G_0] = [J_ij, G_d+1] = 0", "core", _ALL, lambda d: _interleave(
+            family("[J{}{},G0]", partial(ops.so_j, d), lambda i, j: ops.gamma0(d), vanishes, combinations(_idx(d), 2)),
+            family("[J{}{},Gd1]", partial(ops.so_j, d), lambda i, j: ops.gamma_d1(d), vanishes, combinations(_idx(d), 2)),
+        )),
+        c("SO-GAMMA-ZEROS-AMT", "vanishing boost and dilation actions", "[A_i, G_0] = [M_i, G_d+1] = [T, G_i] = 0", "core", _ALL, lambda d: _interleave(
+            family("[A{},G0]", partial(ops.boost_a, d), lambda i: ops.gamma0(d), vanishes, product(_idx(d))),
+            family("[M{},Gd1]", partial(ops.boost_m, d), lambda i: ops.gamma_d1(d), vanishes, product(_idx(d))),
+            family("[T,G{}]", lambda i: ops.dilation(d), partial(ops.gamma_i, d), vanishes, product(_idx(d))),
+        )),
         # non-closure of the extended set
         c("NONCLOSE-G0GD1", "scalar ladder commutator leaves the algebra", "[G_0, G_d+1] = i(T + i(d-1)/2 + i L_ij S_ij)", "core", _ALL, _pr_nonclose_g0gd1, tier="transcription"),
         c("NONCLOSE-GIG0", "vector-scalar ladder commutator, raising side", "[G_i, G_0] = -i M_i - S_ij x_j (p^2+1) - ((d-1)/2 + L_jk S_jk) p_i + i S_ij p_j", "core", _ALL, _pr_nonclose_gig0, tier="transcription"),
@@ -1351,9 +1166,9 @@ def _registry() -> Tuple[Check, ...]:
         c("CAS-GAMMA", "ladder Casimir-like combination", "G_0^2 - G_d+1^2 - T^2 = J^2 + (d-1)(d-2)/8", "core", _ALL, _pr_cas_gamma),
         # radial picture
         c("K-DECOMP", "radial operator from the ladder pair", "K = (1-2E)/2 G_0 + (1+2E)/2 G_d+1", "sturm", _ALL, _pr_k_decomp),
-        c("STURM-INV", "rotations and B are radial integrals of motion", "[J_ij, K] = [B_i, K] = 0", "sturm", _ALL, _pr_sturm_inv),
+        c("STURM-INV", "rotations and B are radial integrals of motion", "[J_ij, K] = [B_i, K] = 0", "sturm", _ALL, lambda d: family("[J{}{},K]", partial(ops.so_j, d), lambda i, j: ops.sturm_k(d), vanishes, combinations(_idx(d), 2)) + family("[B{},K]", partial(ops.sturm_b, d), lambda i: ops.sturm_k(d), vanishes, product(_idx(d)))),
         c("B-EXPLICIT", "B from boosts equals its closed form", "B_i = (1-2E)/2 A_i + (1+2E)/2 M_i", "sturm", _ALL, _pr_b_explicit),
-        c("JB-ALG", "invariants close with an energy factor", "[J_ij, B_k] = i(d_ik B_j - d_jk B_i); [B_i, B_j] = -2iE J_ij", "sturm", _ALL, _pr_jb_alg),
+        c("JB-ALG", "invariants close with an energy factor", "[J_ij, B_k] = i(d_ik B_j - d_jk B_i); [B_i, B_j] = -2iE J_ij", "sturm", _ALL, lambda d: covariant("B", partial(ops.sturm_b, d)) + family("[B{},B{}]", lambda i, j: ops.sturm_b(d, i), lambda i, j: ops.sturm_b(d, j), lambda i, j: [(-2 * I_ * P_E, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
         c("B1-SQUARE", "spin-free part of B squared", "(B1)^2 = (r^2 p^4 - 2iT p^2 + 4E[...] + 4E^2 r^2)/4", "sturm", _ALL, _pr_b1_square),
         c("B-CROSS", "cross terms of the B split", "B1.B2 + B2.B1 = L_ij S_ij (p^2 + 2E)/2", "sturm", _ALL, _pr_b_cross),
         c("B2-SQUARE", "spin part of B squared", "(B2)^2 = S_ij S_ik p_j p_k = (d-1) p^2 / 4", "sturm", _ALL, _pr_b2_square),
@@ -1362,18 +1177,24 @@ def _registry() -> Tuple[Check, ...]:
         c("K-SQUARE", "radial operator squared; companion bracket encoded as [p^2, g.x] = -2i g.p (not the -p^2 variant)", "K^2 explicit expansion", "sturm", _ALL, _pr_k_square),
         c("B2-K2-J2", "B, K, and J squares are linearly related", "B^2 = K^2 + 2E(J^2 + d(d-1)/8)", "sturm", _ALL, _pr_b2_k2_j2),
         # Schroedinger picture
-        c("JH-COM", "rotations are integrals of motion", "[J_ij, H] = 0", "schrodinger", _ALL, _pr_jh_comm),
-        c("LRL-CONSERVED", "the conserved vector commutes with H", "[LRL_i, H] = 0", "schrodinger", _ALL, _pr_lrl_conserved),
+        c("JH-COM", "rotations are integrals of motion", "[J_ij, H] = 0", "schrodinger", _ALL, lambda d: family("[J{}{},H]", partial(ops.so_j, d), lambda i, j: ops.hamiltonian(d), vanishes, combinations(_idx(d), 2))),
+        c("LRL-CONSERVED", "the conserved vector commutes with H", "[LRL_i, H] = 0", "schrodinger", _ALL, lambda d: family("[LRL{},H]", partial(ops.lrl, d), lambda i: ops.hamiltonian(d), vanishes, product(_idx(d)))),
         c("XH-COM", "position commutator with H", "[x_i, H] = [x_i, p^2/2] = i p_i", "schrodinger", _ALL, _pr_xh_comm),
         c("BH-CHAIN", "proof chain for conservation of the vector", "[B_i, H] = [B_i, Y](K+alpha) = [B_i, Y](g.x)(H-E); [B_i,Y](g.x) = -i p_i; [B_i, Y] = -i p_i Y", "schrodinger", _ALL, _pr_bh_chain),
         c("LRL-EXPLICIT", "conserved vector closed form", "LRL_i = x_i p^2 - (x.p - i(d-1)/2) p_i + S_ij p_j + alpha x_i (g.x)/r^2", "schrodinger", _ALL, _pr_lrl_explicit),
-        c("LRL-ALG", "conserved vector algebra", "[J_ij, LRL_k] = i(d_ik LRL_j - d_jk LRL_i); [LRL_i, LRL_j] = -2iH J_ij", "schrodinger", _ALL, _pr_lrl_alg),
+        c("LRL-ALG", "conserved vector algebra", "[J_ij, LRL_k] = i(d_ik LRL_j - d_jk LRL_i); [LRL_i, LRL_j] = -2iH J_ij", "schrodinger", _ALL, lambda d: covariant("LRL", partial(ops.lrl, d)) + family("[LRL{},LRL{}]", lambda i, j: ops.lrl(d, i), lambda i, j: ops.lrl(d, j), lambda i, j: [(-2 * I_, (ops.hamiltonian(d), ops.so_j(d, i, j)))], combinations(_idx(d), 2))),
         c("LRL-AUX-1", "antisymmetrized mixed commutator", "[B_i, x_j(H-E)] - [B_j, x_i(H-E)] = (-2i J_ij + i L_ij)(H-E)", "schrodinger", _ALL, _pr_lrl_aux_1),
         c("LRL-AUX-2", "commutator of the position-weighted pieces", "[x_i(H-E), x_j(H-E)] = -i L_ij (H-E)", "schrodinger", _ALL, _pr_lrl_aux_2),
         c("LRL-AUX-3", "B against positions", "[B_i, x_j] = i d_ij T - i J_ij", "schrodinger", _ALL, _pr_lrl_aux_3),
         c("LRL-SQUARE", "squared conserved vector", "LRL^2 = 2H(J^2 + d(d-1)/8) + alpha^2", "schrodinger", _ALL, _pr_lrl_square),
         # three-dimensional vector identities
-        c("D3-VEC-COM", "epsilon-contracted vectors close su(2)-style", "[J_i, J_j] = i e_ijk J_k (same for L, S)", "d3", _D3, _pr_d3_vec_comm),
+        c("D3-VEC-COM", "epsilon-contracted vectors close su(2)-style", "[J_i, J_j] = i e_ijk J_k (same for L, S)", "d3", _D3, lambda d: [pair for name, V in (("J", ops.vector_j), ("L", ops.vector_l), ("S", ops.vector_s)) for pair in family(
+            f"[{name}{{}},{name}{{}}]",
+            lambda i, j: V(d, i),
+            lambda i, j: V(d, j),
+            lambda i, j: [(I_ * ops.EPS3[i, j, k], (V(d, k),)) for k in _idx(d) if (i, j, k) in ops.EPS3],
+            combinations(_idx(d), 2),
+        )]),
         c("D3-DOTS", "dot products of the vector split", "L.B1 = 0; L.B2, S.B1, S.B2 explicit", "d3", _D3, _pr_d3_dots),
         c("JB-DOT", "total rotation dotted into B", "J.B = -(x.S)(p^2/2 - E)", "d3", _D3, _pr_jb_dot),
         c("JB-DOT-SIGMA", "Pauli-representation reduction of J.B", "J.B = -K/2 (in the g1 g2 g3 = i quotient)", "d3", _D3, _pr_jb_dot_sigma, pauli_quotient=True),

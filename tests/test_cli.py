@@ -209,6 +209,13 @@ def test_verify_json_matches_golden(capsys, tmp_path, d):
     assert target.read_bytes() == (GOLDEN / f"verify_d{d}.json").read_bytes()
 
 
+def test_list_json_matches_golden(capsys):
+    # ids, descriptions, refs, suites, dims and tiers of the whole catalog
+    code, out, _ = run(capsys, "list", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "list_all.json").read_text()
+
+
 @pytest.mark.parametrize("case", json.loads((GOLDEN / "reduce_readme.json").read_text()), ids=lambda c: c["expression"])
 def test_readme_reduce_examples_match_golden(capsys, case):
     code, out, _ = run(capsys, "reduce", "--d", str(case["d"]), case["expression"])

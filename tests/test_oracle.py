@@ -7,13 +7,14 @@ import pytest
 
 from spinlrl import ops, oracle, weyl
 from spinlrl.coeff import GaussianRational, P_ALPHA, P_ONE, ParamPoly
+from spinlrl.oracle import SpinorFunction
 from spinlrl.weyl import DimensionMismatch, divide_xpoly_by_r2
 
 I = GaussianRational(0, 1)
 
 
 def basis_function(d, k, xe, s, coeff=1):
-    return oracle.function_from_terms(d, {(k, tuple(xe), s): ParamPoly.of(coeff)})
+    return SpinorFunction(d, {(k, tuple(xe), s): ParamPoly.of(coeff)})
 
 
 # -- action examples -----------------------------------------------------------
@@ -29,7 +30,7 @@ def test_hamiltonian_action_on_linear_function():
     # H (x1 e1) = alpha r^-2 (x1^2 + i x1 x2) e2 in two dimensions
     f = basis_function(2, 0, (1, 0), 1)
     got = oracle.apply(ops.hamiltonian(2), f)
-    expected = oracle.function_from_terms(
+    expected = SpinorFunction(
         2,
         {
             (-1, (2, 0), 2): P_ALPHA,
@@ -55,10 +56,20 @@ def test_apply_dimension_mismatch():
 # -- canonical form of functions --------------------------------------------------
 
 
+def test_positive_radial_power_is_rejected():
+    # r^2 e1 lies outside the test space; it used to be dropped silently,
+    # leaving the zero function
+    with pytest.raises(ValueError):
+        SpinorFunction(2, {(1, (0, 0), 1): P_ONE})
+    with pytest.raises(ValueError):
+        SpinorFunction(3, {(0, (1, 0, 0), 1): P_ONE, (2, (0, 0, 0), 2): P_ALPHA})
+    assert not SpinorFunction(2, {(0, (0, 0), 1): P_ONE}).is_zero()
+
+
 def test_function_canonicalization_lifts_divisible_levels():
     d = 2
     # r^-2 (x1^2 + x2^2) e1 == e1
-    f = oracle.function_from_terms(d, {(-1, (2, 0), 1): P_ONE, (-1, (0, 2), 1): P_ONE})
+    f = SpinorFunction(d, {(-1, (2, 0), 1): P_ONE, (-1, (0, 2), 1): P_ONE})
     assert f == basis_function(d, 0, (0, 0), 1)
 
 
@@ -176,7 +187,7 @@ def test_apply_linearity():
                 merged[key] = s
             else:
                 del merged[key]
-        assert combined == oracle.function_from_terms(d, merged)
+        assert combined == SpinorFunction(d, merged)
 
 
 def test_faithfulness_on_nonzero_operators():
@@ -194,23 +205,23 @@ def test_faithfulness_on_nonzero_operators():
 
 def test_function_remainders_follow_graded_lex_order():
     # at d=3 the leading term x1^2 is divided away: x1^2 = r^2 - x2^2 - x3^2
-    f = oracle.function_from_terms(3, {(-1, (2, 0, 0), 1): P_ONE})
+    f = SpinorFunction(3, {(-1, (2, 0, 0), 1): P_ONE})
     assert dict(f.terms) == {(0, (0, 0, 0), 1): P_ONE, (-1, (0, 2, 0), 1): -P_ONE, (-1, (0, 0, 2), 1): -P_ONE}
     # x2^2 and x3^2 lead with no x1: they are remainders already
-    g = oracle.function_from_terms(3, {(-1, (0, 2, 0), 1): P_ONE, (-1, (0, 0, 2), 2): P_ONE})
+    g = SpinorFunction(3, {(-1, (0, 2, 0), 1): P_ONE, (-1, (0, 0, 2), 2): P_ONE})
     assert set(g.terms) == {(-1, (0, 2, 0), 1), (-1, (0, 0, 2), 2)}
     # mixed degrees: r^-2 (x1^3 + x1 x2) at d=2 = x1 + r^-2 (x1 x2 - x1 x2^2)
-    h = oracle.function_from_terms(2, {(-1, (3, 0), 1): P_ONE, (-1, (1, 1), 1): P_ONE})
+    h = SpinorFunction(2, {(-1, (3, 0), 1): P_ONE, (-1, (1, 1), 1): P_ONE})
     assert dict(h.terms) == {(0, (1, 0), 1): P_ONE, (-1, (1, 1), 1): P_ONE, (-1, (1, 2), 1): -P_ONE}
     # two levels: r^-4 x1^4 at d=2 = 1 - 2 r^-2 x2^2 + r^-4 x2^4
-    q = oracle.function_from_terms(2, {(-2, (4, 0), 1): P_ONE})
+    q = SpinorFunction(2, {(-2, (4, 0), 1): P_ONE})
     assert dict(q.terms) == {(0, (0, 0), 1): P_ONE, (-1, (0, 2), 1): ParamPoly.of(-2), (-2, (0, 4), 1): P_ONE}
 
 
 def test_function_equal_through_different_denominators():
-    half = oracle.function_from_terms(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 2))})
-    sixths = oracle.function_from_terms(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 6))})
-    thirds = oracle.function_from_terms(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 3))})
+    half = SpinorFunction(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 2))})
+    sixths = SpinorFunction(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 6))})
+    thirds = SpinorFunction(2, {(0, (1, 0), 1): ParamPoly.of(Fraction(1, 3))})
     total = oracle.linear_combine(2, [(1, sixths), (1, thirds)])
     assert total == half and hash(total) == hash(half) and total.den == 2
-    assert oracle.linear_combine(2, [(1, half), (-1, half)]) == oracle.function_from_terms(2, {})
+    assert oracle.linear_combine(2, [(1, half), (-1, half)]) == SpinorFunction(2, {})

@@ -1,6 +1,8 @@
 """Check registry, suite runner, report formats, and concordance plumbing."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,24 @@ def test_dims_gating():
     assert metric.applicable(3) and not metric.applicable(5)
     d3 = verify.get_check("JA-DOT")
     assert d3.applicable(3) and not d3.applicable(2)
+
+
+def test_registry_sides_match_golden():
+    # one sha256 per (check, d) over "label\tlhs\trhs" lines of canonical
+    # sides, written by the engine before the index families were stated as
+    # combinators: pins labels, their order and both sides of every pair
+    golden = json.loads((Path(__file__).parent / "golden" / "registry_sides.json").read_text())
+    digests = {}
+    for check in verify.list_checks():
+        for d in (2, 3, 4):
+            if check.applicable(d):
+                pairs = check.pairs(d)
+                labels = [label for label, _, _ in pairs]
+                assert len(labels) == len(set(labels)), check.id
+                lines = "".join(f"{label}\t{weyl.render(lhs.to_expr())}\t{weyl.render(rhs.to_expr())}\n" for label, lhs, rhs in pairs)
+                digests[f"{check.id} d={d}"] = hashlib.sha256(lines.encode()).hexdigest()
+    assert len(digests) == 233
+    assert digests == golden
 
 
 # -- run_check ------------------------------------------------------------------
