@@ -281,7 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ops.IndexError_, weyl.DimensionMismatch, ValueError, KeyError) as err:
+    except (ops.IndexError_, weyl.DimensionMismatch, ValueError, KeyError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:

@@ -41,6 +41,19 @@ arithmetic of products, sums, canonicalisation and r^2 division is int
 arithmetic on these keys and numerators; ``ParamPoly`` appears only at the
 boundary (scalar inputs, ``constant_value``, ``substitute``, ``terms`` and
 rendering).
+
+Products.  ``_multiply_acc`` groups the terms of a by their momenta and word,
+x^xk p^pk w, and moves p^pk w past b one term of b at a time through two
+tables: ``_p_expansion(pk, k, xk, d)``, the normal-ordered expansion of
+p^pk r^-2k x^xk by the rewrite rules above, and ``_word_product(w, v, d)``,
+the reduced product of two Clifford words.  Each entry is a pure function of
+a few packed ints and short tuples, whatever operand or check it came from,
+so one entry serves every product that meets the same key; both are
+``lru_cache`` tables of at most 65,536 entries, like ``_r2_power_expansion``.
+The work is bounded as well as the degrees: a product of more than
+``TERM_PAIR_BUDGET`` term pairs, and an r^2 division of more than
+``DIVISION_STEP_BUDGET`` quotient steps, raise ValueError before they run
+long.
 """
 
 from __future__ import annotations
@@ -62,6 +75,14 @@ ScalarLike = Union[int, Fraction, GaussianRational, ParamPoly]
 FIELD_BITS = 16
 EXPONENT_LIMIT = (1 << FIELD_BITS) - 1
 _MASK = EXPONENT_LIMIT
+
+# Work budgets: the exponent limit bounds degrees, these bound the work a
+# single product or r^2 division may do, so huge input fails in about a
+# second instead of running for hours.  Over verify's whole registry at d = 8
+# the largest product has 113,223 term pairs and the largest division takes
+# 8 steps; the budgets leave margins of about 8.8 and 12,500 on them.
+TERM_PAIR_BUDGET = 1_000_000
+DIVISION_STEP_BUDGET = 100_000
 
 
 class DimensionMismatch(ValueError):
@@ -411,29 +432,38 @@ def _acc_scaled(out: Acc, a: OperatorExpr, scale: tuple) -> None:
             merge_term(target, (m, xk, pk, word, al + sa, ae + se), re * sr - im * si, re * si + im * sr)
 
 
-def _lmul_word(terms: dict, w: Tuple[int, ...], d: int) -> dict:
-    # left multiplication by a word is injective on words, so no keys merge
-    out = {}
-    for (k, xk, pk, word, a, e), (re, im) in terms.items():
-        new_word, sign = word_mul(w, word, d)
-        out[(k, xk, pk, new_word, a, e)] = (re, im) if sign > 0 else (-re, -im)
-    return out
-
-
 def _lmul_p(terms: dict, i: int, d: int) -> dict:
+    """p_i times ``{(k, xk, pk): (re, im)}``, standing for r^-2k x^xk p^pk."""
     shift = FIELD_BITS * (d - i)
     unit = unit_keys(d)[i - 1]
     # p_i moves right past every term; these keys are distinct from each other
-    out = {(k, xk, pk + unit, word, a, e): value for (k, xk, pk, word, a, e), value in terms.items()}
-    for (k, xk, pk, word, a, e), (re, im) in terms.items():
+    out = {(k, xk, pk + unit): value for (k, xk, pk), value in terms.items()}
+    for (k, xk, pk), (re, im) in terms.items():
         n = (xk >> shift) & _MASK
         if n:
             # p_i x_i^n = x_i^n p_i - i n x_i^(n-1)
-            merge_term(out, (k, xk - unit, pk, word, a, e), n * im, -n * re)
+            merge_term(out, (k, xk - unit, pk), n * im, -n * re)
         if k:
             # p_i r^-2k = r^-2k p_i + 2 i k x_i r^-(2k+2)
-            merge_term(out, (k + 1, xk + unit, pk, word, a, e), -2 * k * im, 2 * k * re)
+            merge_term(out, (k + 1, xk + unit, pk), -2 * k * im, 2 * k * re)
     return out
+
+
+@lru_cache(maxsize=65536)
+def _p_expansion(pk: int, k: int, xk: int, d: int) -> tuple:
+    """Normal-ordered p^pk r^-2k x^xk as ``(k', xk', pk', re, im)`` tuples,
+    standing for the sum of (re + im*i) r^-2k' x^xk' p^pk'."""
+    cur = {(k, xk, 0): (1, 0)}
+    for i in range(d, 0, -1):
+        for _ in range(exponent_of(pk, i, d)):
+            cur = _lmul_p(cur, i, d)
+    return tuple((k2, xk2, pk2, re, im) for (k2, xk2, pk2), (re, im) in cur.items())
+
+
+@lru_cache(maxsize=65536)
+def _word_product(w: Tuple[int, ...], v: Tuple[int, ...], d: int) -> tuple:
+    """``word_mul(w, v, d)``, looked up in this module at each miss."""
+    return word_mul(w, v, d)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +478,8 @@ def divide_xpoly_by_r2(xpoly: Dict[int, tuple], d: int) -> tuple:
     ``(re, im)``.  Returns (quotient, remainder) in the same form; the input
     is divisible exactly when the remainder is empty.  The divisor's
     coefficients are all one, so the division stays in the integers and its
-    result is unique over any coefficient ring.
+    result is unique over any coefficient ring.  Raises ValueError once the
+    quotient would grow past ``DIVISION_STEP_BUDGET`` terms.
     """
     f = dict(xpoly)
     units = unit_keys(d)
@@ -461,6 +492,7 @@ def divide_xpoly_by_r2(xpoly: Dict[int, tuple], d: int) -> tuple:
     heapq.heapify(heap)
     quotient: Dict[int, tuple] = {}
     remainder: Dict[int, tuple] = {}
+    budget = DIVISION_STEP_BUDGET
     while heap:
         lead = -heapq.heappop(heap)
         coeff = f.pop(lead, None)
@@ -469,6 +501,9 @@ def divide_xpoly_by_r2(xpoly: Dict[int, tuple], d: int) -> tuple:
         if (lead >> x1_shift) & _MASK >= 2:
             # every new key is x1^-2 x_j^2 times the lead, so it sorts below
             # it and no lead comes back
+            budget -= 1
+            if budget < 0:
+                raise ValueError(f"dividing by r^2 exceeds the division-step budget of {DIVISION_STEP_BUDGET:,}")
             quotient[lead - two_x1] = coeff
             re, im = coeff
             for step in steps:
@@ -581,6 +616,8 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
     # momentum, and only past a power of r^-2
     check_degree(ax + bx + (ap if b.denom_pow else 0))
     check_degree(ap + bp)
+    if len(a.num) * len(b.num) > TERM_PAIR_BUDGET:
+        raise ValueError(f"a product of {len(a.num)} by {len(b.num)} terms exceeds the term-pair budget of {TERM_PAIR_BUDGET:,}")
     sden, sterms = scale
     den = a.den * b.den * sden
     target = out.get(den)
@@ -597,15 +634,19 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
             groups[(pk, word)] = factors = []
         for sa, se, sr, si in sterms:
             factors.append((xk, al + sa, ae + se, re * sr - im * si, re * si + im * sr))
-    b_base = {(b.denom_pow,) + key: value for key, value in b.num.items()}
+    bk = b.denom_pow
+    b_terms = [(bxk, bpk, bw, ba, be, br, bi) for (bxk, bpk, bw, ba, be), (br, bi) in b.num.items()]
     for (pk, word), factors in groups.items():
-        cur = b_base
-        if word:
-            cur = _lmul_word(cur, word, d)
-        for i in range(d, 0, -1):
-            for _ in range(exponent_of(pk, i, d)):
-                cur = _lmul_p(cur, i, d)
-        pushed = [(k + shift, bxk, bpk, bw, ba, be, br, bi) for (k, bxk, bpk, bw, ba, be), (br, bi) in cur.items()]
+        # p^pk word b, one term of b at a time: p^pk passes r^-2bk x^bxk by
+        # the expansion table, word meets bw by the word table, and the
+        # term's own p^bpk is added to each expansion term's momenta
+        pushed = []
+        for bxk, bpk, bw, ba, be, br, bi in b_terms:
+            v, sign = _word_product(word, bw, d)
+            if sign < 0:
+                br, bi = -br, -bi
+            for k, xk2, pk2, er, ei in _p_expansion(pk, bk, bxk, d):
+                pushed.append((k + shift, xk2, pk2 + bpk, v, ba, be, er * br - ei * bi, er * bi + ei * br))
         for xk, al, ae, fr, fi in factors:
             for k, bxk, bpk, bw, ba, be, br, bi in pushed:
                 key = (k, bxk + xk, bpk, bw, ba + al, be + ae)
@@ -769,16 +810,11 @@ def adjoint(a: OperatorExpr) -> OperatorExpr:
     check_degree(xdeg + (pdeg if m else 0))
     out: Dict[tuple, tuple] = {}
     for (xk, pk, word, al, ae), (re, im) in a.num.items():
+        # (r^-2m x^xk p^pk w)^+ = w^+ p^pk r^-2m x^xk, and w^+ = sign * w
         w_adj, sign = word_adjoint(word)
-        cur = {(m, xk, 0, (), 0, 0): (1, 0)}
-        for i in range(d, 0, -1):
-            for _ in range(exponent_of(pk, i, d)):
-                cur = _lmul_p(cur, i, d)
-        if w_adj:
-            cur = _lmul_word(cur, w_adj, d)
         fr, fi = (re, -im) if sign > 0 else (-re, im)
-        for (k, xk2, pk2, w2, _, _), (cr, ci) in cur.items():
-            merge_term(out, (k, xk2, pk2, w2, al, ae), cr * fr - ci * fi, cr * fi + ci * fr)
+        for k, xk2, pk2, cr, ci in _p_expansion(pk, m, xk, d):
+            merge_term(out, (k, xk2, pk2, w_adj, al, ae), cr * fr - ci * fi, cr * fi + ci * fr)
     return _finalize(d, {a.den: out})
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, reproducibility."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -271,3 +272,40 @@ def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
     code, out, err = run(capsys, "reduce", "--d", "3", text)
     assert code == 2 and out == ""
     assert "exponent limit" in err
+
+
+# -- work budgets and division by zero: exit 2 with a one-line message -------------------
+
+REPROS = [("(x1 + x2)^40000", "term-pair budget"), ("rinv2 x1^65535 - rinv2^2 x1", "division-step budget")]
+
+
+@pytest.mark.parametrize("text, budget", REPROS)
+def test_reduce_past_a_work_budget_exits_two(capsys, text, budget):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "--d", "3", text)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and budget in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, budget", REPROS)
+def test_oracle_past_a_work_budget_exits_two(capsys, text, budget):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--d", "3", text, "x1")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and budget in err
+
+
+@pytest.mark.parametrize("case", json.loads((GOLDEN / "reduce_budget.json").read_text()), ids=lambda c: c["expression"])
+def test_reduce_within_the_budgets_matches_golden(capsys, case):
+    code, out, _ = run(capsys, "reduce", "--d", str(case["d"]), case["expression"])
+    assert code == 0
+    assert out == case["output"]
+
+
+@pytest.mark.parametrize("command", [("reduce", "x1/0"), ("oracle", "x1/0", "x1")])
+def test_division_by_zero_exits_two(capsys, command):
+    code, out, err = run(capsys, command[0], "--d", "2", *command[1:])
+    assert code == 2 and out == ""
+    assert err == "error: division by zero literal\n"

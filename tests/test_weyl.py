@@ -1,11 +1,15 @@
 """Engine invariants: normal forms, products, localization, adjoints."""
 
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from spinlrl import oracle, weyl
+from spinlrl import expr, oracle, weyl
 from spinlrl.coeff import G_I, GaussianRational, P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from spinlrl.weyl import (
     DimensionMismatch,
@@ -362,3 +366,94 @@ def test_stored_form_is_primitive():
             assert (re, im) != (0, 0)
             g = gcd(g, re, im)
         assert g == 1 and e.den > 0
+
+
+# -- products of monomials, against the oracle and a closed form -------------------------
+
+
+def rand_monomial(d, rng):
+    """c r^-2k x^a p^b w: k <= 3, momentum degree up to 3, a word of length up
+    to 2 and a coefficient in alpha and E."""
+    factors = [weyl.rinv2(d)] * rng.randint(0, 3)
+    factors += [weyl.x(d, rng.randint(1, d)) for _ in range(rng.randint(0, 2))]
+    factors += [weyl.p(d, rng.randint(1, d)) for _ in range(rng.randint(0, 3))]
+    factors += [weyl.gamma(d, i) for i in sorted(rng.sample(range(1, d + 1), rng.randint(0, 2)))]
+    coeff = rng.choice((P_ONE, P_ALPHA, P_E, P_ALPHA * P_E, P_I * P_E + 2 * P_ALPHA))
+    return normalize(d, factors + [coeff * GaussianRational(rng.choice((1, -2, 3)), rng.randint(-1, 1))])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_monomial_products_against_oracle(d):
+    rng = random.Random(6100 + d)
+    for trial in range(12):
+        a, b = rand_monomial(d, rng), rand_monomial(d, rng)
+        ab = multiply(a, b)
+        f = oracle.random_function(d, 6200 + 10 * d + trial)
+        assert oracle.apply(ab, f) == oracle.apply(a, oracle.apply(b, f))
+        assert adjoint(ab) == multiply(adjoint(b), adjoint(a))
+
+
+def _closed_form_p_past_x(beta, gamma):
+    """p^beta x^gamma = sum_kappa (-i)^|kappa| kappa! C(beta, kappa) C(gamma, kappa) x^(gamma-kappa) p^(beta-kappa)."""
+    units = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^n for n mod 4
+    out = {}
+    for kappa in itertools.product(*(range(min(b, g) + 1) for b, g in zip(beta, gamma))):
+        mult = 1
+        for k, b, g in zip(kappa, beta, gamma):
+            mult *= math.factorial(k) * math.comb(b, k) * math.comb(g, k)
+        re, im = units[sum(kappa) % 4]
+        key = (weyl.pack([g - k for g, k in zip(gamma, kappa)]), weyl.pack([b - k for b, k in zip(beta, kappa)]))
+        out[key] = (mult * re, mult * im)
+    return out
+
+
+def test_p_expansion_matches_closed_form():
+    rng = random.Random(88)
+    for _ in range(60):
+        d = rng.randint(2, 4)
+        beta = [rng.randint(0, 3) for _ in range(d)]
+        gamma = [rng.randint(0, 3) for _ in range(d)]
+        terms = weyl._p_expansion(weyl.pack(beta), 0, weyl.pack(gamma), d)
+        assert all(k == 0 for k, *_ in terms)
+        assert {(xk, pk): (re, im) for _, xk, pk, re, im in terms} == _closed_form_p_past_x(beta, gamma)
+
+
+GOLDEN_PRODUCTS = json.loads((Path(__file__).parent / "golden" / "products.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_PRODUCTS, ids=lambda c: f"d{c['d']}:{c['a']}*{c['b']}")
+def test_products_match_golden(case):
+    d = case["d"]
+    ab = multiply(expr.evaluate(case["a"], d), expr.evaluate(case["b"], d))
+    assert weyl.render(ab) == case["product"]
+    assert weyl.render(adjoint(ab)) == case["adjoint"]
+
+
+# -- work budgets ---------------------------------------------------------------------------
+
+
+def test_term_pair_budget_is_checked_before_the_product(monkeypatch):
+    d = 2
+    two = weyl.x(d, 1) + weyl.p(d, 2)
+    three = weyl.x(d, 2) + weyl.p(d, 1) + weyl.gamma(d, 1)
+    expected = multiply(two, three)
+    monkeypatch.setattr(weyl, "TERM_PAIR_BUDGET", 6)
+    assert multiply(two, three) == expected
+    with pytest.raises(ValueError, match="term-pair budget of 6"):
+        multiply(two, three + weyl.one(d))
+
+
+def test_division_step_budget_counts_quotient_steps(monkeypatch):
+    d = 3
+    x1, x2 = weyl.x(d, 1), weyl.x(d, 2)
+    # x1^4 x2 = r^2 (x1^2 x2 - x2 x3^2 - x2^3) + x2^5 + 2 x2^3 x3^2 + x2 x3^4: three quotient steps
+    xpoly = {weyl.pack((4, 1, 0)): (1, 0)}
+    quotient, remainder = divide_xpoly_by_r2(xpoly, d)
+    assert len(quotient) == 3 and remainder
+    monkeypatch.setattr(weyl, "DIVISION_STEP_BUDGET", 3)
+    assert divide_xpoly_by_r2(xpoly, d) == (quotient, remainder)
+    monkeypatch.setattr(weyl, "DIVISION_STEP_BUDGET", 2)
+    with pytest.raises(ValueError, match="division-step budget of 2"):
+        divide_xpoly_by_r2(xpoly, d)
+    with pytest.raises(ValueError, match="division-step budget"):
+        multiply(weyl.rinv2(d), x1 ** 4 * x2)
