@@ -3,10 +3,16 @@
 The abstract side works with reduced words (strictly increasing index tuples)
 under the relations g_i g_j + g_j g_i = 2 delta_ij; it is the engine's source
 of truth.  The concrete side builds exact matrix representations: Pauli
-matrices for d <= 3, the standard 4x4 blocks for d = 4, 5, and a doubling
-recursion above that.  Matrices back the golden fixtures and the
+matrices for d <= 3, and a doubling recursion above that (on the Pauli
+matrices for d = 4, 5).  Matrices back the golden fixtures and the
 function-application oracle, giving a code path independent of the word
 algebra.
+
+Every gamma matrix, and so every word matrix, is monomial: each column has
+one nonzero entry, a unit i^q.  A matrix is stored as ``(perm, phase)``, two
+tuples of plain ints: column s has its entry i^phase[s] in row perm[s].  A
+product composes the permutations and adds the phases mod 4.  Dense
+Gaussian-rational entries appear only in the rendered text of the fixtures.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .coeff import G_I, G_ONE, G_ZERO, GaussianRational
+from .coeff import G_ZERO, GaussianRational
 
 CliffordWord = Tuple[int, ...]
-Matrix = Tuple[Tuple[GaussianRational, ...], ...]
+Monomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 GAMMA_DIM_CAP = 10
 
@@ -71,160 +77,87 @@ def word_adjoint(word: CliffordWord) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact matrices
+# monomial matrices
 # ---------------------------------------------------------------------------
 
-
-def mat_from_ints(rows) -> Matrix:
-    return tuple(tuple(GaussianRational.of(v) if isinstance(v, (int, Fraction, GaussianRational)) else v for v in row) for row in rows)
-
-
-def mat_eye(n: int) -> Matrix:
-    return tuple(tuple(G_ONE if i == j else G_ZERO for j in range(n)) for i in range(n))
+# i^q as a Gaussian integer (re, im), for a phase exponent q = 0..3
+UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def mat_zero(n: int) -> Matrix:
-    return tuple((G_ZERO,) * n for _ in range(n))
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product a b: column s of b has its entry in row t = perm_b[s],
+    and a sends row t on to row perm_a[t], adding its phase."""
+    pa, qa = a
+    pb, qb = b
+    return tuple(pa[t] for t in pb), tuple((qa[t] + q) & 3 for t, q in zip(pb, qb))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def mono_phase(a: Monomial, q: int) -> Monomial:
+    """i^q times a."""
+    perm, phase = a
+    return perm, tuple((p + q) & 3 for p in phase)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _identity(n: int) -> Monomial:
+    return tuple(range(n)), (0,) * n
 
 
-def mat_scale(c: GaussianRational, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+# sigma_1 = [[0, 1], [1, 0]], sigma_2 = [[0, -i], [i, 0]], sigma_3 = [[1, 0], [0, -1]]
+_PAULI = (((1, 0), (0, 0)), ((1, 0), (1, 3)), ((0, 1), (0, 2)))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    m = len(b[0])
+def _double(prev: Tuple[Monomial, ...]) -> Tuple[Monomial, ...]:
+    """[[0, i g], [-i g, 0]] for each g, then [[0, 1], [1, 0]] and [[1, 0], [0, -1]]."""
+    n = len(prev[0][0])
+    low, high = tuple(range(n)), tuple(range(n, 2 * n))
     out = []
-    for i in range(n):
-        row = [G_ZERO] * m
-        for k, aik in enumerate(a[i]):
-            if not aik:
-                continue
-            brow = b[k]
-            for j in range(m):
-                bkj = brow[j]
-                if bkj:
-                    row[j] = row[j] + aik * bkj
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_conj_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a[0])))
-
-
-def _block(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
-    top = tuple(ra + rb for ra, rb in zip(tl, tr))
-    bottom = tuple(ra + rb for ra, rb in zip(bl, br))
-    return top + bottom
-
-
-_SIGMA1 = mat_from_ints([[0, 1], [1, 0]])
-_SIGMA2 = ((G_ZERO, GaussianRational(0, -1)), (G_I, G_ZERO))
-_SIGMA3 = mat_from_ints([[1, 0], [0, -1]])
-
-PAULI = (_SIGMA1, _SIGMA2, _SIGMA3)
-
-
-class GammaRep:
-    """Concrete gamma matrices for one dimension, Clifford-checked at build."""
-
-    __slots__ = ("d", "matrices")
-
-    def __init__(self, d: int, matrices: Tuple[Matrix, ...]):
-        self.d = d
-        self.matrices = matrices
-        self._check()
-
-    def _check(self) -> None:
-        n = len(self.matrices[0])
-        eye2 = mat_scale(GaussianRational(2), mat_eye(n))
-        for i, gi in enumerate(self.matrices):
-            for j in range(i, self.d):
-                gj = self.matrices[j]
-                anti = mat_add(mat_mul(gi, gj), mat_mul(gj, gi))
-                expected = eye2 if i == j else mat_zero(n)
-                if anti != expected:
-                    raise AssertionError(
-                        f"gamma matrices for d={self.d} violate the Clifford relation at ({i + 1},{j + 1})"
-                    )
-
-    def size(self) -> int:
-        return len(self.matrices[0])
-
-
-def _double(prev: Tuple[Matrix, ...]) -> Tuple[Matrix, ...]:
-    n = len(prev[0])
-    zero = mat_zero(n)
-    eye = mat_eye(n)
-    neg_i = GaussianRational(0, -1)
-    out = []
-    for g in prev:
-        out.append(_block(zero, mat_scale(G_I, g), mat_scale(neg_i, g), zero))
-    out.append(_block(zero, eye, eye, zero))
-    out.append(_block(eye, zero, zero, mat_scale(GaussianRational(-1), eye)))
+    for perm, phase in prev:
+        # column s < n meets the lower-left block -i g, column n + s the upper-right i g
+        out.append((tuple(n + t for t in perm) + perm, tuple((q + 3) & 3 for q in phase) + tuple((q + 1) & 3 for q in phase)))
+    out.append((high + low, (0,) * (2 * n)))
+    out.append((low + high, (0,) * n + (2,) * n))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def gamma_matrices(d: int) -> GammaRep:
-    """Gamma matrices of size 2^floor(d/2): Pauli for d<=3, 4x4 blocks for
-    d=4,5, and the doubling recursion on the representation two below for
-    d>=6."""
+def gamma_matrices(d: int) -> Tuple[Monomial, ...]:
+    """Gamma matrices of size 2^floor(d/2), Clifford-checked at build: Pauli
+    for d<=3, the doubling recursion on the Pauli matrices for d=4,5, and on
+    the representation two below for d>=6."""
     if not 2 <= d <= GAMMA_DIM_CAP:
         raise ValueError(f"dimension {d} outside supported range 2..{GAMMA_DIM_CAP}")
-    if d == 2:
-        return GammaRep(2, (_SIGMA1, _SIGMA2))
-    if d == 3:
-        return GammaRep(3, PAULI)
-    if d == 4:
-        return GammaRep(4, _double(PAULI)[:4])
-    if d == 5:
-        return GammaRep(5, _double(PAULI))
-    prev = gamma_matrices(d - 2).matrices
-    return GammaRep(d, _double(prev))
+    if d <= 3:
+        gammas = _PAULI[:d]
+    elif d <= 5:
+        gammas = _double(_PAULI)[:d]
+    else:
+        gammas = _double(gamma_matrices(d - 2))
+    # g_i^2 = 1, and g_i g_j = -g_j g_i for i != j
+    eye = _identity(len(gammas[0][0]))
+    for i, gi in enumerate(gammas):
+        for j, gj in enumerate(gammas[i:], i):
+            if mono_mul(gi, gj) != (eye if i == j else mono_phase(mono_mul(gj, gi), 2)):
+                raise AssertionError(f"gamma matrices for d={d} violate the Clifford relation at ({i + 1},{j + 1})")
+    return gammas
 
 
-class SpinMatrix:
-    """Rotation generator -(i/4)(g_i g_j - g_j g_i) in the matrix picture."""
-
-    __slots__ = ("i", "j", "matrix")
-
-    def __init__(self, i: int, j: int, matrix: Matrix):
-        self.i = i
-        self.j = j
-        self.matrix = matrix
-        if matrix != mat_conj_transpose(matrix):
-            raise AssertionError(f"spin matrix ({i},{j}) is not Hermitian")
-
-
-def spin_matrix(d: int, i: int, j: int) -> SpinMatrix:
-    rep = gamma_matrices(d)
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise CliffordIndexError(f"spin indices ({i},{j}) outside 1..{d}")
-    gi = rep.matrices[i - 1]
-    gj = rep.matrices[j - 1]
-    comm = mat_sub(mat_mul(gi, gj), mat_mul(gj, gi))
-    quarter = GaussianRational(0, Fraction(-1, 4))
-    return SpinMatrix(i, j, mat_scale(quarter, comm))
+def spin_matrix(d: int, i: int, j: int) -> Monomial:
+    """Twice the rotation generator S_ij = -(i/4)(g_i g_j - g_j g_i) for i != j:
+    the generators anticommute, so 2 S_ij = -i g_i g_j, a monomial."""
+    if not (1 <= i <= d and 1 <= j <= d) or i == j:
+        raise CliffordIndexError(f"spin indices ({i},{j}) are not two distinct indices in 1..{d}")
+    gammas = gamma_matrices(d)
+    return mono_phase(mono_mul(gammas[i - 1], gammas[j - 1]), 3)
 
 
 @lru_cache(maxsize=None)
-def word_matrix(d: int, word: CliffordWord) -> Matrix:
+def word_matrix(d: int, word: CliffordWord) -> Monomial:
     """Matrix of a reduced word in the concrete representation."""
     check_word(word, d)
-    rep = gamma_matrices(d)
-    out = mat_eye(rep.size())
+    gammas = gamma_matrices(d)
+    out = _identity(len(gammas[0][0]))
     for idx in word:
-        out = mat_mul(out, rep.matrices[idx - 1])
+        out = mono_mul(out, gammas[idx - 1])
     return out
 
 
@@ -235,20 +168,20 @@ def word_matrix(d: int, word: CliffordWord) -> Matrix:
 # In the 2x2 representation the volume element g1 g2 g3 equals i, so every
 # word of length >= 2 collapses to a scalar multiple of a shorter one.
 _PAULI_QUOTIENT = {
-    (1, 2): (G_I, (3,)),
-    (1, 3): (GaussianRational(0, -1), (2,)),
-    (2, 3): (G_I, (1,)),
-    (1, 2, 3): (G_I, ()),
+    (1, 2): (1, (3,)),
+    (1, 3): (3, (2,)),
+    (2, 3): (1, (1,)),
+    (1, 2, 3): (1, ()),
 }
 
 
 def pauli_reduce_word(word: CliffordWord) -> tuple:
     """Reduce a d=3 word modulo the Pauli relation g1 g2 g3 = i.
 
-    Returns (scalar, word) with the word of length <= 1.
+    Returns (q, word): the word of length <= 1 times the unit i^q.
     """
     if len(word) <= 1:
-        return G_ONE, word
+        return 0, word
     return _PAULI_QUOTIENT[tuple(word)]
 
 
@@ -257,19 +190,25 @@ def pauli_reduce_word(word: CliffordWord) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def render_matrix(matrix: Matrix) -> str:
-    return "\n".join(" ".join(str(entry) for entry in row) for row in matrix)
+def render_matrix(matrix: Monomial, den: int = 1) -> str:
+    """The dense text of a monomial matrix divided by ``den``."""
+    perm, phase = matrix
+    entries = [GaussianRational(Fraction(re, den), Fraction(im, den)) for re, im in UNITS]
+    rows = [[G_ZERO] * len(perm) for _ in perm]
+    for s, (t, q) in enumerate(zip(perm, phase)):
+        rows[t][s] = entries[q]
+    return "\n".join(" ".join(str(entry) for entry in row) for row in rows)
 
 
 def render_fixture(d: int) -> str:
     """Fixture-format dump of all gamma and spin matrices at one dimension."""
-    rep = gamma_matrices(d)
+    gammas = gamma_matrices(d)
     blocks = []
     for i in range(1, d + 1):
-        blocks.append(f"gamma {d} {i}\n{render_matrix(rep.matrices[i - 1])}")
+        blocks.append(f"gamma {d} {i}\n{render_matrix(gammas[i - 1])}")
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
-            blocks.append(f"spin {d} {i} {j}\n{render_matrix(spin_matrix(d, i, j).matrix)}")
+            blocks.append(f"spin {d} {i} {j}\n{render_matrix(spin_matrix(d, i, j), 2)}")
     return "\n\n".join(blocks) + "\n"
 
 

@@ -132,7 +132,6 @@ class GaussianRational:
 
 G_ZERO = GaussianRational(0)
 G_ONE = GaussianRational(1)
-G_I = GaussianRational(0, 1)
 _G_MINUS_ONE = GaussianRational(-1)
 
 
@@ -232,53 +231,13 @@ class ParamPoly:
         sn = self._num
         if not sn:
             return other
-        sd = self._den
-        od = other._den
-        if len(sn) == 1 and len(on) == 1 and sd == od:
-            ((k1, (r1, i1)),) = sn.items()
-            ((k2, (r2, i2)),) = on.items()
-            if k1 != k2:
-                # disjoint keys: each side's content is already 1 against sd
-                return _raw_poly(sd, {k1: (r1, i1), k2: (r2, i2)})
-            re = r1 + r2
-            im = i1 + i2
-            if not re and not im:
-                return P_ZERO
-            if sd != 1:
-                g = gcd(re, im, sd)
-                if g != 1:
-                    return _raw_poly(sd // g, {k1: (re // g, im // g)})
-            return _raw_poly(sd, {k1: (re, im)})
-        if sd == od:
-            terms = dict(sn)
-            scale_o = 1
-        else:
-            g = gcd(sd, od)
-            scale_s = od // g
-            scale_o = sd // g
-            sd *= scale_s
-            terms = {key: (re * scale_s, im * scale_s) for key, (re, im) in sn.items()}
-        merged = False
+        g = gcd(self._den, other._den)
+        scale_s = other._den // g
+        scale_o = self._den // g
+        terms = {key: (re * scale_s, im * scale_s) for key, (re, im) in sn.items()}
         for key, (re, im) in on.items():
-            if scale_o != 1:
-                re *= scale_o
-                im *= scale_o
-            cur = terms.get(key)
-            if cur is None:
-                terms[key] = (re, im)
-            else:
-                merged = True
-                re += cur[0]
-                im += cur[1]
-                if re or im:
-                    terms[key] = (re, im)
-                else:
-                    del terms[key]
-        # without a merged key, the side with the larger power of each prime
-        # in the denominator keeps a numerator part that prime does not divide
-        if merged:
-            return poly_from_ints(sd, terms)
-        return _raw_poly(sd, terms)
+            merge_term(terms, key, re * scale_o, im * scale_o)
+        return poly_from_ints(self._den * scale_s, terms)
 
     __radd__ = __add__
 
@@ -302,39 +261,11 @@ class ParamPoly:
         on = other._num
         if not sn or not on:
             return P_ZERO
-        if other is P_ONE:
-            return self
-        if self is P_ONE:
-            return other
-        den = self._den * other._den
-        if len(sn) == 1 and len(on) == 1:
-            (((a1, e1), (r1, i1)),) = sn.items()
-            (((a2, e2), (r2, i2)),) = on.items()
-            re = r1 * r2 - i1 * i2
-            im = r1 * i2 + i1 * r2
-            # a product of nonzero Gaussian integers is nonzero
-            if den != 1:
-                g = gcd(re, im, den)
-                if g != 1:
-                    return _raw_poly(den // g, {(a1 + a2, e1 + e2): (re // g, im // g)})
-            return _raw_poly(den, {(a1 + a2, e1 + e2): (re, im)})
         terms = {}
         for (a1, e1), (r1, i1) in sn.items():
             for (a2, e2), (r2, i2) in on.items():
-                key = (a1 + a2, e1 + e2)
-                re = r1 * r2 - i1 * i2
-                im = r1 * i2 + i1 * r2
-                cur = terms.get(key)
-                if cur is None:
-                    terms[key] = (re, im)
-                else:
-                    re += cur[0]
-                    im += cur[1]
-                    if re or im:
-                        terms[key] = (re, im)
-                    else:
-                        del terms[key]
-        return poly_from_ints(den, terms)
+                merge_term(terms, (a1 + a2, e1 + e2), r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+        return poly_from_ints(self._den * other._den, terms)
 
     __rmul__ = __mul__
 

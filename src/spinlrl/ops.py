@@ -150,14 +150,6 @@ def sturm_k(d: int) -> OperatorExpr:
     return weyl.multiply(gamma_dot_x(d), HALF * p_squared(d) - weyl.scalar(d, P_E))
 
 
-def schrodinger(d: int, which: str) -> OperatorExpr:
-    if which == "H":
-        return hamiltonian(d)
-    if which == "K":
-        return sturm_k(d)
-    raise ValueError(f"unknown Schroedinger-sector operator {which!r}")
-
-
 # ---------------------------------------------------------------------------
 # ladder sector
 # ---------------------------------------------------------------------------

@@ -178,22 +178,11 @@ def linear_combine(d: int, parts: Iterable[tuple]) -> SpinorFunction:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_columns(d: int, word: tuple) -> Dict[int, Tuple[Tuple[int, int, int], ...]]:
-    """Column s (1-based) of the word's matrix as (row, re, im) triples; the
-    entries of every word matrix are Gaussian integers."""
-    matrix = clifford.word_matrix(d, word)
-    n = len(matrix)
-    cols: Dict[int, tuple] = {}
-    for s in range(1, n + 1):
-        entries = []
-        for t in range(n):
-            entry = matrix[t][s - 1]
-            if entry:
-                if entry.re.denominator != 1 or entry.im.denominator != 1:
-                    raise ValueError(f"gamma matrix entry {entry} is not a Gaussian integer")
-                entries.append((t + 1, entry.re.numerator, entry.im.numerator))
-        cols[s] = tuple(entries)
-    return cols
+def _gamma_columns(d: int, word: tuple) -> Tuple[Tuple[int, int, int], ...]:
+    """Column s (1-based) of the word's matrix as its one entry (row, re, im)
+    at index s - 1: word matrices are monomial, with unit entries."""
+    perm, phase = clifford.word_matrix(d, word)
+    return tuple((t + 1, *clifford.UNITS[q]) for t, q in zip(perm, phase))
 
 
 def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
@@ -209,7 +198,7 @@ def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
     m = op.denom_pow
     out: Dict[tuple, tuple] = {}
     get = out.get
-    columns: Dict[tuple, dict] = {}
+    columns: Dict[tuple, tuple] = {}
     f_items = list(f.num.items())
     for (xk, pk, word, al, ae), (ore, oim) in op.num.items():
         cols = columns.get(word)
@@ -217,28 +206,27 @@ def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
             cols = _gamma_columns(d, word)
             columns[word] = cols
         for (k, fx, s, fa, fe), (fr, fi) in f_items:
+            t, er, ei = cols[s - 1]
             cr = fr * ore - fi * oim
             ci = fr * oim + fi * ore
-            derivs = _derivative_terms(d, pk, k, fx)
+            tr = cr * er - ci * ei
+            ti = cr * ei + ci * er
             a = al + fa
             e = ae + fe
-            for t, er, ei in cols[s]:
-                tr = cr * er - ci * ei
-                ti = cr * ei + ci * er
-                for k2, fx2, mr, mi in derivs:
-                    key = (k2 - m, fx2 + xk, t, a, e)
-                    re = tr * mr - ti * mi
-                    im = tr * mi + ti * mr
-                    c = get(key)
-                    if c is None:
+            for k2, fx2, mr, mi in _derivative_terms(d, pk, k, fx):
+                key = (k2 - m, fx2 + xk, t, a, e)
+                re = tr * mr - ti * mi
+                im = tr * mi + ti * mr
+                c = get(key)
+                if c is None:
+                    out[key] = (re, im)
+                else:
+                    re += c[0]
+                    im += c[1]
+                    if re or im:
                         out[key] = (re, im)
                     else:
-                        re += c[0]
-                        im += c[1]
-                        if re or im:
-                            out[key] = (re, im)
-                        else:
-                            del out[key]
+                        del out[key]
     return _function(d, {op.den * f.den: out})
 
 

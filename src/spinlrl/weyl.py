@@ -50,10 +50,10 @@ the reduced product of two Clifford words.  Each entry is a pure function of
 a few packed ints and short tuples, whatever operand or check it came from,
 so one entry serves every product that meets the same key; both are
 ``lru_cache`` tables of at most 65,536 entries, like ``_r2_power_expansion``.
-The work is bounded as well as the degrees: a product of more than
-``TERM_PAIR_BUDGET`` term pairs, and an r^2 division of more than
-``DIVISION_STEP_BUDGET`` quotient steps, raise ValueError before they run
-long.
+The work is bounded as well as the degrees: a product that would form more
+than ``PRODUCT_TERM_BUDGET`` terms, a power of r^2 with more monomials than
+that, and an r^2 division of more than ``DIVISION_STEP_BUDGET`` quotient
+steps raise ValueError before they run long.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ import heapq
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .clifford import CliffordIndexError, check_word, pauli_reduce_word, word_adjoint, word_mul
+from .clifford import UNITS, CliffordIndexError, check_word, pauli_reduce_word, word_adjoint, word_mul
 from .coeff import GaussianRational, P_ONE, P_ZERO, ParamPoly, common_denominator, merge_term, poly_from_ints, reduce_content
 
 Exponents = Tuple[int, ...]
@@ -77,11 +78,12 @@ EXPONENT_LIMIT = (1 << FIELD_BITS) - 1
 _MASK = EXPONENT_LIMIT
 
 # Work budgets: the exponent limit bounds degrees, these bound the work a
-# single product or r^2 division may do, so huge input fails in about a
-# second instead of running for hours.  Over verify's whole registry at d = 8
-# the largest product has 113,223 term pairs and the largest division takes
-# 8 steps; the budgets leave margins of about 8.8 and 12,500 on them.
-TERM_PAIR_BUDGET = 1_000_000
+# single product, power of r^2 or r^2 division may do, so huge input fails in
+# about a second instead of running for hours.  Over verify's whole registry
+# at d = 8 the largest product forms 130,503 terms, the largest power of r^2
+# expands to 330 monomials and the largest division takes 8 steps; the
+# budgets leave margins of about 7.7, 3,000 and 12,500 on them.
+PRODUCT_TERM_BUDGET = 1_000_000
 DIVISION_STEP_BUDGET = 100_000
 
 
@@ -581,6 +583,9 @@ def _finalize(d: int, acc: Acc) -> OperatorExpr:
 def _r2_power_expansion(xk: int, power: int, d: int) -> tuple:
     """Expand (sum x_j^2)^power * x^xk into (packed exponents, multiplicity) pairs."""
     check_degree(degree(xk, d) + 2 * power)
+    size = comb(power + d - 1, d - 1)
+    if size > PRODUCT_TERM_BUDGET:
+        raise ValueError(f"(r^2)^{power} at d={d} has {size:,} terms, past the product-term budget of {PRODUCT_TERM_BUDGET:,}")
     steps = [2 * unit for unit in unit_keys(d)]
     current = {xk: 1}
     for _ in range(power):
@@ -616,15 +621,7 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
     # momentum, and only past a power of r^-2
     check_degree(ax + bx + (ap if b.denom_pow else 0))
     check_degree(ap + bp)
-    if len(a.num) * len(b.num) > TERM_PAIR_BUDGET:
-        raise ValueError(f"a product of {len(a.num)} by {len(b.num)} terms exceeds the term-pair budget of {TERM_PAIR_BUDGET:,}")
     sden, sterms = scale
-    den = a.den * b.den * sden
-    target = out.get(den)
-    if target is None:
-        out[den] = target = {}
-    get = target.get
-    shift = a.denom_pow
     # a's terms grouped by what b has to be pushed past: x^xk p^pk w * b
     # = x^xk (p^pk w b), and p^pk w b is computed once per group
     groups: Dict[tuple, list] = {}
@@ -636,6 +633,25 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
             factors.append((xk, al + sa, ae + se, re * sr - im * si, re * si + im * sr))
     bk = b.denom_pow
     b_terms = [(bxk, bpk, bw, ba, be, br, bi) for (bxk, bpk, bw, ba, be), (br, bi) in b.num.items()]
+    # p^pk moved past r^-2k x^xk gives at most 3^|pk| terms: each unit of p_i
+    # passes, lowers x_i or raises k.  A product that this bound cannot keep
+    # within the budget has the terms it forms counted before any is formed.
+    if len(a.num) * len(sterms) * len(b.num) * 3 ** min(ap, 13) > PRODUCT_TERM_BUDGET:
+        formed = 0
+        sizes: Dict[int, int] = {}
+        for (pk, word), factors in groups.items():
+            size = sizes.get(pk)
+            if size is None:
+                sizes[pk] = size = sum(len(_p_expansion(pk, bk, t[0], d)) for t in b_terms)
+            formed += len(factors) * size
+            if formed > PRODUCT_TERM_BUDGET:
+                raise ValueError(f"a product of {len(a.num)} by {len(b.num)} terms exceeds the product-term budget of {PRODUCT_TERM_BUDGET:,}")
+    den = a.den * b.den * sden
+    target = out.get(den)
+    if target is None:
+        out[den] = target = {}
+    get = target.get
+    shift = a.denom_pow
     for (pk, word), factors in groups.items():
         # p^pk word b, one term of b at a time: p^pk passes r^-2bk x^bxk by
         # the expansion table, word meets bw by the word table, and the
@@ -826,12 +842,13 @@ def pauli_project(a: OperatorExpr) -> OperatorExpr:
     """
     if a.d != 3:
         raise DimensionMismatch("the Pauli quotient exists only at d=3")
-    acc: Acc = {}
+    out: Dict[tuple, tuple] = {}
+    m = a.denom_pow
     for (xk, pk, word, al, ae), (re, im) in a.num.items():
-        scalar_part, new_word = pauli_reduce_word(word)
-        term = OperatorExpr(3, a.denom_pow, a.den, {(xk, pk, new_word, al, ae): (re, im)})
-        _acc_scaled(acc, term, _int_scalar(scalar_part))
-    return _finalize(3, acc)
+        q, new_word = pauli_reduce_word(word)
+        ur, ui = UNITS[q]
+        merge_term(out, (m, xk, pk, new_word, al, ae), re * ur - im * ui, re * ui + im * ur)
+    return _finalize(3, {a.den: out})
 
 
 # ---------------------------------------------------------------------------

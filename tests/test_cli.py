@@ -42,6 +42,16 @@ def test_oracle_confirmation_exits_zero(capsys):
     assert "confirmed" in out
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="at odd d the oracle acts through one irreducible representation, where g1 g2 g3 = i",
+)
+def test_oracle_sees_the_volume_element_at_odd_d(capsys):
+    # g1 g2 g3 - i is nonzero in the algebra: reduce prints it, the oracle should reject it
+    code, _, _ = run(capsys, "oracle", "--d", "3", "g1 g2 g3", "i")
+    assert code == 1
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "bogus"])
@@ -276,7 +286,14 @@ def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
 
 # -- work budgets and division by zero: exit 2 with a one-line message -------------------
 
-REPROS = [("(x1 + x2)^40000", "term-pair budget"), ("rinv2 x1^65535 - rinv2^2 x1", "division-step budget")]
+REPROS = [
+    ("(x1 + x2)^40000", "product-term budget"),
+    ("rinv2 x1^65535 - rinv2^2 x1", "division-step budget"),
+    # (x1 + p1)^52 (x1 + p1)^64 has 793,881 term pairs but would form 9.8 million terms
+    ("(x1 + p1)^500", "product-term budget"),
+    # x1 over r^-60000 needs (r^2)^30000: C(30002, 2) = 450,045,001 monomials
+    ("x1 + rinv2^30000", "product-term budget"),
+]
 
 
 @pytest.mark.parametrize("text, budget", REPROS)

@@ -1,15 +1,19 @@
-"""Clifford words against the matrix representation, and the golden fixtures."""
+"""Clifford words against the matrix representation, and the golden fixtures.
+
+Matrices are monomials ``(perm, phase)``; the laws are checked on monomials
+and on sums of a few of them, compared entry by entry through ``dense``.
+"""
 
 import itertools
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from spinlrl import clifford as cl
-from spinlrl.coeff import G_I, G_ONE, GaussianRational
+from spinlrl.coeff import merge_term
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "spinlrl" / "data" / "gamma_fixtures.txt"
+ONE = (1, 0)
 
 
 def words_up_to(d, max_len):
@@ -17,6 +21,40 @@ def words_up_to(d, max_len):
     for length in range(1, max_len + 1):
         out.extend(itertools.combinations(range(1, d + 1), length))
     return out
+
+
+def dense(terms):
+    """The matrix sum c * M over (c, M) pairs, with c = (re, im) a Gaussian
+    integer and M a monomial, as {(row, column): (re, im)} over its nonzero
+    entries."""
+    out = {}
+    for (cr, ci), (perm, phase) in terms:
+        for col, (row, q) in enumerate(zip(perm, phase)):
+            ur, ui = cl.UNITS[q]
+            merge_term(out, (row, col), cr * ur - ci * ui, cr * ui + ci * ur)
+    return out
+
+
+def conj_transpose(matrix):
+    return {(col, row): (re, -im) for (row, col), (re, im) in matrix.items()}
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def times(x, y):
+    """The product of two sums of monomials."""
+    return [(_gmul(c, e), cl.mono_mul(m, n)) for c, m in x for e, n in y]
+
+
+def scaled(c, x):
+    return [(_gmul(c, e), m) for e, m in x]
+
+
+def spin2(d, i, j):
+    """2 S_ij as a sum of monomials: empty for i == j, where S_ii = 0."""
+    return [] if i == j else [(ONE, cl.spin_matrix(d, i, j))]
 
 
 # -- word algebra ----------------------------------------------------------
@@ -45,33 +83,37 @@ def test_word_adjoint_matches_matrix_conjugate_transpose():
     for d in (2, 3, 4, 5):
         for word in words_up_to(d, 3):
             adj_word, sign = cl.word_adjoint(word)
-            direct = cl.mat_conj_transpose(cl.word_matrix(d, word))
-            expected = cl.mat_scale(GaussianRational(sign), cl.word_matrix(d, adj_word))
-            assert direct == expected, (d, word)
+            direct = conj_transpose(dense([(ONE, cl.word_matrix(d, word))]))
+            assert direct == dense([((sign, 0), cl.word_matrix(d, adj_word))]), (d, word)
 
 
 def test_word_mul_matches_matrix_oracle():
-    for d in (2, 3, 4, 5):
+    for d in range(2, 9):
         for w1 in words_up_to(d, 3):
             for w2 in words_up_to(d, 3):
                 word, sign = cl.word_mul(w1, w2, d)
-                product = cl.mat_mul(cl.word_matrix(d, w1), cl.word_matrix(d, w2))
-                expected = cl.mat_scale(GaussianRational(sign), cl.word_matrix(d, word))
-                assert product == expected, (d, w1, w2)
+                product = cl.mono_mul(cl.word_matrix(d, w1), cl.word_matrix(d, w2))
+                # -1 = i^2
+                assert product == cl.mono_phase(cl.word_matrix(d, word), 1 - sign), (d, w1, w2)
 
 
 # -- gamma matrices ---------------------------------------------------------
 
+PAULI = (
+    {(0, 1): (1, 0), (1, 0): (1, 0)},
+    {(0, 1): (0, -1), (1, 0): (0, 1)},
+    {(0, 0): (1, 0), (1, 1): (-1, 0)},
+)
+
 
 def test_low_dimension_matrices_are_pauli():
-    assert cl.gamma_matrices(2).matrices == (cl.PAULI[0], cl.PAULI[1])
-    assert cl.gamma_matrices(3).matrices == cl.PAULI
+    assert tuple(dense([(ONE, g)]) for g in cl.gamma_matrices(2)) == PAULI[:2]
+    assert tuple(dense([(ONE, g)]) for g in cl.gamma_matrices(3)) == PAULI
 
 
 def test_d5_fifth_matrix_is_diag_identity():
-    g5 = cl.gamma_matrices(5).matrices[4]
-    eye = cl.mat_eye(2)
-    assert g5 == cl._block(eye, cl.mat_zero(2), cl.mat_zero(2), cl.mat_scale(GaussianRational(-1), eye))
+    g5 = cl.gamma_matrices(5)[4]
+    assert dense([(ONE, g5)]) == {(0, 0): (1, 0), (1, 1): (1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0)}
 
 
 def test_dimension_cap():
@@ -83,84 +125,71 @@ def test_dimension_cap():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_clifford_relation_all_pairs(d):
-    rep = cl.gamma_matrices(d)
-    assert rep.size() == 2 ** (d // 2)
-    n = rep.size()
-    two_eye = cl.mat_scale(GaussianRational(2), cl.mat_eye(n))
+    gammas = [[(ONE, g)] for g in cl.gamma_matrices(d)]
+    n = 2 ** (d // 2)
+    assert len(cl.gamma_matrices(d)[0][0]) == n
+    two_eye = {(s, s): (2, 0) for s in range(n)}
     for i in range(d):
         for j in range(i, d):
-            anti = cl.mat_add(
-                cl.mat_mul(rep.matrices[i], rep.matrices[j]),
-                cl.mat_mul(rep.matrices[j], rep.matrices[i]),
-            )
-            assert anti == (two_eye if i == j else cl.mat_zero(n)), (d, i, j)
-
-
-def _commutator(a, b):
-    return cl.mat_sub(cl.mat_mul(a, b), cl.mat_mul(b, a))
+            anti = dense(times(gammas[i], gammas[j]) + times(gammas[j], gammas[i]))
+            assert anti == (two_eye if i == j else {}), (d, i, j)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_spin_matrices_satisfy_rotation_algebra(d):
-    n = 2 ** (d // 2)
-    spins = {(i, j): cl.spin_matrix(d, i, j).matrix for i in range(1, d + 1) for j in range(1, d + 1)}
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            for k in range(1, d + 1):
-                for l in range(1, d + 1):
-                    lhs = _commutator(spins[(i, j)], spins[(k, l)])
-                    rhs = cl.mat_zero(n)
-                    for delta, target in (
-                        (int(i == k), spins[(j, l)]),
-                        (int(i == l), spins[(k, j)]),
-                        (int(j == k), spins[(l, i)]),
-                        (int(j == l), spins[(i, k)]),
-                    ):
-                        if delta:
-                            rhs = cl.mat_add(rhs, cl.mat_scale(G_I, target))
-                    assert lhs == rhs, (d, i, j, k, l)
+    # [S_ij, S_kl] = i(d_ik S_jl + d_il S_kj + d_jk S_li + d_jl S_ik), times 4
+    idx = range(1, d + 1)
+    for i, j, k, l in itertools.product(idx, repeat=4):
+        a, b = spin2(d, i, j), spin2(d, k, l)
+        lhs = dense(times(a, b) + scaled((-1, 0), times(b, a)))
+        rhs = []
+        for delta, target in ((i == k, (j, l)), (i == l, (k, j)), (j == k, (l, i)), (j == l, (i, k))):
+            if delta:
+                rhs += scaled((0, 2), spin2(d, *target))
+        assert lhs == dense(rhs), (d, i, j, k, l)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_spin_contraction_constant(d):
-    # sum_i {S_ij, S_ik} = (d-1)/2 delta_jk as matrices
+    # sum_i {S_ij, S_ik} = (d-1)/2 delta_jk as matrices, times 4
     n = 2 ** (d // 2)
     for j in range(1, d + 1):
         for k in range(1, d + 1):
-            acc = cl.mat_zero(n)
+            acc = []
             for i in range(1, d + 1):
-                sij = cl.spin_matrix(d, i, j).matrix
-                sik = cl.spin_matrix(d, i, k).matrix
-                acc = cl.mat_add(acc, cl.mat_add(cl.mat_mul(sij, sik), cl.mat_mul(sik, sij)))
-            expected = cl.mat_scale(
-                GaussianRational(Fraction((d - 1) * int(j == k), 2)), cl.mat_eye(n)
-            )
-            assert acc == expected, (d, j, k)
+                sij, sik = spin2(d, i, j), spin2(d, i, k)
+                acc += times(sij, sik) + times(sik, sij)
+            expected = {(s, s): (2 * (d - 1), 0) for s in range(n)} if j == k else {}
+            assert dense(acc) == expected, (d, j, k)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_spin_matrix_is_the_commutator(d):
+    # 4 S_ij = -i (g_i g_j - g_j g_i), and -(i/4)[g_i, g_i] = 0 has no monomial
+    gammas = cl.gamma_matrices(d)
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            gi, gj = gammas[i - 1], gammas[j - 1]
+            definition = dense([((0, -1), cl.mono_mul(gi, gj)), ((0, 1), cl.mono_mul(gj, gi))])
+            assert definition == dense(scaled((2, 0), spin2(d, i, j))), (d, i, j)
+    with pytest.raises(cl.CliffordIndexError):
+        cl.spin_matrix(d, 1, 1)
 
 
 def test_spin_matrix_examples():
-    half = Fraction(1, 2)
-    s12 = cl.spin_matrix(2, 1, 2).matrix
-    assert s12 == ((GaussianRational(half), GaussianRational(0)), (GaussianRational(0), GaussianRational(-half)))
-    assert cl.spin_matrix(3, 1, 1).matrix == cl.mat_zero(2)
-    s45 = cl.spin_matrix(5, 4, 5).matrix
-    expected = cl._block(
-        cl.mat_zero(2),
-        cl.mat_scale(GaussianRational(0, half), cl.mat_eye(2)),
-        cl.mat_scale(GaussianRational(0, -half), cl.mat_eye(2)),
-        cl.mat_zero(2),
-    )
-    assert s45 == expected
+    # 2 S_12 = diag(1, -1) at d=2, and 2 S_45 = [[0, i], [-i, 0]] in 2x2 blocks at d=5
+    assert dense(spin2(2, 1, 2)) == {(0, 0): (1, 0), (1, 1): (-1, 0)}
+    assert dense(spin2(3, 1, 1)) == {}
+    assert dense(spin2(5, 4, 5)) == {(0, 2): (0, 1), (1, 3): (0, 1), (2, 0): (0, -1), (3, 1): (0, -1)}
 
 
 def test_spin_antisymmetry_and_hermiticity():
-    for d in (2, 3, 4, 5):
+    for d in range(2, 9):
         for i in range(1, d + 1):
             for j in range(1, d + 1):
-                sij = cl.spin_matrix(d, i, j).matrix
-                sji = cl.spin_matrix(d, j, i).matrix
-                assert sij == cl.mat_scale(GaussianRational(-1), sji)
-                assert sij == cl.mat_conj_transpose(sij)
+                sij = dense(spin2(d, i, j))
+                assert sij == dense(scaled((-1, 0), spin2(d, j, i)))
+                assert sij == conj_transpose(sij)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -181,5 +210,5 @@ def test_fixture_blocks_have_headers():
 
 def test_pauli_quotient_matches_matrices():
     for word in [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]:
-        coeff, reduced = cl.pauli_reduce_word(word)
-        assert cl.word_matrix(3, word) == cl.mat_scale(coeff, cl.word_matrix(3, reduced)), word
+        q, reduced = cl.pauli_reduce_word(word)
+        assert cl.word_matrix(3, word) == cl.mono_phase(cl.word_matrix(3, reduced), q), word

@@ -12,13 +12,11 @@ I = GaussianRational(0, 1)
 
 def test_schrodinger_operators():
     d = 2
-    H = ops.schrodinger(d, "H")
+    H = ops.hamiltonian(d)
     rebuilt = Fraction(1, 2) * ops.p_squared(d) + P_ALPHA * weyl.multiply(weyl.rinv2(d), ops.gamma_dot_x(d))
     assert H == rebuilt
-    K = ops.schrodinger(d, "K")
+    K = ops.sturm_k(d)
     assert K == weyl.multiply(ops.gamma_dot_x(d), Fraction(1, 2) * ops.p_squared(d) - weyl.scalar(d, P_E))
-    with pytest.raises(ValueError):
-        ops.schrodinger(d, "X")
 
 
 def test_radial_schrodinger_interconversion():

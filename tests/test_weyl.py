@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from spinlrl import expr, oracle, weyl
-from spinlrl.coeff import G_I, GaussianRational, P_ALPHA, P_E, P_I, P_ONE, ParamPoly
+from spinlrl.coeff import GaussianRational, P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from spinlrl.weyl import (
     DimensionMismatch,
     OperatorExpr,
@@ -432,15 +432,39 @@ def test_products_match_golden(case):
 # -- work budgets ---------------------------------------------------------------------------
 
 
-def test_term_pair_budget_is_checked_before_the_product(monkeypatch):
+def test_product_term_budget_is_checked_before_the_product(monkeypatch):
     d = 2
     two = weyl.x(d, 1) + weyl.p(d, 2)
     three = weyl.x(d, 2) + weyl.p(d, 1) + weyl.gamma(d, 1)
     expected = multiply(two, three)
-    monkeypatch.setattr(weyl, "TERM_PAIR_BUDGET", 6)
+    # x1 meets three terms; p2 x2 = x2 p2 - i forms two, p2 p1 and p2 g1 one each
+    monkeypatch.setattr(weyl, "PRODUCT_TERM_BUDGET", 7)
     assert multiply(two, three) == expected
-    with pytest.raises(ValueError, match="term-pair budget of 6"):
+    # + 1 adds x1 and p2: nine terms
+    with pytest.raises(ValueError, match="product-term budget of 7"):
         multiply(two, three + weyl.one(d))
+
+
+def test_p_expansion_has_at_most_three_terms_per_momentum():
+    # _multiply_acc counts a product's terms only when term pairs * 3^|pk| could pass the budget
+    rng = random.Random(89)
+    for _ in range(200):
+        d = rng.randint(2, 4)
+        beta = [rng.randint(0, 3) for _ in range(d)]
+        gamma = [rng.randint(0, 3) for _ in range(d)]
+        terms = weyl._p_expansion(weyl.pack(beta), rng.randint(0, 3), weyl.pack(gamma), d)
+        assert len(terms) <= 3 ** sum(beta)
+
+
+def test_r2_power_is_refused_before_it_expands(monkeypatch):
+    d = 3
+    expand = weyl._r2_power_expansion.__wrapped__  # past the table, which may hold the entry
+    # (r^2)^2 at d = 3 has C(4, 2) = 6 monomials
+    monkeypatch.setattr(weyl, "PRODUCT_TERM_BUDGET", 6)
+    assert len(expand(0, 2, d)) == 6
+    monkeypatch.setattr(weyl, "PRODUCT_TERM_BUDGET", 5)
+    with pytest.raises(ValueError, match="product-term budget of 5"):
+        expand(weyl.pack((1, 0, 0)), 2, d)
 
 
 def test_division_step_budget_counts_quotient_steps(monkeypatch):
