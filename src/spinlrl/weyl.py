@@ -50,10 +50,28 @@ the reduced product of two Clifford words.  Each entry is a pure function of
 a few packed ints and short tuples, whatever operand or check it came from,
 so one entry serves every product that meets the same key; both are
 ``lru_cache`` tables of at most 65,536 entries, like ``_r2_power_expansion``.
+Entry 0 of an expansion is its leading term r^-2k x^xk p^pk.  In a bracket
+[a, b] or {a, b} the leading terms of a b and b a are equal up to the order
+of their words.  So ``commutator``, ``anticommutator`` and
+``combine_products``, for an adjacent pair (c, (a, b)), (-c, (b, a)) or
+(c, (b, a)) as ``verify.comm`` and ``verify.acomm`` build them, skip entry 0
+for each a-word w and b-word v with w v = v w in a commutator, or
+w v = -v w in an anticommutator: there the two leading terms cancel.
 The work is bounded as well as the degrees: a product that would form more
-than ``PRODUCT_TERM_BUDGET`` terms, a power of r^2 with more monomials than
-that, and an r^2 division of more than ``DIVISION_STEP_BUDGET`` quotient
-steps raise ValueError before they run long.
+than ``PRODUCT_TERM_BUDGET`` terms, an expansion or adjoint whose passes
+would form more than that, a power of r^2 with more monomials than that, and
+an r^2 division of more than ``DIVISION_STEP_BUDGET`` quotient steps raise
+ValueError before they run long.
+
+Canonicalisation.  ``_finalize`` turns an accumulator of terms at several
+r^-2 levels into the minimal left fraction from the top down.  Brought to a
+denominator r^-2m, every level below m is a multiple of r^2; {r^2} is a
+Groebner basis of its ideal, so the division remainder is linear and zero on
+those multiples, and the numerator divides by r^2 exactly when its top level
+does.  So only the top level is divided; its quotient joins the level below,
+and the division repeats until it leaves a remainder.  Only the levels still
+below the final m are then expanded by powers of r^2, never to a denominator
+that the division would take back.
 """
 
 from __future__ import annotations
@@ -80,9 +98,10 @@ _MASK = EXPONENT_LIMIT
 # Work budgets: the exponent limit bounds degrees, these bound the work a
 # single product, power of r^2 or r^2 division may do, so huge input fails in
 # about a second instead of running for hours.  Over verify's whole registry
-# at d = 8 the largest product forms 130,503 terms, the largest power of r^2
-# expands to 330 monomials and the largest division takes 8 steps; the
-# budgets leave margins of about 7.7, 3,000 and 12,500 on them.
+# at d = 8 the largest product forms 130,503 terms, the largest expansion of
+# momenta past r^-2k x^xk may form 12 (``_p_expansion_work``), the largest
+# power of r^2 expands to 330 monomials and the largest division takes 8
+# steps; the budgets leave margins of about 7.7, 83,000, 3,000 and 12,500.
 PRODUCT_TERM_BUDGET = 1_000_000
 DIVISION_STEP_BUDGET = 100_000
 
@@ -451,10 +470,50 @@ def _lmul_p(terms: dict, i: int, d: int) -> dict:
     return out
 
 
+def _p_expansion_work(pk: int, k: int, xk: int, d: int) -> int:
+    """Bound on the terms ``_p_expansion(pk, k, xk, d)`` forms over all its passes.
+
+    After t passes of p_i, a term is fixed by how many of them lowered x_i
+    and how many raised k.  With k = 0 nothing raises k and at most
+    min(t, x_i) lower x_i, so at most min(t, x_i) + 1 terms; with k > 0 at
+    most (t + 1)(t + 2) / 2.  Passes run from p_d down to p_1, so each pass
+    of p_i is bounded by that count times the final counts of the variables
+    already passed.
+    """
+    work = 0
+    passed = 1
+    for i in range(d, 0, -1):
+        b = exponent_of(pk, i, d)
+        if not b:
+            continue
+        if k:
+            # sum over t = 1..b of (t + 1)(t + 2) / 2
+            work += passed * (comb(b + 3, 3) - 1)
+            passed *= (b + 1) * (b + 2) // 2
+        else:
+            g = exponent_of(xk, i, d)
+            # sum over t = 1..b of min(t, g) + 1
+            low = min(b, g)
+            work += passed * (low * (low + 3) // 2 + (b - low) * (g + 1))
+            passed *= low + 1
+    return work
+
+
 @lru_cache(maxsize=65536)
 def _p_expansion(pk: int, k: int, xk: int, d: int) -> tuple:
     """Normal-ordered p^pk r^-2k x^xk as ``(k', xk', pk', re, im)`` tuples,
-    standing for the sum of (re + im*i) r^-2k' x^xk' p^pk'."""
+    standing for the sum of (re + im*i) r^-2k' x^xk' p^pk'.
+
+    Entry 0 is the leading term r^-2k x^xk p^pk with coefficient 1: p^pk
+    passing everything unchanged.  Raises ValueError before expanding when
+    ``_p_expansion_work`` passes ``PRODUCT_TERM_BUDGET``.
+    """
+    work = _p_expansion_work(pk, k, xk, d)
+    if work > PRODUCT_TERM_BUDGET:
+        raise ValueError(
+            f"moving p^{degree(pk, d)} past x^{degree(xk, d)} may form {work:,} terms, "
+            f"past the product-term budget of {PRODUCT_TERM_BUDGET:,}"
+        )
     cur = {(k, xk, 0): (1, 0)}
     for i in range(d, 0, -1):
         for _ in range(exponent_of(pk, i, d)):
@@ -466,6 +525,13 @@ def _p_expansion(pk: int, k: int, xk: int, d: int) -> tuple:
 def _word_product(w: Tuple[int, ...], v: Tuple[int, ...], d: int) -> tuple:
     """``word_mul(w, v, d)``, looked up in this module at each miss."""
     return word_mul(w, v, d)
+
+
+@lru_cache(maxsize=65536)
+def _swap_sign(w: Tuple[int, ...], v: Tuple[int, ...]) -> int:
+    """The sign s with w v = s v w for reduced Clifford words: v moves past
+    w by |w| |v| swaps of generators, and only unequal ones anticommute."""
+    return -1 if (len(w) * len(v) - len(set(w).intersection(v))) & 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -548,32 +614,46 @@ def _finalize(d: int, acc: Acc) -> OperatorExpr:
     den, flat = common_denominator(acc) if acc else (1, {})
     if not flat:
         return zero(d)
-    kmax = max(key[0] for key in flat)
-    num = {key[1:]: value for key, value in flat.items() if key[0] == kmax}
-    get = num.get
-    for (k, xk, pk, word, a, e), (re, im) in flat.items():
-        if k == kmax:
-            continue
-        # bring the term to the common denominator r^-2kmax
-        for xk2, mult in _r2_power_expansion(xk, kmax - k, d):
-            key = (xk2, pk, word, a, e)
-            r = re * mult
-            j = im * mult
-            c = get(key)
-            if c is not None:
-                r += c[0]
-                j += c[1]
-                if not r and not j:
-                    del num[key]
-                    continue
-            num[key] = (r, j)
-    m = kmax
-    while m > 0 and num:
+    levels: Dict[int, dict] = {}
+    for key, value in flat.items():
+        level = levels.get(key[0])
+        if level is None:
+            levels[key[0]] = level = {}
+        level[key[1:]] = value
+    # Top down: below r^-2m every level is an r^2-multiple once it is brought
+    # to that denominator, so the whole numerator divides by r^2 exactly when
+    # its top level does, and the quotient joins the level below.
+    m = max(levels)
+    num = levels.pop(m)
+    while m > 0:
+        if not num and not levels:
+            return zero(d)
         divided = _try_divide_numerator(num, d)
         if divided is None:
             break
         num = divided
         m -= 1
+        lower = levels.pop(m, None)
+        if lower:
+            for key, (re, im) in lower.items():
+                merge_term(num, key, re, im)
+    # the levels still below r^-2m, brought to it: they cannot cancel the
+    # top level's remainder, so the result stays minimal
+    get = num.get
+    for k, level in levels.items():
+        for (xk, pk, word, a, e), (re, im) in level.items():
+            for xk2, mult in _r2_power_expansion(xk, m - k, d):
+                key = (xk2, pk, word, a, e)
+                r = re * mult
+                j = im * mult
+                c = get(key)
+                if c is not None:
+                    r += c[0]
+                    j += c[1]
+                    if not r and not j:
+                        del num[key]
+                        continue
+                num[key] = (r, j)
     if not num:
         return zero(d)
     return _make(d, m, den, num)
@@ -607,10 +687,15 @@ def _require_same_d(a: OperatorExpr, b: OperatorExpr) -> None:
         raise DimensionMismatch(f"cannot combine operators at d={a.d} and d={b.d}")
 
 
-def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UNIT) -> None:
+def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UNIT, swapped: int = 0) -> None:
     """Accumulate scale * a * b into out without canonicalizing.
 
-    ``scale`` is a scalar in the form of ``_int_scalar``.
+    ``scale`` is a scalar in the form of ``_int_scalar``.  ``swapped`` is -1
+    when out also receives -scale * b * a, a commutator, and 1 when it
+    receives scale * b * a, an anticommutator.  Then the leading term of each
+    pair of an a-term with word w and a b-term with word v is not formed when
+    the other product's leading term cancels it: when w v = -swapped v w.
+    The caller forms b * a with the same ``swapped``.
     """
     d = a.d
     if not a.num or not b.num:
@@ -661,7 +746,12 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
             v, sign = _word_product(word, bw, d)
             if sign < 0:
                 br, bi = -br, -bi
-            for k, xk2, pk2, er, ei in _p_expansion(pk, bk, bxk, d):
+            expansion = _p_expansion(pk, bk, bxk, d)
+            if swapped and _swap_sign(word, bw) == -swapped:
+                # both products lead with r^-2(ka+kb) x^(xa+xb) p^(pa+pb)
+                # times the same coefficients, and their words cancel
+                expansion = expansion[1:]
+            for k, xk2, pk2, er, ei in expansion:
                 pushed.append((k + shift, xk2, pk2 + bpk, v, ba, be, er * br - ei * bi, er * bi + ei * br))
         for xk, al, ae, fr, fi in factors:
             for k, bxk, bpk, bw, ba, be, br, bi in pushed:
@@ -693,10 +783,17 @@ def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
 
     All products accumulate into one shared store before the single
     canonicalization pass, so cancellations between terms happen before any
-    denominator merging.
+    denominator merging.  Two adjacent terms (c, (a, b)), (-c, (b, a)) or
+    (c, (a, b)), (c, (b, a)) are a bracket, as ``verify.comm`` and
+    ``verify.acomm`` build them, and are formed without the leading terms
+    that cancel between them.
     """
     out: Acc = {}
-    for coeff, factors in terms:
+    terms = list(terms)
+    n = 0
+    while n < len(terms):
+        coeff, factors = terms[n]
+        n += 1
         scale = _int_scalar(coeff)
         if scale is None:
             continue
@@ -706,11 +803,34 @@ def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
         if len(factors) == 1:
             _acc_scaled(out, factors[0], scale)
             continue
+        if len(factors) == 2 and n < len(terms):
+            coeff2, factors2 = terms[n]
+            if len(factors2) == 2 and factors2[0] is factors[1] and factors2[1] is factors[0]:
+                scale2 = _int_scalar(coeff2)
+                swapped = _scale_ratio(scale, scale2)
+                if swapped:
+                    _multiply_acc(factors[0], factors[1], out, scale, swapped)
+                    _multiply_acc(factors[1], factors[0], out, scale2, swapped)
+                    n += 1
+                    continue
         prefix = factors[0]
         for factor in factors[1:-1]:
             prefix = multiply(prefix, factor)
         _multiply_acc(prefix, factors[-1], out, scale)
     return _finalize(d, out)
+
+
+def _scale_ratio(scale: tuple, other: Optional[tuple]) -> int:
+    """1 if ``other`` equals ``scale``, -1 if it is its negative, else 0."""
+    if other is None or other[0] != scale[0]:
+        return 0
+    mine = set(scale[1])
+    theirs = set(other[1])
+    if theirs == mine:
+        return 1
+    if theirs == {(a, e, -re, -im) for a, e, re, im in mine}:
+        return -1
+    return 0
 
 
 def _add(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -758,16 +878,16 @@ def linear_combine(parts: Iterable[tuple], d: Optional[int] = None) -> OperatorE
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     _require_same_d(a, b)
     out: Acc = {}
-    _multiply_acc(a, b, out)
-    _multiply_acc(b, a, out, _MINUS)
+    _multiply_acc(a, b, out, _UNIT, -1)
+    _multiply_acc(b, a, out, _MINUS, -1)
     return _finalize(a.d, out)
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     _require_same_d(a, b)
     out: Acc = {}
-    _multiply_acc(a, b, out)
-    _multiply_acc(b, a, out)
+    _multiply_acc(a, b, out, _UNIT, 1)
+    _multiply_acc(b, a, out, _UNIT, 1)
     return _finalize(a.d, out)
 
 
@@ -824,6 +944,13 @@ def adjoint(a: OperatorExpr) -> OperatorExpr:
     m = a.denom_pow
     xdeg, pdeg = a.max_degrees()
     check_degree(xdeg + (pdeg if m else 0))
+    # each term moves its momenta past its positions: sum_t 3^t <= 3^(|pk|+1)
+    # bounds one expansion's work, and past the budget the expansions are
+    # counted before any is built
+    if len(a.num) * 3 ** min(pdeg + 1, 14) > PRODUCT_TERM_BUDGET:
+        work = sum(_p_expansion_work(key[1], m, key[0], d) for key in a.num)
+        if work > PRODUCT_TERM_BUDGET:
+            raise ValueError(f"the adjoint of {len(a.num)} terms may form {work:,} terms, past the product-term budget of {PRODUCT_TERM_BUDGET:,}")
     out: Dict[tuple, tuple] = {}
     for (xk, pk, word, al, ae), (re, im) in a.num.items():
         # (r^-2m x^xk p^pk w)^+ = w^+ p^pk r^-2m x^xk, and w^+ = sign * w

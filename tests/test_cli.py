@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, formats, reproducibility."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from spinlrl import cli, clifford
+from spinlrl import __version__, cli, clifford
 
 
 def run(capsys, *argv):
@@ -212,7 +216,7 @@ def test_oracle_json_witness(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_verify_json_matches_golden(capsys, tmp_path, d):
     target = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", "--d", str(d), "--no-timing", "--format", "json", "--output", str(target))
@@ -248,6 +252,15 @@ def test_oracle_witness_json_matches_golden(capsys):
 def test_reduce_kernel_matches_golden(capsys, case):
     # nonzero canonical outputs: r^-2 powers, unlike Gaussian denominators,
     # alpha and E powers, triple products up to d=5
+    code, out, _ = run(capsys, "reduce", "--d", str(case["d"]), case["expression"])
+    assert code == 0
+    assert out == case["output"]
+
+
+@pytest.mark.parametrize("case", json.loads((GOLDEN / "reduce_levels.json").read_text()), ids=lambda c: f"d{c['d']}:{c['expression']}")
+def test_reduce_levels_match_golden(capsys, case):
+    # results whose r^-2 level ends two or more levels below the top of the
+    # products, and d = 4 triple products whose top level does not divide
     code, out, _ = run(capsys, "reduce", "--d", str(case["d"]), case["expression"])
     assert code == 0
     assert out == case["output"]
@@ -293,6 +306,9 @@ REPROS = [
     ("(x1 + p1)^500", "product-term budget"),
     # x1 over r^-60000 needs (r^2)^30000: C(30002, 2) = 450,045,001 monomials
     ("x1 + rinv2^30000", "product-term budget"),
+    # moving p1^n past x1^n takes n passes over up to n + 1 terms: about n^2 / 2
+    ("p1^2000 x1^2000", "product-term budget"),
+    ("p1^4000 x1^4000", "product-term budget"),
 ]
 
 
@@ -312,6 +328,35 @@ def test_oracle_past_a_work_budget_exits_two(capsys, text, budget):
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
     assert err.startswith("error: ") and budget in err
+
+
+@pytest.mark.parametrize("text", ["p1^2000 x1^2000", "p1^4000 x1^4000"])
+def test_reduce_adjoint_past_a_work_budget_exits_two(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "--d", "3", "--adjoint", text)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "product-term budget" in err and err.count("\n") == 1
+
+
+def test_reduce_within_the_expansion_budget(capsys):
+    # p1^1000 x1^1000 forms 501,500 terms over its passes; its last term is (-i)^1000 1000!
+    code, out, _ = run(capsys, "reduce", "--d", "3", "p1^1000 x1^1000")
+    assert code == 0
+    assert out.startswith("x1^1000 p1^1000 + (-1000000i) x1^999 p1^999 + ")
+    assert out.endswith(f" + {math.factorial(1000)}\n")
+    # its adjoint moves p1^j past x1^j for every j <= 1000: about 1000^3 / 6 terms
+    code, out, err = run(capsys, "reduce", "--d", "3", "--adjoint", "p1^1000 x1^1000")
+    assert code == 2 and out == ""
+    assert "the adjoint of 1001 terms" in err and "product-term budget" in err
+
+
+def test_python_m_spinlrl_runs_the_cli():
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "spinlrl", "--version"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == f"spinlrl {__version__}\n"
 
 
 @pytest.mark.parametrize("case", json.loads((GOLDEN / "reduce_budget.json").read_text()), ids=lambda c: c["expression"])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spinlrl import expr, oracle, weyl
+from spinlrl import expr, oracle, verify, weyl
 from spinlrl.coeff import GaussianRational, P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from spinlrl.weyl import (
     DimensionMismatch,
@@ -481,3 +481,163 @@ def test_division_step_budget_counts_quotient_steps(monkeypatch):
         divide_xpoly_by_r2(xpoly, d)
     with pytest.raises(ValueError, match="division-step budget"):
         multiply(weyl.rinv2(d), x1 ** 4 * x2)
+
+
+# -- top-down r^2 canonicalisation ----------------------------------------------------------
+
+
+def _finalize_by_expansion(d, acc):
+    """The expand-then-divide canonical form: every level brought to the top
+    denominator, then the whole numerator divided by r^2 while it divides."""
+    den, flat = weyl.common_denominator(acc) if acc else (1, {})
+    if not flat:
+        return weyl.zero(d)
+    kmax = max(key[0] for key in flat)
+    num = {}
+    for (k, xk, pk, word, a, e), (re, im) in flat.items():
+        for xk2, mult in weyl._r2_power_expansion(xk, kmax - k, d):
+            weyl.merge_term(num, (xk2, pk, word, a, e), re * mult, im * mult)
+    m = kmax
+    while m > 0 and num:
+        divided = weyl._try_divide_numerator(num, d)
+        if divided is None:
+            break
+        num = divided
+        m -= 1
+    return weyl._make(d, m, den, num) if num else weyl.zero(d)
+
+
+def rand_accumulator(d, rng, mode):
+    """Terms at r^-2 levels 0..4 over one to three denominators.  A lifted
+    term is also written at a level j higher as (r^2)^j times itself; in
+    "cancel" mode that copy is subtracted, so the accumulator is zero."""
+    acc = {}
+    for _ in range(rng.randint(1, 3)):
+        num = acc.setdefault(rng.choice((1, 2, 3, 6)), {})
+        for _ in range(rng.randint(1, 5)):
+            k = rng.randint(0, 3)
+            xk = weyl.pack([rng.randint(0, 2) for _ in range(d)])
+            pk = weyl.pack([rng.randint(0, 1) for _ in range(d)])
+            word = tuple(sorted(rng.sample(range(1, d + 1), rng.randint(0, 2))))
+            a, e, re, im = rng.randint(0, 1), rng.randint(0, 1), rng.randint(-3, 3), rng.choice((-1, 1))
+            how = mode if mode != "mixed" else rng.choice(("plain", "lift", "cancel"))
+            if how != "lift":
+                weyl.merge_term(num, (k, xk, pk, word, a, e), re, im)
+            if how != "plain":
+                j = rng.randint(1, 4 - k)
+                sign = -1 if how == "cancel" else 1
+                for xk2, mult in weyl._r2_power_expansion(xk, j, d):
+                    weyl.merge_term(num, (k + j, xk2, pk, word, a, e), sign * re * mult, sign * im * mult)
+    return acc
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_finalize_matches_expand_then_divide(d):
+    rng = random.Random(9200 + d)
+    zeros = deep = 0
+    for mode in ("plain", "lift", "cancel", "mixed"):
+        for _ in range(25):
+            acc = rand_accumulator(d, rng, mode)
+            kmax = max((key[0] for num in acc.values() for key in num), default=0)
+            got = weyl._finalize(d, {den: dict(num) for den, num in acc.items()})
+            assert got == _finalize_by_expansion(d, acc)
+            zeros += got.is_zero()
+            deep += not got.is_zero() and kmax - got.denom_pow >= 2
+    assert zeros >= 25 and deep >= 5
+
+
+# -- brackets without their cancelling leading terms --------------------------------------
+
+
+def rand_bracket_operand(d, rng):
+    """A sum of one to three monomials c r^-2k x^a p^b w with k <= 3, words of
+    length up to 3 and coefficients in alpha and E."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [weyl.rinv2(d)] * rng.randint(0, 3)
+        factors += [weyl.x(d, rng.randint(1, d)) for _ in range(rng.randint(0, 2))]
+        factors += [weyl.p(d, rng.randint(1, d)) for _ in range(rng.randint(0, 2))]
+        factors += [weyl.gamma(d, i) for i in sorted(rng.sample(range(1, d + 1), rng.randint(0, min(3, d))))]
+        coeff = rng.choice((P_ONE, P_ALPHA, P_E, P_ALPHA * P_E, P_I * P_E + 2 * P_ALPHA))
+        parts.append((coeff * GaussianRational(rng.choice((1, -2, 3)), rng.randint(-1, 1)), normalize(d, factors)))
+    return linear_combine(parts, d=d)
+
+
+def bracket_operands(d, seed, count):
+    rng = random.Random(seed)
+    for n in range(count):
+        a = rand_bracket_operand(d, rng)
+        yield a, (a if n % 5 == 0 else rand_bracket_operand(d, rng))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_brackets_equal_their_products(d):
+    for a, b in bracket_operands(d, 9300 + d, 12):
+        ab, ba = multiply(a, b), multiply(b, a)
+        assert commutator(a, b) == ab - ba
+        assert anticommutator(a, b) == ab + ba
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_combine_products_of_a_bracket_pair_equals_its_products(d):
+    scales = (P_ONE, P_ALPHA, P_I * P_E + 2 * P_ALPHA)
+    for n, (a, b) in enumerate(bracket_operands(d, 9400 + d, 12)):
+        c = scales[n % 3]
+        ab, ba = multiply(a, b), multiply(b, a)
+        assert weyl.combine_products(d, verify.comm(a, b).terms) == ab - ba
+        assert weyl.combine_products(d, verify.acomm(a, b).terms) == ab + ba
+        assert weyl.combine_products(d, (-verify.comm(a, b)).terms) == ba - ab
+        assert weyl.combine_products(d, [(c, (a, b)), (-c, (b, a))]) == c * ab - c * ba
+        assert weyl.combine_products(d, [(c, (a, b)), (c, (b, a))]) == c * ab + c * ba
+        # not a bracket: the second coefficient is neither c nor -c
+        assert weyl.combine_products(d, [(c, (a, b)), (2 * c, (b, a))]) == c * ab + 2 * c * ba
+
+
+def test_p_expansion_leads_with_the_unchanged_term():
+    rng = random.Random(9500)
+    for _ in range(200):
+        d = rng.randint(2, 6)
+        pk = weyl.pack([rng.randint(0, 2) for _ in range(d)])
+        xk = weyl.pack([rng.randint(0, 2) for _ in range(d)])
+        k = rng.randint(0, 3)
+        assert weyl._p_expansion(pk, k, xk, d)[0] == (k, xk, pk, 1, 0)
+
+
+def test_swap_sign_against_word_products():
+    for d in (2, 3, 4):
+        words = [w for n in range(d + 1) for w in itertools.combinations(range(1, d + 1), n)]
+        for w in words:
+            for v in words:
+                wv, vw = weyl.word_mul(w, v, d), weyl.word_mul(v, w, d)
+                assert wv[0] == vw[0] and wv[1] == weyl._swap_sign(w, v) * vw[1]
+
+
+def test_p_expansion_work_bounds_every_pass():
+    rng = random.Random(9600)
+    for _ in range(150):
+        d = rng.randint(2, 4)
+        pk = weyl.pack([rng.randint(0, 3) for _ in range(d)])
+        xk = weyl.pack([rng.randint(0, 3) for _ in range(d)])
+        k = rng.randint(0, 2)
+        cur = {(k, xk, 0): (1, 0)}
+        formed = 0
+        for i in range(d, 0, -1):
+            for _ in range(weyl.exponent_of(pk, i, d)):
+                cur = weyl._lmul_p(cur, i, d)
+                formed += len(cur)
+        assert formed <= weyl._p_expansion_work(pk, k, xk, d)
+
+
+def test_p_expansion_budget_is_checked_before_expanding(monkeypatch):
+    d = 3
+    expand = weyl._p_expansion.__wrapped__  # past the table, which may hold the entry
+    pk, xk = weyl.pack((30, 0, 0)), weyl.pack((30, 0, 0))
+    # p1^30 x1^30 forms 2 + 3 + ... + 31 = 495 terms over its 30 passes
+    assert weyl._p_expansion_work(pk, 0, xk, d) == 495
+    monkeypatch.setattr(weyl, "PRODUCT_TERM_BUDGET", 495)
+    assert len(expand(pk, 0, xk, d)) == 31
+    monkeypatch.setattr(weyl, "PRODUCT_TERM_BUDGET", 494)
+    with pytest.raises(ValueError, match="product-term budget of 494"):
+        expand(pk, 0, xk, d)
+    with pytest.raises(ValueError, match="product-term budget of 494"):
+        adjoint(weyl.x(d, 1) ** 30 * weyl.p(d, 1) ** 30)
