@@ -108,6 +108,12 @@ def _parse_substitutions(text: Optional[str], d: int):
 
 def cmd_verify(args) -> int:
     dims = _parse_d_range(args.d, args.big_d)
+    checks = verify.list_checks(args.suite)
+    if not any(check.applicable(d) for check in checks for d in dims):
+        # an empty report would read as a pass that rests on no evidence
+        low = min(check.dims[0] for check in checks)
+        high = max(check.dims[1] for check in checks)
+        raise UsageError(f"no check of suite {args.suite!r} applies at d={args.d}; its checks cover d={low}..{high}")
     reports = [verify.run_suite(args.suite, d) for d in dims]
     if args.format == "json":
         text = verify.report_to_json(reports, no_timing=args.no_timing)

@@ -11,17 +11,16 @@ algebra.
 Every gamma matrix, and so every word matrix, is monomial: each column has
 one nonzero entry, a unit i^q.  A matrix is stored as ``(perm, phase)``, two
 tuples of plain ints: column s has its entry i^phase[s] in row perm[s].  A
-product composes the permutations and adds the phases mod 4.  Dense
-Gaussian-rational entries appear only in the rendered text of the fixtures.
+product composes the permutations and adds the phases mod 4.  Dense entries
+appear only in the rendered text of the fixtures, printed from the ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .coeff import G_ZERO, GaussianRational
+from .coeff import format_ints
 
 CliffordWord = Tuple[int, ...]
 Monomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -193,11 +192,11 @@ def pauli_reduce_word(word: CliffordWord) -> tuple:
 def render_matrix(matrix: Monomial, den: int = 1) -> str:
     """The dense text of a monomial matrix divided by ``den``."""
     perm, phase = matrix
-    entries = [GaussianRational(Fraction(re, den), Fraction(im, den)) for re, im in UNITS]
-    rows = [[G_ZERO] * len(perm) for _ in perm]
+    entries = [format_ints(den, {(0, 0): unit}) for unit in UNITS]
+    rows = [["0"] * len(perm) for _ in perm]
     for s, (t, q) in enumerate(zip(perm, phase)):
         rows[t][s] = entries[q]
-    return "\n".join(" ".join(str(entry) for entry in row) for row in rows)
+    return "\n".join(" ".join(row) for row in rows)
 
 
 def render_fixture(d: int) -> str:

@@ -12,8 +12,10 @@ term.  The gcd of the denominator and every numerator part is 1, so each value
 has exactly one stored form and equality stays structural.  Products and sums
 are integer arithmetic plus, when the denominator is not 1, one gcd.
 ``GaussianRational`` (``fractions.Fraction`` parts) is the boundary type: it is
-what ``ParamPoly.items()`` and ``constant_value()`` hand out and what parsing,
-rendering, substitution and the Clifford matrices use.
+what ``ParamPoly.items()`` and ``constant_value()`` hand out and what parsing
+and substitution use.  Text is printed from the ints by ``format_ints``, the
+same text ``Fraction`` would print, for ``ParamPoly``, the operator renderer
+and the Clifford fixture matrices alike.
 """
 
 from __future__ import annotations
@@ -132,7 +134,6 @@ class GaussianRational:
 
 G_ZERO = GaussianRational(0)
 G_ONE = GaussianRational(1)
-_G_MINUS_ONE = GaussianRational(-1)
 
 
 def _coerce_gaussian(value) -> GaussianRational:
@@ -310,28 +311,7 @@ class ParamPoly:
             return h
 
     def __str__(self):
-        if not self._num:
-            return "0"
-        multi = len(self._num) > 1
-        parts = []
-        for (pa, pe) in sorted(self._num, reverse=True):
-            coeff = self._gaussian(self._num[(pa, pe)])
-            atoms = []
-            if pa:
-                atoms.append("alpha" if pa == 1 else f"alpha^{pa}")
-            if pe:
-                atoms.append("E" if pe == 1 else f"E^{pe}")
-            cs = str(coeff)
-            if atoms and coeff == G_ONE:
-                parts.append(" ".join(atoms))
-                continue
-            if atoms and coeff == _G_MINUS_ONE:
-                parts.append("-" + " ".join(atoms))
-                continue
-            if (atoms or multi) and _needs_parens(cs):
-                cs = f"({cs})"
-            parts.append(" ".join([cs] + atoms))
-        return " + ".join(parts)
+        return format_ints(self._den, self._num)
 
     def __repr__(self):
         return f"ParamPoly({self})"
@@ -430,8 +410,58 @@ def gaussian_int(re: int, im: int = 0) -> ParamPoly:
     return _raw_poly(1, {(0, 0): (re, im)})
 
 
-def _needs_parens(coeff_str: str) -> bool:
-    return coeff_str.startswith("-") or "+" in coeff_str or "-" in coeff_str[1:]
+def needs_parens(text: str) -> bool:
+    """Whether a coefficient's text needs brackets before a factor."""
+    return text.startswith("-") or "+" in text or "-" in text[1:]
+
+
+def _format_part(n: int, den: int) -> str:
+    """``n / den`` as ``fractions.Fraction`` prints it."""
+    g = gcd(n, den)
+    if g == den:
+        return str(n // den)
+    return f"{n // g}/{den // g}"
+
+
+def _format_gaussian(den: int, re: int, im: int) -> str:
+    """``(re + im*i) / den`` as ``GaussianRational`` prints it."""
+    if not im:
+        return _format_part(re, den)
+    if im == den:
+        im_part = "i"
+    elif im == -den:
+        im_part = "-i"
+    else:
+        im_part = _format_part(im, den) + "i"
+    if not re:
+        return im_part
+    return _format_part(re, den) + ("+" if im > 0 else "") + im_part
+
+
+def format_ints(den: int, num: Mapping[tuple, tuple]) -> str:
+    """The text of ``sum num[(a, e)] alpha^a E^e / den`` for a positive ``den``
+    and Gaussian-integer numerators ``(re, im)``, terms by descending powers;
+    ``str(ParamPoly)`` for the same value, formed from the ints alone."""
+    if not num:
+        return "0"
+    multi = len(num) > 1
+    parts = []
+    for key in sorted(num, reverse=True):
+        pa, pe = key
+        re, im = num[key]
+        atoms = []
+        if pa:
+            atoms.append("alpha" if pa == 1 else f"alpha^{pa}")
+        if pe:
+            atoms.append("E" if pe == 1 else f"E^{pe}")
+        if atoms and not im and (re == den or re == -den):
+            parts.append(("" if re > 0 else "-") + " ".join(atoms))
+            continue
+        cs = _format_gaussian(den, re, im)
+        if (atoms or multi) and needs_parens(cs):
+            cs = f"({cs})"
+        parts.append(" ".join([cs] + atoms))
+    return " + ".join(parts)
 
 
 def _pow_gaussian(base: GaussianRational, n: int) -> GaussianRational:

@@ -42,80 +42,80 @@ class ExprError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imag:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     name: str  # "alpha" or "E"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gen:
     kind: str  # "x", "p", "g"
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RInv2:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Builder:
     name: str
     indices: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     arg: "Ast"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     left: "Ast"
     right: "Ast"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub:
     left: "Ast"
     right: "Ast"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul:
     left: "Ast"
     right: "Ast"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Div:
     left: "Ast"
     divisor: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow:
     base: "Ast"
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comm:
     left: "Ast"
     right: "Ast"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AntiComm:
     left: "Ast"
     right: "Ast"
@@ -131,7 +131,7 @@ Ast = Union[Lit, Imag, Param, Gen, RInv2, Builder, Neg, Add, Sub, Mul, Div, Pow,
 _PUNCT = set("+-*/^()[]{},")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # "int", "ident", punctuation, "eof"
     text: str
@@ -386,7 +386,8 @@ def _evaluate_sum(ast: Union[Add, Sub], d: int) -> OperatorExpr:
 
     The parser builds a sum of N terms as N-1 nested nodes; walking the chain
     in a loop keeps long sums (canonical texts of thousands of terms) off the
-    recursion limit and canonicalizes once instead of N-1 times.
+    recursion limit and canonicalizes once instead of N-1 times.  Each term
+    is accumulated as it is evaluated, so only one is held at a time.
     """
     signed = []
     node = ast
@@ -394,7 +395,7 @@ def _evaluate_sum(ast: Union[Add, Sub], d: int) -> OperatorExpr:
         signed.append((1 if isinstance(node, Add) else -1, node.right))
         node = node.left
     signed.append((1, node))
-    return weyl.linear_combine([(sign, evaluate_ast(term, d)) for sign, term in reversed(signed)], d)
+    return weyl.linear_combine(((sign, evaluate_ast(term, d)) for sign, term in reversed(signed)), d)
 
 
 def _evaluate_product(ast: Union[Mul, Div], d: int) -> OperatorExpr:

@@ -5,7 +5,9 @@ under positions, momenta (exact differentiation), gamma matrices, and the
 inverse square radius.  Gamma generators act through the concrete matrix
 representation rather than the abstract word algebra, so agreement between an
 engine identity and the action on random functions is evidence from a
-genuinely different code path.
+different code path.  Not a wholly separate one: functions are reduced modulo
+r^2 by the engine's ``weyl.divide_xpoly_by_r2``, and the operators applied
+are the engine's canonical forms.
 
 Storage.  A ``SpinorFunction`` keeps one positive int denominator ``den`` and
 a map ``num`` from ``(k, xk, s, alpha_power, e_power)`` to a Gaussian-integer

@@ -1313,7 +1313,9 @@ class ConcordanceEntry:
 
 def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max_degree: int = 4, min_k: int = -2) -> List[ConcordanceEntry]:
     """Compare lhs and rhs of every pair by applying factor chains to random
-    functions; independent of the engine's normal forms.
+    functions.  No operator product is formed, but the oracle reduces its
+    functions with the engine's r^2 division (``weyl.divide_xpoly_by_r2``)
+    and applies the factors in the engine's canonical form.
 
     Single applications are memoized per (operator, function) identity; the
     same builders and the same seeded functions recur across the index tuples

@@ -39,8 +39,14 @@ operation whose result could pass the limit raises ValueError before it
 builds a single key, so a field never carries into the next one.  All the
 arithmetic of products, sums, canonicalisation and r^2 division is int
 arithmetic on these keys and numerators; ``ParamPoly`` appears only at the
-boundary (scalar inputs, ``constant_value``, ``substitute``, ``terms`` and
-rendering).
+boundary (scalar inputs, ``constant_value``, ``substitute`` and ``terms``).
+
+One-term products.  ``multiply`` forms a product of two one-term operands
+directly when nothing has to be reordered: a has no momenta, or b has no
+positions and no r^-2.  The result is one key, exponents and powers added,
+words multiplied by ``_word_product`` below, and it is canonical when its
+r^-2 power is 0 or d >= 2: there r^2 = x1^2 + ... + xd^2 divides no single
+monomial.  Every other product goes through the kernel.
 
 Products.  ``_multiply_acc`` groups the terms of a by their momenta and word,
 x^xk p^pk w, and moves p^pk w past b one term of b at a time through two
@@ -72,6 +78,13 @@ does.  So only the top level is divided; its quotient joins the level below,
 and the division repeats until it leaves a remainder.  Only the levels still
 below the final m are then expanded by powers of r^2, never to a denominator
 that the division would take back.
+
+Rendering.  ``render`` prints the canonical text straight from the packed
+ints: terms grouped by monomial and sorted on the packed keys, whose top
+field is the total degree, and each coefficient printed by
+``coeff.format_ints`` from its numerators over ``den``.  The atom text of a
+packed exponent vector comes from ``_exponent_text``, an ``lru_cache`` table
+of at most 4,096 entries.
 """
 
 from __future__ import annotations
@@ -82,10 +95,10 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .clifford import UNITS, CliffordIndexError, check_word, pauli_reduce_word, word_adjoint, word_mul
-from .coeff import GaussianRational, P_ONE, P_ZERO, ParamPoly, common_denominator, merge_term, poly_from_ints, reduce_content
+from .coeff import GaussianRational, P_ZERO, ParamPoly, common_denominator, format_ints, merge_term, needs_parens, poly_from_ints, reduce_content
 
 Exponents = Tuple[int, ...]
 Monomial = Tuple[Exponents, Exponents, Tuple[int, ...]]
@@ -770,9 +783,37 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
                         del target[key]
 
 
+def _monomial_product(a: OperatorExpr, b: OperatorExpr) -> Optional[OperatorExpr]:
+    """a * b for one-term a and b when nothing has to be reordered, else None.
+
+    With no momenta in a, or no positions and no r^-2 in b, the product is
+    the single term with the exponents, r^-2 powers and parameter powers
+    added, the words multiplied and the coefficients multiplied.  It is
+    canonical at d >= 2, where one monomial is never a multiple of r^2; at
+    d = 1 r^2 is x1^2, so a product with a denominator takes the kernel.
+    """
+    ((xa, pa, wa, aa, ea), (ar, ai)), = a.num.items()
+    ((xb, pb, wb, ab, eb), (br, bi)), = b.num.items()
+    m = a.denom_pow + b.denom_pow
+    d = a.d
+    if pa and (xb or b.denom_pow) or m and d < 2:
+        return None
+    check_degree(degree(xa, d) + degree(xb, d))
+    check_degree(degree(pa, d) + degree(pb, d))
+    word, sign = _word_product(wa, wb, d)
+    if sign < 0:
+        br, bi = -br, -bi
+    return _make(d, m, a.den * b.den, {(xa + xb, pa + pb, word, aa + ab, ea + eb): (ar * br - ai * bi, ar * bi + ai * br)})
+
+
 def multiply(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    """Exact noncommutative product in canonical left-fraction form."""
+    """Exact noncommutative product in canonical left-fraction form; one-term
+    operands that need no reordering take ``_monomial_product``."""
     _require_same_d(a, b)
+    if len(a.num) == 1 and len(b.num) == 1:
+        product = _monomial_product(a, b)
+        if product is not None:
+            return product
     out: Acc = {}
     _multiply_acc(a, b, out)
     return _finalize(a.d, out)
@@ -983,51 +1024,57 @@ def pauli_project(a: OperatorExpr) -> OperatorExpr:
 # ---------------------------------------------------------------------------
 
 
-def _term_sort_key(item: tuple) -> tuple:
-    (xe, pe, word), _ = item
-    return (sum(xe), sum(pe), len(word), xe, pe, word)
-
-
-def _poly_atom(coeff: ParamPoly, has_monomial: bool) -> str:
-    if has_monomial and coeff == P_ONE:
-        return ""
-    text = str(coeff)
-    if text.startswith("-") or "+" in text or "-" in text[1:]:
-        return f"({text})"
-    return text
-
-
-def _monomial_atoms(mono: Monomial) -> List[str]:
-    xe, pe, word = mono
+@lru_cache(maxsize=4096)
+def _exponent_text(name: str, key: int, d: int) -> str:
+    """The atoms of a packed exponent vector, "x1^2 x3" for name "x"."""
     atoms = []
-    for i, e in enumerate(xe):
+    for i in range(1, d + 1):
+        e = (key >> (FIELD_BITS * (d - i))) & _MASK
         if e == 1:
-            atoms.append(f"x{i + 1}")
+            atoms.append(f"{name}{i}")
         elif e:
-            atoms.append(f"x{i + 1}^{e}")
-    for i, e in enumerate(pe):
-        if e == 1:
-            atoms.append(f"p{i + 1}")
-        elif e:
-            atoms.append(f"p{i + 1}^{e}")
-    for i in word:
-        atoms.append(f"g{i}")
-    return atoms
+            atoms.append(f"{name}{i}^{e}")
+    return " ".join(atoms)
+
+
+def _monomial_text(xk: int, pk: int, word: Tuple[int, ...], d: int) -> str:
+    """The atoms of x^xk p^pk word, "x1^2 p3 g1 g2"; empty for the unit."""
+    atoms = [_exponent_text("x", xk, d)] if xk else []
+    if pk:
+        atoms.append(_exponent_text("p", pk, d))
+    atoms.extend(f"g{i}" for i in word)
+    return " ".join(atoms)
 
 
 def render(a: OperatorExpr) -> str:
     """Canonical text form; parsing it back yields an equal operator."""
     if not a.num:
         return "0"
-    scalar_value = a.constant_value()
-    if scalar_value is not None:
-        return str(scalar_value)
+    d = a.d
+    den = a.den
+    groups: Dict[tuple, dict] = {}
+    for (xk, pk, word, al, ae), value in a.num.items():
+        group = groups.get((xk, pk, word))
+        if group is None:
+            groups[(xk, pk, word)] = group = {}
+        group[(al, ae)] = value
+    if a.denom_pow == 0 and len(groups) == 1 and (0, 0, ()) in groups:
+        return format_ints(den, groups[(0, 0, ())])
+    # the top field of a packed key is its total degree, so this is the order
+    # of total x-degree, total p-degree, word length, then the exponents
+    shift = FIELD_BITS * d
+    order = sorted(groups, key=lambda m: (m[0] >> shift, m[1] >> shift, len(m[2]), m[0], m[1], m[2]), reverse=True)
     parts = []
-    for mono, coeff in sorted(a.terms.items(), key=_term_sort_key, reverse=True):
-        atoms = _monomial_atoms(mono)
-        coeff_atom = _poly_atom(coeff, bool(atoms))
-        pieces = ([coeff_atom] if coeff_atom else []) + atoms
-        parts.append(" ".join(pieces) if pieces else "1")
+    for mono in order:
+        atoms = _monomial_text(mono[0], mono[1], mono[2], d)
+        group = groups[mono]
+        if atoms and len(group) == 1 and group.get((0, 0)) == (den, 0):
+            parts.append(atoms)
+            continue
+        coeff = format_ints(den, group)
+        if needs_parens(coeff):
+            coeff = f"({coeff})"
+        parts.append(f"{coeff} {atoms}" if atoms else coeff)
     body = " + ".join(parts)
     if a.denom_pow == 0:
         return body

@@ -23,9 +23,16 @@ def run(capsys, *argv):
 
 
 def test_verify_passes_with_exit_zero(capsys):
-    code, out, _ = run(capsys, "verify", "--d", "2", "--suite", "d3")
-    # no d3 checks apply at d=2: empty report, still success
-    assert code == 0
+    code, out, _ = run(capsys, "verify", "--d", "3", "--suite", "d3", "--no-timing")
+    assert code == 0 and "0 failed" in out
+
+
+@pytest.mark.parametrize("argv", [("--d", "2"), ("--d", "4", "--format", "json")])
+def test_verify_with_no_applicable_check_exits_two(capsys, argv):
+    # no d3 check applies at d=2 or d=4: an empty report is no evidence of success
+    code, out, err = run(capsys, "verify", "--suite", "d3", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no check of suite 'd3' applies") and err.count("\n") == 1
 
 
 def test_verify_core_d2(capsys):
@@ -290,7 +297,10 @@ def test_reduce_at_the_exponent_limit(capsys):
     assert code == 0 and out == "rinv2 (x1^65535 + x1^65533 x2^2 + x1^65533 x3^2 + x2)\n"
 
 
-@pytest.mark.parametrize("text", ["x1^65536", "x2^32768 x3^32768", "x1^65535 x1", "x1^65534 + rinv2 x2", "p1 rinv2 x1^65534", "p1^65535 p2"])
+# rinv2 x1^65535 is one canonical monomial; the sum brings it to r^-4: degree 65537
+@pytest.mark.parametrize(
+    "text", ["x1^65536", "x2^32768 x3^32768", "x1^65535 x1", "x1^65534 + rinv2 x2", "p1 rinv2 x1^65534", "p1^65535 p2", "rinv2 x1^65535 - rinv2^2 x1"]
+)
 def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
     code, out, err = run(capsys, "reduce", "--d", "3", text)
     assert code == 2 and out == ""
@@ -301,7 +311,8 @@ def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
 
 REPROS = [
     ("(x1 + x2)^40000", "product-term budget"),
-    ("rinv2 x1^65535 - rinv2^2 x1", "division-step budget"),
+    # r^2 divides x1^65535 + x2 only after more quotient steps than the budget allows
+    ("rinv2 (x1^65535 + x2)", "division-step budget"),
     # (x1 + p1)^52 (x1 + p1)^64 has 793,881 term pairs but would form 9.8 million terms
     ("(x1 + p1)^500", "product-term budget"),
     # x1 over r^-60000 needs (r^2)^30000: C(30002, 2) = 450,045,001 monomials

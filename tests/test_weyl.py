@@ -479,8 +479,10 @@ def test_division_step_budget_counts_quotient_steps(monkeypatch):
     monkeypatch.setattr(weyl, "DIVISION_STEP_BUDGET", 2)
     with pytest.raises(ValueError, match="division-step budget of 2"):
         divide_xpoly_by_r2(xpoly, d)
+    # a one-term numerator is never divided (no monomial is an r^2-multiple at d >= 2)
+    assert str(multiply(weyl.rinv2(d), x1 ** 4 * x2)) == "rinv2 (x1^4 x2)"
     with pytest.raises(ValueError, match="division-step budget"):
-        multiply(weyl.rinv2(d), x1 ** 4 * x2)
+        multiply(weyl.rinv2(d), x1 ** 4 * x2 + weyl.x(d, 3))
 
 
 # -- top-down r^2 canonicalisation ----------------------------------------------------------
@@ -641,3 +643,166 @@ def test_p_expansion_budget_is_checked_before_expanding(monkeypatch):
         expand(pk, 0, xk, d)
     with pytest.raises(ValueError, match="product-term budget of 494"):
         adjoint(weyl.x(d, 1) ** 30 * weyl.p(d, 1) ** 30)
+
+
+# -- rendering from the packed ints, against the decode-and-Fraction reference -----------
+
+
+def _needs_parens(text):
+    return text.startswith("-") or "+" in text or "-" in text[1:]
+
+
+def _poly_text_by_fractions(poly):
+    """A ParamPoly's text through its GaussianRational (Fraction) coefficients."""
+    items = dict(poly.items())
+    if not items:
+        return "0"
+    parts = []
+    for (pa, pe) in sorted(items, reverse=True):
+        coeff = items[(pa, pe)]
+        atoms = []
+        if pa:
+            atoms.append("alpha" if pa == 1 else f"alpha^{pa}")
+        if pe:
+            atoms.append("E" if pe == 1 else f"E^{pe}")
+        text = str(coeff)
+        if atoms and coeff == 1:
+            parts.append(" ".join(atoms))
+        elif atoms and coeff == -1:
+            parts.append("-" + " ".join(atoms))
+        else:
+            if (atoms or len(items) > 1) and _needs_parens(text):
+                text = f"({text})"
+            parts.append(" ".join([text] + atoms))
+    return " + ".join(parts)
+
+
+def _render_by_decoding(a):
+    """The canonical text through the decoded ``terms`` view: each monomial
+    unpacked to exponent tuples, each coefficient a ParamPoly."""
+    if a.is_zero():
+        return "0"
+    value = a.constant_value()
+    if value is not None:
+        return _poly_text_by_fractions(value)
+    parts = []
+    order = sorted(a.terms.items(), key=lambda item: (sum(item[0][0]), sum(item[0][1]), len(item[0][2]), *item[0]), reverse=True)
+    for (xe, pe, word), coeff in order:
+        atoms = [f"{name}{i + 1}" if e == 1 else f"{name}{i + 1}^{e}" for name, exps in (("x", xe), ("p", pe)) for i, e in enumerate(exps) if e]
+        atoms += [f"g{i}" for i in word]
+        pieces = list(atoms)
+        if not (atoms and coeff == P_ONE):
+            text = _poly_text_by_fractions(coeff)
+            pieces.insert(0, f"({text})" if _needs_parens(text) else text)
+        parts.append(" ".join(pieces))
+    body = " + ".join(parts)
+    if a.denom_pow == 0:
+        return body
+    return f"{'rinv2' if a.denom_pow == 1 else f'rinv2^{a.denom_pow}'} ({body})"
+
+
+HALF_MINUS_3_4_I = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+RENDER_COEFFICIENTS = (
+    P_ONE,
+    P_I,
+    -P_I,
+    ParamPoly({(0, 0): HALF_MINUS_3_4_I}),
+    -P_ALPHA,
+    P_ALPHA * P_ALPHA * P_E,
+    P_ALPHA + P_E,
+    2 * P_ALPHA * P_E - Fraction(1, 3) * P_ALPHA + P_I * P_E * P_E - 1,
+    Fraction(-5, 6) * P_ALPHA - P_I,
+    P_E * HALF_MINUS_3_4_I + Fraction(7, 2),
+)
+
+
+def rand_render_operator(d, rng):
+    pool = atoms(d)
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        e = weyl.one(d)
+        for _ in range(rng.randint(0, 4)):
+            e = multiply(e, rng.choice(pool))
+        parts.append((rng.choice(RENDER_COEFFICIENTS) * rng.choice((1, -1, Fraction(2, 3), 3)), e))
+    return weyl.rinv2(d) ** rng.randint(0, 3) * linear_combine(parts, d=d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_render_matches_the_decoding_reference(d):
+    rng = random.Random(9700 + d)
+    seen = set()
+    for _ in range(150):
+        a = rand_render_operator(d, rng)
+        text = weyl.render(a)
+        assert text == _render_by_decoding(a)
+        assert expr.evaluate(text, d) == a
+        seen.add(a.denom_pow)
+    for c in RENDER_COEFFICIENTS:
+        for a in (weyl.scalar(d, c), c * weyl.x(d, 1), c * weyl.rinv2(d), c * weyl.rinv2(d) + weyl.p(d, d)):
+            assert weyl.render(a) == _render_by_decoding(a)
+    assert {0, 1, 2, 3} <= seen
+
+
+def test_param_poly_text_matches_the_fraction_reference():
+    rng = random.Random(9800)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(20)] + [0, 1, -1]
+    for _ in range(400):
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            terms[(rng.randint(0, 3), rng.randint(0, 2))] = GaussianRational(rng.choice(values), rng.choice(values))
+        poly = ParamPoly(terms)
+        assert str(poly) == _poly_text_by_fractions(poly)
+    for c in RENDER_COEFFICIENTS:
+        assert str(c) == _poly_text_by_fractions(c)
+    assert str(ParamPoly({(0, 0): HALF_MINUS_3_4_I})) == "1/2-3/4i"
+
+
+# -- one-term products formed directly, against the kernel --------------------------------
+
+
+def rand_one_term(d, rng):
+    """c r^-2k x^a p^b w with one coefficient term: normal order, so one term."""
+    factors = [weyl.rinv2(d)] * rng.choice((0, 0, 1, 2))
+    factors += [weyl.x(d, rng.randint(1, d)) for _ in range(rng.randint(0, 3))]
+    factors += [weyl.p(d, rng.randint(1, d)) for _ in range(rng.choice((0, 0, 1, 2)))]
+    factors += [weyl.gamma(d, i) for i in sorted(rng.sample(range(1, d + 1), rng.randint(0, min(d, 3))))]
+    coeff = rng.choice((P_ONE, -P_I, P_ALPHA, P_E * P_E, P_ALPHA * P_E)) * rng.choice((1, -2, Fraction(3, 4), GaussianRational(1, -1)))
+    out = normalize(d, factors + [coeff])
+    assert len(out.num) == 1
+    return out
+
+
+def _kernel_product(a, b):
+    acc = {}
+    weyl._multiply_acc(a, b, acc)
+    return weyl._finalize(a.d, acc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_monomial_products_match_the_kernel(d):
+    rng = random.Random(9900 + d)
+    direct = 0
+    for _ in range(300):
+        a, b = rand_one_term(d, rng), rand_one_term(d, rng)
+        expected = _kernel_product(a, b)
+        got = weyl._monomial_product(a, b)
+        if got is not None:
+            direct += 1
+            assert got == expected
+        assert multiply(a, b) == expected
+    assert direct >= 60
+    x1 = weyl.x(d, 1)
+    assert multiply(weyl.rinv2(d), x1 * x1) == (weyl.one(d) if d == 1 else _kernel_product(weyl.rinv2(d), x1 * x1))
+    assert multiply(weyl.gamma(d, d), weyl.gamma(d, 1)) == _kernel_product(weyl.gamma(d, d), weyl.gamma(d, 1))
+
+
+def test_monomial_product_needs_no_reordering():
+    d = 3
+    p1, x1, r = weyl.p(d, 1), weyl.x(d, 1), weyl.rinv2(d)
+    assert weyl._monomial_product(p1, x1) is None
+    assert weyl._monomial_product(p1, r) is None
+    assert weyl._monomial_product(x1, p1) == _kernel_product(x1, p1)
+    assert weyl._monomial_product(r * x1, p1 * weyl.gamma(d, 2)) == _kernel_product(r * x1, p1 * weyl.gamma(d, 2))
+    # at d = 1 r^2 = x1^2, so a denominator leaves the product to the kernel
+    assert weyl._monomial_product(weyl.rinv2(1), weyl.x(1, 1) ** 2) is None
+    assert multiply(weyl.rinv2(1), weyl.x(1, 1) ** 2) == weyl.one(1)
