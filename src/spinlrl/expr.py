@@ -13,14 +13,18 @@ Grammar (precedence low to high):
 Brackets are the commutator, braces the anticommutator.  Division is only by
 integer literals (operators have no general inverses here).  Identifiers are
 case-sensitive: g1 is a Clifford generator, G(1) the ladder operator built
-from it.  Every diagnostic carries line:col and what was expected.
+from it.  Tokens are ASCII and are read one at a time.  Every diagnostic
+carries line:col, worked out from the offset only when it is raised, and
+what was expected.
 """
 
 from __future__ import annotations
 
+import re
+
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple, Union
+from typing import Callable, Iterator, Tuple, Union
 
 from . import ops, weyl
 from .coeff import GaussianRational, P_ALPHA, P_E, P_I, ParamPoly
@@ -128,58 +132,45 @@ Ast = Union[Lit, Imag, Param, Gen, RInv2, Builder, Neg, Add, Sub, Mul, Div, Pow,
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = set("+-*/^()[]{},")
+# Every token class is ASCII: "x²" or Arabic-Indic digits are refused instead
+# of being read as other digits.  _TOKEN matches one token after optional
+# whitespace: an int, an identifier or a punctuation mark, or the end of
+# input (no group).  _BAD finds the first character of no class; the text is
+# scanned for it before the first token, so a bad character is reported
+# before any parse error, wherever it stands.
+_TOKEN = re.compile(r"[ \t\n\r\f\v]*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()\[\]{},])|\Z)")
+_BAD = re.compile(r"[^ \t\n\r\f\v0-9A-Za-z_+\-*/^()\[\]{},]")
 
 
 @dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # "int", "ident", punctuation, "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the source text
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ExprError(line, start_col, f"expected a token, found {ch!r}")
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _position(text: str, pos: int) -> Tuple[int, int]:
+    """line:col (both 1-based) of an offset; computed only for a diagnostic."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _tokenize(text: str) -> Iterator[Token]:
+    """The tokens of ``text`` one at a time, ending with an "eof" token."""
+    bad = _BAD.search(text)
+    if bad:
+        line, col = _position(text, bad.start())
+        raise ExprError(line, col, f"expected a token, found {bad.group()!r}")
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        group = m.lastindex
+        if group is None:
+            yield Token("eof", "", len(text))
+            return
+        pos = m.end()
+        token = m.group(group)
+        yield Token(("int", "ident", token)[group - 1], token, m.start(group))
 
 
 # ---------------------------------------------------------------------------
@@ -195,31 +186,39 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over the token stream with one token of lookahead."""
+
     def __init__(self, text: str, d: int):
+        self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.current = next(self.tokens)
         self.d = d
         self.depth = 0
 
+    def error(self, tok: Token, message: str) -> ExprError:
+        line, col = _position(self.text, tok.pos)
+        return ExprError(line, col, message)
+
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return self.current
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.current
+        if tok.kind != "eof":
+            self.current = next(self.tokens)
         return tok
 
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ExprError(tok.line, tok.col, f"expected {kind!r}, found {tok.text or 'end of input'!r}")
+            raise self.error(tok, f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
     def parse(self) -> Ast:
         node = self.sum_()
         tok = self.peek()
         if tok.kind != "eof":
-            raise ExprError(tok.line, tok.col, f"expected end of input, found {tok.text!r}")
+            raise self.error(tok, f"expected end of input, found {tok.text!r}")
         return node
 
     def sum_(self) -> Ast:
@@ -241,7 +240,7 @@ class _Parser:
     def nested(self, tok: Token, parse_inside: Callable[[], Ast]) -> Ast:
         """Parse a bracketed construct one nesting level deeper."""
         if self.depth >= MAX_NESTING:
-            raise ExprError(tok.line, tok.col, f"brackets nest deeper than {MAX_NESTING} levels")
+            raise self.error(tok, f"brackets nest deeper than {MAX_NESTING} levels")
         self.depth += 1
         node = parse_inside()
         self.depth -= 1
@@ -292,7 +291,7 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             return self.ident_atom(tok)
-        raise ExprError(tok.line, tok.col, f"expected a term, found {tok.text or 'end of input'!r}")
+        raise self.error(tok, f"expected a term, found {tok.text or 'end of input'!r}")
 
     def parenthesized(self) -> Ast:
         node = self.sum_()
@@ -317,7 +316,7 @@ class _Parser:
         if name[0] in "xpg" and name[1:].isdigit():
             index = int(name[1:])
             if not 1 <= index <= self.d:
-                raise ExprError(tok.line, tok.col, f"generator index {index} outside 1..{self.d}")
+                raise self.error(tok, f"generator index {index} outside 1..{self.d}")
             return Gen(name[0], index)
         if name in ops.BUILDER_ARITY:
             arity = ops.BUILDER_ARITY[name]
@@ -331,12 +330,12 @@ class _Parser:
                 self.expect(")")
                 indices = tuple(idx)
             if len(indices) != arity:
-                raise ExprError(tok.line, tok.col, f"{name} takes {arity} index(es), got {len(indices)}")
+                raise self.error(tok, f"{name} takes {arity} index(es), got {len(indices)}")
             for index in indices:
                 if not 1 <= index <= self.d:
-                    raise ExprError(tok.line, tok.col, f"index {index} outside 1..{self.d}")
+                    raise self.error(tok, f"index {index} outside 1..{self.d}")
             return Builder(name, indices)
-        raise ExprError(tok.line, tok.col, f"unknown identifier {name!r}")
+        raise self.error(tok, f"unknown identifier {name!r}")
 
 
 def parse(text: str, d: int) -> Ast:

@@ -5,9 +5,12 @@ under positions, momenta (exact differentiation), gamma matrices, and the
 inverse square radius.  Gamma generators act through the concrete matrix
 representation rather than the abstract word algebra, so agreement between an
 engine identity and the action on random functions is evidence from a
-different code path.  Not a wholly separate one: functions are reduced modulo
-r^2 by the engine's ``weyl.divide_xpoly_by_r2``, and the operators applied
-are the engine's canonical forms.
+different code path.  Functions are reduced modulo r^2 by this module's own
+``_reduce_level``, which rewrites x1^2 -> r^2 - (x2^2 + ... + xd^2) by
+falling x1 exponent, with no heap; the engine divides by r^2 under a heap of
+leading terms.  {r^2} is a Groebner basis of its ideal, so both reach the one
+remainder with no monomial divisible by x1^2.  Not a wholly separate path
+all the same: the operators applied are the engine's canonical forms.
 
 Storage.  A ``SpinorFunction`` keeps one positive int denominator ``den`` and
 a map ``num`` from ``(k, xk, s, alpha_power, e_power)`` to a Gaussian-integer
@@ -32,7 +35,7 @@ from typing import Dict, Iterable, Tuple
 
 from . import clifford, weyl
 from .coeff import ParamPoly, common_denominator, merge_term, reduce_content
-from .weyl import DimensionMismatch, OperatorExpr, PackedTerms, divide_xpoly_by_r2
+from .weyl import DimensionMismatch, OperatorExpr, PackedTerms
 
 FuncKey = Tuple[int, Tuple[int, ...], int]  # (radial power k, x exponents, spinor index)
 
@@ -145,7 +148,7 @@ def _canonicalize(d: int, raw: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
             if not poly:
                 continue
             if k < 0:
-                quotient, remainder = divide_xpoly_by_r2(poly, d)
+                quotient, remainder = _reduce_level(poly, d)
                 for xk, value in remainder.items():
                     out[(k, xk, s, a, e)] = value
                 if quotient:
@@ -156,6 +159,42 @@ def _canonicalize(d: int, raw: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
                 for xk, value in poly.items():
                     out[(0, xk, s, a, e)] = value
     return out
+
+
+def _reduce_level(poly: Dict[int, tuple], d: int) -> tuple:
+    """(quotient, remainder) of a packed x-polynomial modulo r^2.
+
+    Terms are taken by falling x1 exponent: a term x1^n m with n >= 2 is
+    x1^(n-2) m r^2 - x1^(n-2) m (x2^2 + ... + xd^2), so its quotient term is
+    x1^(n-2) m and the rest lands two x1-powers lower, where it is taken in
+    turn.  What is left at x1 exponents 0 and 1 is the remainder.  Raises
+    ValueError past ``weyl.DIVISION_STEP_BUDGET`` quotient terms.
+    """
+    units = weyl.unit_keys(d)
+    two_x1 = 2 * units[0]
+    swaps = [2 * unit - two_x1 for unit in units[1:]]
+    by_x1: Dict[int, Dict[int, tuple]] = {}
+    for xk, value in poly.items():
+        by_x1.setdefault(weyl.exponent_of(xk, 1, d), {})[xk] = value
+    quotient: Dict[int, tuple] = {}
+    remainder: Dict[int, tuple] = {}
+    budget = weyl.DIVISION_STEP_BUDGET
+    for n in sorted(by_x1, reverse=True):
+        terms = by_x1.pop(n, None)
+        while n >= 2 and terms:
+            budget -= len(terms)
+            if budget < 0:
+                raise ValueError(f"dividing by r^2 exceeds the division-step budget of {weyl.DIVISION_STEP_BUDGET:,}")
+            lower = by_x1.pop(n - 2, {})
+            for xk, (re, im) in terms.items():
+                quotient[xk - two_x1] = (re, im)
+                for swap in swaps:
+                    merge_term(lower, xk + swap, -re, -im)
+            n -= 2
+            terms = lower
+        if terms:
+            remainder.update(terms)
+    return quotient, remainder
 
 
 def linear_combine(d: int, parts: Iterable[tuple]) -> SpinorFunction:

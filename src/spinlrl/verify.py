@@ -22,8 +22,11 @@ The other checks (contractions, squares, the appendix chains) have one-off
 ``_pr_*`` builders, which write the repeated sums sum_i X_i Y_i and
 sum_{i != j} X_ij X_ij / 2 through ``_dot`` and ``_half_square``.  Either way
 lhs and rhs stay separate formal sums, and a bracket enters only through
-``comm`` (``acomm`` for the Clifford relation) as its two factor chains, so
-the engine and the oracle see the same products.
+``comm`` (``acomm`` for the Clifford relation) as its two factor chains.
+The oracle applies every chain as written, factor by factor; the engine
+multiplies chains out, and sums the chains that end in one factor before
+that factor multiplies them (``weyl.combine_products``).  So the two form
+different products, and each is evidence for the other.
 
 Checks carry a severity tier.  "transcription" marks identities whose failure
 would most likely indicate a typo in the transcribed source formula; they are
@@ -1313,9 +1316,9 @@ class ConcordanceEntry:
 
 def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max_degree: int = 4, min_k: int = -2) -> List[ConcordanceEntry]:
     """Compare lhs and rhs of every pair by applying factor chains to random
-    functions.  No operator product is formed, but the oracle reduces its
-    functions with the engine's r^2 division (``weyl.divide_xpoly_by_r2``)
-    and applies the factors in the engine's canonical form.
+    functions.  No operator product is formed, and the oracle reduces its
+    functions modulo r^2 by its own rewriting, not by the engine's division;
+    the factors it applies are the engine's canonical forms.
 
     Single applications are memoized per (operator, function) identity; the
     same builders and the same seeded functions recur across the index tuples

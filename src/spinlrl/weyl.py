@@ -63,6 +63,19 @@ of their words.  So ``commutator``, ``anticommutator`` and
 (c, (b, a)) as ``verify.comm`` and ``verify.acomm`` build them, skip entry 0
 for each a-word w and b-word v with w v = v w in a commutator, or
 w v = -v w in an anticommutator: there the two leading terms cancel.
+
+Shared last factors.  ``combine_products`` evaluates the chains of three or
+more factors that end in the same factor object F Horner-style,
+sum_c c X_c F = (sum_c c X_c) F: it forms each prefix X_c and, when the
+prefixes can cancel, sums them and multiplies the sum by F once if it has no
+more terms than the scaled prefixes together.  Prefixes can cancel when they
+multiply the same factors in different orders, as a proof chain's do,
+B Y - Y B = -i p Y, and then the large F multiplies a few terms; or when
+they sit at one r^-2 level and share a term.  Prefixes at different levels
+would only inflate their sum, which is brought to the top level, so they,
+and every chain whose last factor is not shared, are multiplied out on their
+own.
+
 The work is bounded as well as the degrees: a product that would form more
 than ``PRODUCT_TERM_BUDGET`` terms, an expansion or adjoint whose passes
 would form more than that, a power of r^2 with more monomials than that, and
@@ -827,10 +840,16 @@ def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
     denominator merging.  Two adjacent terms (c, (a, b)), (-c, (b, a)) or
     (c, (a, b)), (c, (b, a)) are a bracket, as ``verify.comm`` and
     ``verify.acomm`` build them, and are formed without the leading terms
-    that cancel between them.
+    that cancel between them.  Chains of three or more factors that end in
+    the same factor object F are summed before F multiplies them, by
+    ``_multiply_shared``.
     """
     out: Acc = {}
     terms = list(terms)
+    # chains of three or more factors per last factor, counted when the
+    # first of them is met: sums of shorter chains pay nothing for this
+    last_counts: Optional[Dict[int, int]] = None
+    shared: Dict[int, list] = {}
     n = 0
     while n < len(terms):
         coeff, factors = terms[n]
@@ -854,11 +873,61 @@ def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
                     _multiply_acc(factors[1], factors[0], out, scale2, swapped)
                     n += 1
                     continue
-        prefix = factors[0]
-        for factor in factors[1:-1]:
-            prefix = multiply(prefix, factor)
-        _multiply_acc(prefix, factors[-1], out, scale)
+        if len(factors) > 2:
+            if last_counts is None:
+                last_counts = {}
+                for _, chain in terms[n - 1:]:
+                    if len(chain) > 2:
+                        key = id(chain[-1])
+                        last_counts[key] = last_counts.get(key, 0) + 1
+            if last_counts[id(factors[-1])] > 1:
+                shared.setdefault(id(factors[-1]), []).append((scale, factors))
+                continue
+        _multiply_acc(_prefix_product(factors), factors[-1], out, scale)
+    for chains in shared.values():
+        _multiply_shared(d, chains, out)
     return _finalize(d, out)
+
+
+def _prefix_product(factors: Sequence[OperatorExpr]) -> OperatorExpr:
+    """The product of every factor but the last, folded left to right."""
+    prefix = factors[0]
+    for factor in factors[1:-1]:
+        prefix = multiply(prefix, factor)
+    return prefix
+
+
+def _multiply_shared(d: int, chains: list, out: Acc) -> None:
+    """Accumulate sum scale * X * F over ``(scale, (X..., F))`` chains that
+    end in one factor F, as (sum scale * X) * F when the prefixes X can
+    cancel and their sum has no more terms than they have together, else
+    chain by chain."""
+    last = chains[0][1][-1]
+    prefixes = [(scale, _prefix_product(factors)) for scale, factors in chains]
+    if _prefixes_can_cancel(chains, prefixes):
+        acc: Acc = {}
+        for scale, prefix in prefixes:
+            _acc_scaled(acc, prefix, scale)
+        summed = _finalize(d, acc)
+        if len(summed.num) <= sum(len(prefix.num) * len(scale[1]) for scale, prefix in prefixes):
+            _multiply_acc(summed, last, out)
+            return
+    for scale, prefix in prefixes:
+        _multiply_acc(prefix, last, out, scale)
+
+
+def _prefixes_can_cancel(chains: list, prefixes: list) -> bool:
+    """Whether summing the prefixes may leave fewer terms: they multiply the
+    same factors in different orders (B Y - Y B = -i p Y), or they sit at
+    one r^-2 level and share a term.  Prefixes at different levels are
+    brought to the top one, which only adds terms, and prefixes with no term
+    in common merge nothing."""
+    if len({tuple(sorted(map(id, factors[:-1]))) for _, factors in chains}) == 1:
+        return True
+    if len({prefix.denom_pow for _, prefix in prefixes}) > 1:
+        return False
+    keys = [prefix.num.keys() for _, prefix in prefixes]
+    return len(set().union(*keys)) < sum(map(len, keys))
 
 
 def _scale_ratio(scale: tuple, other: Optional[tuple]) -> int:

@@ -82,6 +82,11 @@ def test_known_identities_reduce_to_zero():
         ("H(1)", "takes 0 index(es)"),
         ("x1 ^ p1", "expected 'int'"),
         ("$", "expected a token"),
+        # token classes are ASCII: no int() of a superscript, no other digits read as 0-9
+        ("x\u00b2", "expected a token, found '\u00b2'"),
+        ("x\u0661", "expected a token, found '\u0661'"),
+        ("\u0663", "expected a token, found '\u0663'"),
+        ("x1 +\n  x\u00b2", "2:4: expected a token"),
     ],
 )
 def test_diagnostics_carry_position_and_expectation(text, fragment):
@@ -99,7 +104,7 @@ def test_division_by_zero_literal():
 
 def test_parser_totality_fuzz():
     rng = random.Random(424242)
-    alphabet = string.ascii_letters + string.digits + "+-*/^()[]{}, .\t"
+    alphabet = string.ascii_letters + string.digits + "+-*/^()[]{}, .\t" + "\u00b2\u0661\u0663\u00e9\u00a0"
     for _ in range(800):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 30)))
         try:

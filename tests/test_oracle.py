@@ -225,3 +225,48 @@ def test_function_equal_through_different_denominators():
     total = oracle.linear_combine(2, [(1, sixths), (1, thirds)])
     assert total == half and hash(total) == hash(half) and total.den == 2
     assert oracle.linear_combine(2, [(1, half), (-1, half)]) == SpinorFunction(2, {})
+
+
+# -- the oracle's own reduction modulo r^2 -------------------------------------------
+
+
+def test_own_reduction_matches_the_engine_division():
+    # {r^2} is a Groebner basis, so quotient and remainder are unique
+    rng = random.Random(1401)
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        poly = {}
+        for _ in range(rng.randint(0, 8)):
+            oracle.merge_term(poly, weyl.pack([rng.randint(0, 6) for _ in range(d)]), rng.randint(-3, 3), rng.choice((-1, 1)))
+        assert oracle._reduce_level(poly, d) == divide_xpoly_by_r2(poly, d)
+
+
+def test_own_reduction_has_a_step_budget(monkeypatch):
+    d = 3
+    # x1^4 x2 takes three quotient steps, as in the engine
+    xpoly = {weyl.pack((4, 1, 0)): (1, 0)}
+    monkeypatch.setattr(weyl, "DIVISION_STEP_BUDGET", 3)
+    assert len(oracle._reduce_level(xpoly, d)[0]) == 3
+    monkeypatch.setattr(weyl, "DIVISION_STEP_BUDGET", 2)
+    with pytest.raises(ValueError, match="division-step budget of 2"):
+        oracle._reduce_level(xpoly, d)
+
+
+def test_oracle_catches_an_engine_division_that_drops_remainders(monkeypatch):
+    d = 3
+    # built before the mutation: with it, rinv2 x1 would already evaluate to 0
+    a = weyl.multiply(weyl.rinv2(d), weyl.x(d, 1))
+    b = weyl.multiply(weyl.rinv2(d), weyl.x(d, 2))
+    unpatched = oracle.crosscheck(a, b)
+
+    def drop_remainders(xpoly, d):
+        quotient, _ = divide_xpoly_by_r2(xpoly, d)
+        return quotient, {}
+
+    # the engine's division, and the binding an oracle sharing it would hold
+    monkeypatch.setattr(weyl, "divide_xpoly_by_r2", drop_remainders)
+    monkeypatch.setattr(oracle, "divide_xpoly_by_r2", drop_remainders, raising=False)
+    res = oracle.crosscheck(a, b)
+    assert not res.ok and res.witness is not None
+    # the oracle reduces on its own: the mutant changes none of its images
+    assert (res.witness_trial, res.image_a, res.image_b) == (unpatched.witness_trial, unpatched.image_a, unpatched.image_b)

@@ -806,3 +806,123 @@ def test_monomial_product_needs_no_reordering():
     # at d = 1 r^2 = x1^2, so a denominator leaves the product to the kernel
     assert weyl._monomial_product(weyl.rinv2(1), weyl.x(1, 1) ** 2) is None
     assert multiply(weyl.rinv2(1), weyl.x(1, 1) ** 2) == weyl.one(1)
+
+
+# -- chains that share a last factor ----------------------------------------------------------
+
+
+def _combine_by_chains(d, terms):
+    """combine_products multiplying every chain out on its own, the reference
+    for summing the chains that share a last factor; adjacent bracket pairs
+    keep their leading-term cut."""
+    out = {}
+    terms = list(terms)
+    n = 0
+    while n < len(terms):
+        coeff, factors = terms[n]
+        n += 1
+        scale = weyl._int_scalar(coeff)
+        if scale is None:
+            continue
+        if len(factors) < 2:
+            weyl._acc_scaled(out, factors[0] if factors else weyl.one(d), scale)
+            continue
+        if len(factors) == 2 and n < len(terms):
+            coeff2, factors2 = terms[n]
+            if len(factors2) == 2 and factors2[0] is factors[1] and factors2[1] is factors[0]:
+                scale2 = weyl._int_scalar(coeff2)
+                swapped = weyl._scale_ratio(scale, scale2)
+                if swapped:
+                    weyl._multiply_acc(factors[0], factors[1], out, scale, swapped)
+                    weyl._multiply_acc(factors[1], factors[0], out, scale2, swapped)
+                    n += 1
+                    continue
+        prefix = factors[0]
+        for factor in factors[1:-1]:
+            prefix = multiply(prefix, factor)
+        weyl._multiply_acc(prefix, factors[-1], out, scale)
+    return weyl._finalize(d, out)
+
+
+CHAIN_SCALES = (1, -1, 2, Fraction(1, 3), P_ALPHA, P_E, P_I, P_I * P_E + 2 * P_ALPHA, GaussianRational(Fraction(1, 2), Fraction(-3, 4)))
+
+
+def rand_chain_sum(d, rng):
+    """One to four factor chains drawn from a pool of six operators, so last
+    factors repeat; its random operators may hold r^-2 up to r^-6.  A
+    chain may be followed by its negative, whose prefix cancels it, by -c
+    times the chain with its first two factors swapped, a bracket, or by the
+    chain with its first factor replaced by r^-2, a prefix one level up."""
+    pool = [rand_operator(d, rng, factors=3) for _ in range(3)]
+    pool += [weyl.rinv2(d), weyl.x(d, 1), weyl.p(d, d) + weyl.gamma(d, 1)]
+    terms = []
+    for _ in range(rng.randint(2, 6)):
+        c = rng.choice(CHAIN_SCALES)
+        factors = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+        terms.append((c, factors))
+        how = rng.choice(("plain", "cancel", "bracket", "level"))
+        if how == "cancel":
+            terms.append((-c, factors))
+        elif how == "bracket" and len(factors) > 1:
+            terms.append((-c, (factors[1], factors[0]) + factors[2:]))
+        elif how == "level" and len(factors) > 1:
+            terms.append((c, (pool[3],) + factors[1:]))
+    return terms
+
+
+def term_pair_counter(monkeypatch):
+    """Record the term pairs of every ``_multiply_acc`` call in a list."""
+    formed = []
+    kernel = weyl._multiply_acc
+
+    def counting(a, b, out, scale=weyl._UNIT, swapped=0):
+        formed.append(len(a.num) * len(scale[1]) * len(b.num))
+        kernel(a, b, out, scale, swapped)
+
+    monkeypatch.setattr(weyl, "_multiply_acc", counting)
+    return formed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_shared_last_factors_match_chain_by_chain(d, monkeypatch):
+    rng = random.Random(14000 + d)
+    formed = term_pair_counter(monkeypatch)
+    fewer = 0
+    for _ in range(40):
+        terms = rand_chain_sum(d, rng)
+        formed.clear()
+        expected = _combine_by_chains(d, terms)
+        by_chains = sum(formed)
+        formed.clear()
+        got = weyl.combine_products(d, terms)
+        assert got == expected
+        fewer += sum(formed) < by_chains
+    assert fewer >= 10
+
+
+def test_bh_chain_forms_fewer_term_pairs_than_chain_by_chain(monkeypatch):
+    d = 3
+    pairs = verify.get_check("BH-CHAIN").pairs(d)
+    formed = term_pair_counter(monkeypatch)
+
+    def term_pairs(combine):
+        formed.clear()
+        for _, lhs, rhs in pairs:
+            assert combine(d, lhs.terms + (-rhs).terms).is_zero()
+        return sum(formed)
+
+    assert 2 * term_pairs(weyl.combine_products) < term_pairs(_combine_by_chains)
+
+
+def test_product_term_budget_holds_through_a_shared_last_factor(monkeypatch):
+    d = 2
+    x1 = weyl.x(d, 1)
+    f = weyl.x(d, 2) + weyl.p(d, 1) + weyl.gamma(d, 1) + weyl.one(d)
+    # the prefixes sum to 2 x1^2, one term, so f multiplies it once and forms four terms
+    terms = [(1, (x1, x1, f)), (1, (x1, x1, f))]
+    expected = 2 * multiply(x1 ** 2, f)
+    monkeypatch.setattr(weyl, "PRODUCT_TERM_BUDGET", 4)
+    assert weyl.combine_products(d, terms) == expected
+    monkeypatch.setattr(weyl, "PRODUCT_TERM_BUDGET", 3)
+    with pytest.raises(ValueError, match="product-term budget of 3"):
+        weyl.combine_products(d, terms)
