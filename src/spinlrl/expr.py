@@ -20,11 +20,12 @@ what was expected.
 
 from __future__ import annotations
 
+import math
 import re
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from . import ops, weyl
 from .coeff import GaussianRational, P_ALPHA, P_E, P_I, ParamPoly
@@ -111,6 +112,9 @@ class Div:
 class Pow:
     base: "Ast"
     exponent: int
+    # offset of the exponent, for a diagnostic raised at evaluation; None for
+    # a power of a generator or rinv2, whose coefficients never grow
+    pos: Optional[int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,6 +188,31 @@ _ATOM_STARTS = {"int", "ident", "(", "[", "{"}
 # of running into the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# CPython's default limit on int <-> str conversion: a longer literal cannot
+# be read, and a longer numerator or denominator cannot be printed.  Powers
+# with no x or p are refused before they are computed when their result could
+# pass it, so that neither the power nor its printing runs into it.
+MAX_DIGITS = 4300
+
+
+def _power_digits(base: int, exponent: int) -> float:
+    """Decimal digits of base^exponent less one (base >= 0), from the size
+    of the base, without computing the power."""
+    return exponent * math.log10(base) if base > 1 else 0.0
+
+
+class _OversizedPower(ValueError):
+    """A power past ``MAX_DIGITS``, found at evaluation; ``evaluate`` turns
+    it into an ``ExprError`` at the exponent's position."""
+
+    def __init__(self, pos: int, message: str):
+        super().__init__(message)
+        self.pos = pos
+
+
+def _too_many_digits(digits: float) -> str:
+    return f"the power has about {int(digits) + 1:,} digits, more than the limit of {MAX_DIGITS:,}"
+
 
 class _Parser:
     """Recursive descent over the token stream with one token of lookahead."""
@@ -213,6 +242,16 @@ class _Parser:
         if tok.kind != kind:
             raise self.error(tok, f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
+
+    def integer(self, tok: Token, digits: str) -> int:
+        """The value of a run of digits in ``tok``, refused past ``MAX_DIGITS``."""
+        if len(digits) > MAX_DIGITS:
+            raise self.error(tok, f"integer of {len(digits):,} digits, more than the limit of {MAX_DIGITS:,}")
+        return int(digits)
+
+    def expect_int(self) -> int:
+        tok = self.expect("int")
+        return self.integer(tok, tok.text)
 
     def parse(self) -> Ast:
         node = self.sum_()
@@ -255,11 +294,15 @@ class _Parser:
                 node = Mul(node, self.power())
             elif tok.kind == "/":
                 self.advance()
-                divisor_tok = self.expect("int")
-                divisor = int(divisor_tok.text)
+                divisor = self.expect_int()
                 if self.peek().kind == "^":
                     self.advance()
-                    divisor **= int(self.expect("int").text)
+                    exponent_tok = self.peek()
+                    exponent = self.expect_int()
+                    digits = _power_digits(divisor, exponent)
+                    if digits >= MAX_DIGITS:
+                        raise self.error(exponent_tok, _too_many_digits(digits))
+                    divisor **= exponent
                 node = Div(node, divisor)
             elif tok.kind in _ATOM_STARTS:
                 node = Mul(node, self.power())
@@ -270,15 +313,15 @@ class _Parser:
         node = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            exponent = self.expect("int")
-            node = Pow(node, int(exponent.text))
+            pos = None if isinstance(node, (Gen, RInv2)) else self.peek().pos
+            node = Pow(node, self.expect_int(), pos)
         return node
 
     def atom(self) -> Ast:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return Lit(Fraction(int(tok.text)))
+            return Lit(Fraction(self.integer(tok, tok.text)))
         if tok.kind == "(":
             self.advance()
             return self.nested(tok, self.parenthesized)
@@ -314,7 +357,7 @@ class _Parser:
         if name == "rinv2":
             return RInv2()
         if name[0] in "xpg" and name[1:].isdigit():
-            index = int(name[1:])
+            index = self.integer(tok, name[1:])
             if not 1 <= index <= self.d:
                 raise self.error(tok, f"generator index {index} outside 1..{self.d}")
             return Gen(name[0], index)
@@ -323,10 +366,10 @@ class _Parser:
             indices: Tuple[int, ...] = ()
             if self.peek().kind == "(":
                 self.advance()
-                idx = [int(self.expect("int").text)]
+                idx = [self.expect_int()]
                 while self.peek().kind == ",":
                     self.advance()
-                    idx.append(int(self.expect("int").text))
+                    idx.append(self.expect_int())
                 self.expect(")")
                 indices = tuple(idx)
             if len(indices) != arity:
@@ -372,7 +415,10 @@ def evaluate_ast(ast: Ast, d: int) -> OperatorExpr:
     if isinstance(ast, (Mul, Div)):
         return _evaluate_product(ast, d)
     if isinstance(ast, Pow):
-        return evaluate_ast(ast.base, d) ** ast.exponent
+        base = evaluate_ast(ast.base, d)
+        if ast.pos is not None:
+            _check_power_digits(base, ast)
+        return base ** ast.exponent
     if isinstance(ast, Comm):
         return weyl.commutator(evaluate_ast(ast.left, d), evaluate_ast(ast.right, d))
     if isinstance(ast, AntiComm):
@@ -416,9 +462,29 @@ def _evaluate_product(ast: Union[Mul, Div], d: int) -> OperatorExpr:
     return out
 
 
+def _check_power_digits(base: OperatorExpr, ast: Pow) -> None:
+    """Refuse a power of a base with no x or p, such as 7, 3/2, 2 g1 or
+    2 rinv2, whose numerators or denominator could pass ``MAX_DIGITS``.  Such
+    a power has no other budget: its degree stays 0, and repeated squaring
+    would square ever larger coefficients.  Gamma words multiply with unit
+    phases, so every numerator of the power is at most (sum of the base's
+    |re| + |im|)^n, and its denominator divides the base's to the n."""
+    for xk, pk, _, _, _ in base.num:
+        if xk or pk:
+            return
+    size = max(base.den, sum(abs(re) + abs(im) for re, im in base.num.values()))
+    digits = _power_digits(size, ast.exponent)
+    if digits >= MAX_DIGITS:
+        raise _OversizedPower(ast.pos, _too_many_digits(digits))
+
+
 def evaluate(text: str, d: int) -> OperatorExpr:
     """Parse and evaluate in one step."""
-    return evaluate_ast(parse(text, d), d)
+    try:
+        return evaluate_ast(parse(text, d), d)
+    except _OversizedPower as err:
+        line, col = _position(text, err.pos)
+        raise ExprError(line, col, str(err)) from None
 
 
 def format_expr(a: OperatorExpr) -> str:

@@ -12,6 +12,14 @@ leading terms.  {r^2} is a Groebner basis of its ideal, so both reach the one
 remainder with no monomial divisible by x1^2.  Not a wholly separate path
 all the same: the operators applied are the engine's canonical forms.
 
+Operators are read level by level: the engine's r^-2m N is applied as
+sum_j r^-2j N_j, with N_j at j > 0 holding only what r^2 does not divide
+(``_levels``, split by the same reduction, once per operator value).  The
+x-part stands left of p in normal order, so the split is exact, and it
+applies fewer terms.  Canonicalisation touches only the terms r^2 divides,
+those at k < 0 with x1 exponent at least 2; a linear combination of
+canonical functions is canonical already and is not reduced again.
+
 Storage.  A ``SpinorFunction`` keeps one positive int denominator ``den`` and
 a map ``num`` from ``(k, xk, s, alpha_power, e_power)`` to a Gaussian-integer
 numerator ``(re, im)`` of plain ints, for the term
@@ -63,7 +71,8 @@ class SpinorFunction(PackedTerms):
             xk = weyl.pack(xe)
             for (a, e), (re, im) in num.items():
                 merge_term(target, (k, xk, s, a, e), re, im)
-        _init_function(self, d, acc)
+        den, raw = common_denominator(acc)
+        _init_function(self, d, den, _canonicalize(d, raw))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpinorFunction is immutable")
@@ -114,51 +123,59 @@ _set_num = SpinorFunction.num.__set__
 _set_hash = SpinorFunction._hash.__set__
 
 
-def _init_function(f: SpinorFunction, d: int, acc: Dict[int, dict]) -> None:
-    den, raw = common_denominator(acc) if acc else (1, {})
-    den, num = reduce_content(den, _canonicalize(d, raw))
+def _init_function(f: SpinorFunction, d: int, den: int, num: Dict[tuple, tuple]) -> None:
+    den, num = reduce_content(den, num)
     _set_d(f, d)
     _set_spin_dim(f, 2 ** (d // 2))
     _set_den(f, den)
-    _set_num(f, num)
+    # a copy: merges and reductions leave deleted slots a dict never gives back
+    _set_num(f, dict(num))
+
+
+def _new(d: int, den: int, num: Dict[tuple, tuple]) -> SpinorFunction:
+    """A function from canonical numerators over ``den``."""
+    f = object.__new__(SpinorFunction)
+    _init_function(f, d, den, num)
+    return f
 
 
 def _function(d: int, acc: Dict[int, dict]) -> SpinorFunction:
     """A canonical function from an accumulator ``{den: {key: (re, im)}}``."""
-    f = object.__new__(SpinorFunction)
-    _init_function(f, d, acc)
-    return f
+    den, raw = common_denominator(acc)
+    return _new(d, den, _canonicalize(d, raw))
 
 
 def _canonicalize(d: int, raw: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
-    """Push r^2-divisible content upward level by level; unique normal form."""
-    by_level: Dict[tuple, Dict[int, tuple]] = {}
-    for (k, xk, s, a, e), value in raw.items():
-        level = by_level.get((k, s, a, e))
-        if level is None:
-            by_level[(k, s, a, e)] = level = {}
-        level[xk] = value
-    out: Dict[tuple, tuple] = {}
-    if not by_level:
-        return out
-    kmin = min(key[0] for key in by_level)
-    for s, a, e in {key[1:] for key in by_level}:
-        for k in range(kmin, 1):
-            poly = by_level.get((k, s, a, e))
-            if not poly:
-                continue
-            if k < 0:
-                quotient, remainder = _reduce_level(poly, d)
-                for xk, value in remainder.items():
-                    out[(k, xk, s, a, e)] = value
-                if quotient:
-                    upper = by_level.setdefault((k + 1, s, a, e), {})
-                    for xk, (re, im) in quotient.items():
-                        merge_term(upper, xk, re, im)
-            else:
-                for xk, value in poly.items():
-                    out[(0, xk, s, a, e)] = value
-    return out
+    """Unique normal form of ``raw``, which is updated in place and returned.
+
+    Only a term at a level k < 0 whose x1 exponent is at least 2 has a part
+    that r^2 divides; those terms are taken out and reduced, lowest level
+    first, each level's quotient joining the level above.  Every other term
+    is a remainder already and stays where it is.
+    """
+    shift = weyl.FIELD_BITS * (d - 1)
+    x1_field = weyl.EXPONENT_LIMIT << shift
+    two_x1 = 2 << shift
+    divisible = [key for key in raw if key[0] < 0 and key[1] & x1_field >= two_x1]
+    if not divisible:
+        return raw
+    # pending[k][(s, alpha power, E power)] is the x-polynomial still to reduce at level k
+    pending: Dict[int, Dict[tuple, Dict[int, tuple]]] = {}
+    for key in divisible:
+        k, xk, s, a, e = key
+        pending.setdefault(k, {}).setdefault((s, a, e), {})[xk] = raw.pop(key)
+    for k in range(min(pending), 0):
+        for (s, a, e), poly in pending.pop(k, {}).items():
+            quotient, remainder = _reduce_level(poly, d)
+            for xk, (re, im) in remainder.items():
+                merge_term(raw, (k, xk, s, a, e), re, im)
+            up = k + 1
+            for xk, (re, im) in quotient.items():
+                if up < 0 and xk & x1_field >= two_x1:
+                    merge_term(pending.setdefault(up, {}).setdefault((s, a, e), {}), xk, re, im)
+                else:
+                    merge_term(raw, (up, xk, s, a, e), re, im)
+    return raw
 
 
 def _reduce_level(poly: Dict[int, tuple], d: int) -> tuple:
@@ -198,7 +215,9 @@ def _reduce_level(poly: Dict[int, tuple], d: int) -> tuple:
 
 
 def linear_combine(d: int, parts: Iterable[tuple]) -> SpinorFunction:
-    """Canonical sum of (scalar, function) pairs."""
+    """Sum of (scalar, function) pairs.  Reduced remainders form a vector
+    space, so a combination of canonical functions is canonical as it is:
+    only common terms and content are merged."""
     acc: Dict[int, dict] = {}
     for coeff, f in parts:
         sden, snum = ParamPoly.of(coeff).int_form()
@@ -211,7 +230,7 @@ def linear_combine(d: int, parts: Iterable[tuple]) -> SpinorFunction:
         for (k, xk, s, a, e), (re, im) in f.num.items():
             for (sa, se), (sr, si) in snum.items():
                 merge_term(target, (k, xk, s, a + sa, e + se), re * sr - im * si, re * si + im * sr)
-    return _function(d, acc)
+    return _new(d, *common_denominator(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +255,10 @@ def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
         return _function(d, {})
     # differentiating r^(2k) raises an x-degree by one per momentum
     weyl.check_degree(weyl.degree(max(key[1] for key in f.num), d) + sum(op.max_degrees()))
-    m = op.denom_pow
     out: Dict[tuple, tuple] = {}
     get = out.get
-    columns: Dict[tuple, tuple] = {}
     f_items = list(f.num.items())
-    for (xk, pk, word, al, ae), (ore, oim) in op.num.items():
-        cols = columns.get(word)
-        if cols is None:
-            cols = _gamma_columns(d, word)
-            columns[word] = cols
+    for j, xk, pk, cols, al, ae, ore, oim in _levels(op):
         for (k, fx, s, fa, fe), (fr, fi) in f_items:
             t, er, ei = cols[s - 1]
             cr = fr * ore - fi * oim
@@ -255,7 +268,7 @@ def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
             a = al + fa
             e = ae + fe
             for k2, fx2, mr, mi in _derivative_terms(d, pk, k, fx):
-                key = (k2 - m, fx2 + xk, t, a, e)
+                key = (k2 - j, fx2 + xk, t, a, e)
                 re = tr * mr - ti * mi
                 im = tr * mi + ti * mr
                 c = get(key)
@@ -269,6 +282,33 @@ def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
                     else:
                         del out[key]
     return _function(d, {op.den * f.den: out})
+
+
+@lru_cache(maxsize=4096)
+def _levels(op: OperatorExpr) -> tuple:
+    """The operator r^-2m N as a sum of levels r^-2j N_j, j = m .. 0, each
+    term as ``(j, x-exponents, p-exponents, gamma columns, alpha power,
+    E power, re, im)`` over ``op.den``.
+
+    N's terms are grouped by (p-part, word, alpha, E).  Each group's
+    x-polynomial is q r^2 + rem: rem stays at level j and q joins level
+    j - 1.  The x-part stands left of p in normal order, so the split is
+    exact, and N_j at j > 0 keeps only what r^2 does not divide.
+    """
+    d = op.d
+    groups: Dict[tuple, Dict[int, tuple]] = {}
+    for (xk, pk, word, al, ae), value in op.num.items():
+        groups.setdefault((pk, word, al, ae), {})[xk] = value
+    terms = []
+    for (pk, word, al, ae), poly in groups.items():
+        cols = _gamma_columns(d, word)
+        j = op.denom_pow
+        while poly:
+            quotient, remainder = _reduce_level(poly, d) if j else ({}, poly)
+            terms.extend((j, xk, pk, cols, al, ae, re, im) for xk, (re, im) in remainder.items())
+            poly = quotient
+            j -= 1
+    return tuple(terms)
 
 
 @lru_cache(maxsize=65536)

@@ -1320,9 +1320,10 @@ def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max
     functions modulo r^2 by its own rewriting, not by the engine's division;
     the factors it applies are the engine's canonical forms.
 
-    Single applications are memoized per (operator, function) identity; the
-    same builders and the same seeded functions recur across the index tuples
-    of one check, so this saves most of the work without changing results.
+    Single applications are memoized per (operator, function) value: the
+    same operators and the same seeded functions and intermediates recur
+    across the index tuples of one check, often as distinct but equal
+    objects, so this saves most of the work without changing results.
     """
     if trials < 1:
         raise ValueError(f"crosscheck needs at least one trial, got {trials}")
@@ -1332,13 +1333,10 @@ def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max
     memo: dict = {}
 
     def apply_one(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
-        key = (id(op), id(f))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[2]
-        result = oracle.apply(op, f)
-        # the value tuple pins both operands so their ids cannot be recycled
-        memo[key] = (op, f, result)
+        key = (op, f)
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = oracle.apply(op, f)
         return result
 
     entries = []

@@ -307,6 +307,19 @@ def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
     assert "exponent limit" in err
 
 
+# literals and scalar powers past the interpreter's 4,300-digit limit: refused at their
+# position before anything is computed (these hung, or failed when printed, with no position)
+@pytest.mark.parametrize(
+    "text", ["x1^" + "9" * 5000, "x" + "1" * 5000, "7^300000000 x1", "(3/2)^300000000", "x1 / 7^1000000", "x1 / 7^5200"]
+)
+def test_reduce_of_an_unprintably_large_scalar_exits_two(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "--d", "2", text)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: 1:") and "limit of 4,300" in err and err.count("\n") == 1
+
+
 # -- work budgets and division by zero: exit 2 with a one-line message -------------------
 
 REPROS = [

@@ -87,6 +87,19 @@ def test_known_identities_reduce_to_zero():
         ("x\u0661", "expected a token, found '\u0661'"),
         ("\u0663", "expected a token, found '\u0663'"),
         ("x1 +\n  x\u00b2", "2:4: expected a token"),
+        # literals past the interpreter's 4,300-digit conversion limit
+        ("x1^" + "9" * 5000, "1:4: integer of 5,000 digits"),
+        ("x" + "1" * 5000, "1:1: integer of 5,000 digits"),
+        ("J(1," + "2" * 4301 + ")", "1:5: integer of 4,301 digits"),
+        # scalar powers whose result could not be printed, refused before they are formed
+        ("7^300000000 x1", "1:3: the power has about 253,529,413 digits"),
+        ("(3/2)^300000000", "1:7: the power has about 143,136,377 digits"),
+        ("x1 / 7^1000000", "1:8: the power has about 845,099 digits"),
+        ("x1 / 7^5200", "1:8: the power has about 4,395 digits"),
+        ("x1 +\n (alpha + 2 i)^10000", "2:16: the power has about 4,772 digits"),
+        # no x or p: the same bound holds for gamma words and r^-2
+        ("(2 g1)^300000000", "1:8: the power has about 90,308,999 digits"),
+        ("(x1 - x1 + 7 rinv2)^300000000", "1:21: the power has about 253,529,413 digits"),
     ],
 )
 def test_diagnostics_carry_position_and_expectation(text, fragment):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from spinlrl import ops, oracle, weyl
-from spinlrl.coeff import GaussianRational, P_ALPHA, P_ONE, ParamPoly
+from spinlrl import ops, oracle, verify, weyl
+from spinlrl.coeff import GaussianRational, P_ALPHA, P_E, P_ONE, ParamPoly
 from spinlrl.oracle import SpinorFunction
 from spinlrl.weyl import DimensionMismatch, divide_xpoly_by_r2
 
@@ -270,3 +270,153 @@ def test_oracle_catches_an_engine_division_that_drops_remainders(monkeypatch):
     assert not res.ok and res.witness is not None
     # the oracle reduces on its own: the mutant changes none of its images
     assert (res.witness_trial, res.image_a, res.image_b) == (unpatched.witness_trial, unpatched.image_a, unpatched.image_b)
+
+
+# -- operators read level by level, canonicalisation of what r^2 divides -------------
+
+
+def _canonicalize_all_levels(d, raw):
+    """The reduction before only r^2-divisible terms were sent into it: every
+    level k < 0 of every (s, alpha, E) is reduced, lowest first.  Kept as the
+    reference for ``oracle._canonicalize``."""
+    by_level = {}
+    for (k, xk, s, a, e), value in raw.items():
+        by_level.setdefault((k, s, a, e), {})[xk] = value
+    out = {}
+    if not by_level:
+        return out
+    kmin = min(key[0] for key in by_level)
+    for s, a, e in {key[1:] for key in by_level}:
+        for k in range(kmin, 1):
+            poly = by_level.get((k, s, a, e))
+            if not poly:
+                continue
+            if k < 0:
+                quotient, remainder = oracle._reduce_level(poly, d)
+                for xk, value in remainder.items():
+                    out[(k, xk, s, a, e)] = value
+                upper = by_level.setdefault((k + 1, s, a, e), {})
+                for xk, (re, im) in quotient.items():
+                    oracle.merge_term(upper, xk, re, im)
+            else:
+                for xk, value in poly.items():
+                    out[(0, xk, s, a, e)] = value
+    return out
+
+
+def _reference_function(d, acc):
+    den, raw = oracle.common_denominator(acc)
+    return oracle._new(d, den, _canonicalize_all_levels(d, raw))
+
+
+def _apply_whole_operator(op, f):
+    """``oracle.apply`` before operators were read level by level: every
+    stored term of r^-2m N is applied at level m.  Kept as the reference."""
+    d = op.d
+    if not op.num or not f.num:
+        return _reference_function(d, {})
+    m = op.denom_pow
+    out = {}
+    for (xk, pk, word, al, ae), (ore, oim) in op.num.items():
+        cols = oracle._gamma_columns(d, word)
+        for (k, fx, s, fa, fe), (fr, fi) in f.num.items():
+            t, er, ei = cols[s - 1]
+            cr = fr * ore - fi * oim
+            ci = fr * oim + fi * ore
+            tr = cr * er - ci * ei
+            ti = cr * ei + ci * er
+            for k2, fx2, mr, mi in oracle._derivative_terms(d, pk, k, fx):
+                oracle.merge_term(out, (k2 - m, fx2 + xk, t, al + fa, ae + fe), tr * mr - ti * mi, tr * mi + ti * mr)
+    return _reference_function(d, {op.den * f.den: out})
+
+
+COEFFICIENTS = (1, -1, Fraction(2, 3), Fraction(-5, 4), P_ALPHA, P_E * 2, I, P_E * I + P_ALPHA)
+
+
+def level_test_operators(d, rng):
+    """H, LRL_i, B_i and r^-4 x1^3 p2, alone and in seeded sums with
+    scalar coefficients and extra r^-2 factors: denom_pow 0..3."""
+    i = rng.randint(1, d)
+    pool = [ops.hamiltonian(d), ops.lrl(d, i), ops.sturm_b(d, i), weyl.rinv2(d) ** 2 * weyl.x(d, 1) ** 3 * weyl.p(d, 2)]
+    out = list(pool)
+    for _ in range(8):
+        total = weyl.zero(d)
+        for op in rng.sample(pool, rng.randint(2, 3)):
+            term = op * rng.choice(COEFFICIENTS)
+            if rng.random() < 0.4:
+                term = weyl.multiply(weyl.rinv2(d), term)
+            total = total + term
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_level_by_level_apply_matches_the_whole_operator_reference(d):
+    rng = random.Random(1500 + d)
+    operators = level_test_operators(d, rng)
+    assert {op.denom_pow for op in operators} == {0, 1, 2, 3}
+    for n, op in enumerate(operators):
+        for t in range(2):
+            f = oracle.random_function(d, 100 * n + t, max_degree=4, min_k=rng.randint(-3, 0))
+            assert oracle.apply(op, f) == _apply_whole_operator(op, f)
+
+
+def test_level_split_keeps_only_remainders_above_level_zero():
+    # H at d = 3 is 12 stored terms at r^-2; read by level it is 6
+    d = 3
+    terms = oracle._levels(ops.hamiltonian(d))
+    assert len(terms) == 6 and len(ops.hamiltonian(d).num) == 12
+    for j, xk, *_ in terms:
+        assert j == 0 or weyl.exponent_of(xk, 1, d) < 2
+
+
+def random_raw_map(d, rng):
+    raw = {}
+    for _ in range(rng.randint(0, 12)):
+        key = (rng.randint(-3, 0), weyl.pack([rng.randint(0, 5) for _ in range(d)]), rng.randint(1, 2), rng.randint(0, 1), rng.randint(0, 1))
+        oracle.merge_term(raw, key, rng.randint(-3, 3), rng.randint(-1, 1))
+    return raw
+
+
+def test_canonicalize_matches_the_all_levels_reduction():
+    rng = random.Random(1501)
+    for _ in range(300):
+        d = rng.randint(2, 5)
+        raw = random_raw_map(d, rng)
+        expected = _canonicalize_all_levels(d, dict(raw))
+        assert oracle._canonicalize(d, raw) == expected
+
+
+def test_linear_combine_of_canonical_functions_needs_no_reduction():
+    rng = random.Random(1502)
+    for trial in range(60):
+        d = rng.randint(2, 4)
+        fs = [oracle.random_function(d, 10 * trial + n, min_k=-3) for n in range(3)]
+        parts = [(rng.choice(COEFFICIENTS), f) for f in fs]
+        if trial % 3 == 0:
+            # the last two cancel exactly
+            parts.append((-parts[-1][0], parts[-1][1]))
+        acc = {}
+        for coeff, f in parts:
+            sden, snum = ParamPoly.of(coeff).int_form()
+            target = acc.setdefault(f.den * sden, {})
+            for (k, xk, s, a, e), (re, im) in f.num.items():
+                for (sa, se), (sr, si) in snum.items():
+                    oracle.merge_term(target, (k, xk, s, a + sa, e + se), re * sr - im * si, re * si + im * sr)
+        assert oracle.linear_combine(d, parts) == _reference_function(d, acc)
+    f = oracle.random_function(3, 7, min_k=-3)
+    assert oracle.linear_combine(3, [(Fraction(1, 3), f), (Fraction(-1, 3), f)]).is_zero()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_value_keyed_memo_matches_memo_free_evaluation(d):
+    trials = 2
+    functions = [oracle.random_function(d, oracle.trial_seed(0, t)) for t in range(trials)]
+    checks = [c for suite in ("sturm", "schrodinger") for c in verify.list_checks(suite) if c.applicable(d)]
+    assert checks
+    for check in checks:
+        expected = []
+        for label, lhs, rhs in check.pairs(d):
+            witness = next((f for f in functions if lhs.apply(f, oracle.apply) != rhs.apply(f, oracle.apply)), None)
+            expected.append(verify.ConcordanceEntry(check.id, label, witness is None, witness))
+        assert verify.crosscheck_check(check.id, d, trials=trials) == expected

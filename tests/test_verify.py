@@ -179,6 +179,14 @@ def test_crosscheck_check_agrees():
     assert entries and all(e.agreed for e in entries)
 
 
+def test_whole_registry_oracle_concordance():
+    # every pair of every applicable check; CI runs d = 4 and 5 with one trial
+    for d, trials in ((2, 5), (3, 2)):
+        entries = verify.crosscheck_suites(("all",), d, trials=trials)
+        assert entries
+        assert [(e.check_id, e.label) for e in entries if not e.agreed] == []
+
+
 def test_crosscheck_detects_wrong_identity():
     # sanity: a deliberately wrong pair must disagree
     from spinlrl.verify import OpSum, of_expr
