@@ -11,7 +11,7 @@ residual, cross-validated by an independent function-application oracle.
 
 __version__ = "0.1.0"
 
-from .coeff import Fraction, GaussianRational, ParamPoly, gauss, poly
+from .coeff import P_I, Fraction, ParamPoly, poly
 from .weyl import (
     DimensionMismatch,
     OperatorExpr,
@@ -34,9 +34,8 @@ from .weyl import (
 
 __all__ = [
     "Fraction",
-    "GaussianRational",
+    "P_I",
     "ParamPoly",
-    "gauss",
     "poly",
     "DimensionMismatch",
     "OperatorExpr",

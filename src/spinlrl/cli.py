@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__, clifford, expr, ops, oracle, verify, weyl
-from .coeff import ParamPoly
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -89,13 +88,13 @@ def _parse_substitutions(text: Optional[str], d: int):
         value = value_expr.constant_value()
         if value is None:
             raise UsageError(f"substitution value for {name} must be a scalar, got {value_text!r}")
-        gauss = value.constant_value()
-        if gauss is None:
+        constant = value.constant_value()
+        if constant is None:
             raise UsageError(f"substitution value for {name} must not contain alpha or E")
         if name == "alpha":
-            alpha_value = gauss
+            alpha_value = constant
         elif name == "E":
-            e_value = gauss
+            e_value = constant
         else:
             raise UsageError(f"unknown parameter {name!r}; only alpha and E can be substituted")
     return alpha_value, e_value

@@ -1,21 +1,21 @@
-"""Exact scalar arithmetic: Gaussian rationals and sparse polynomials in alpha and E.
+"""Exact scalar arithmetic: sparse polynomials in alpha and E over Q(i).
 
 Every coefficient in the engine lives in Q(i)[alpha, E]: Gaussian-rational
 numbers extended by the two symbolic parameters of the problem, the coupling
 strength ``alpha`` and the energy ``E``.  All arithmetic is exact; there is no
 floating-point mode.
 
-``ParamPoly``, the coefficient type of the engine, keeps its value in
-content/primitive-part form: one positive integer denominator shared by all
-terms, and a Gaussian-integer numerator ``(re, im)`` of plain Python ints per
-term.  The gcd of the denominator and every numerator part is 1, so each value
-has exactly one stored form and equality stays structural.  Products and sums
-are integer arithmetic plus, when the denominator is not 1, one gcd.
-``GaussianRational`` (``fractions.Fraction`` parts) is the boundary type: it is
-what ``ParamPoly.items()`` and ``constant_value()`` hand out and what parsing
-and substitution use.  Text is printed from the ints by ``format_ints``, the
-same text ``Fraction`` would print, for ``ParamPoly``, the operator renderer
-and the Clifford fixture matrices alike.
+``ParamPoly`` is the one scalar type: a scalar the engine takes is an int, a
+``Fraction`` or a ``ParamPoly``, one it returns is a ``ParamPoly``, and a
+number of Q(i) is a constant ``ParamPoly`` such as ``P_I * Fraction(-1, 4)``.
+It keeps its value in content/primitive-part form: one positive integer
+denominator shared by all terms, and a Gaussian-integer numerator ``(re, im)``
+of plain Python ints per term.  The gcd of the denominator and every numerator
+part is 1, so each value has exactly one stored form and equality stays
+structural.  Products and sums are integer arithmetic plus, when the
+denominator is not 1, one gcd.  Text is printed from the ints by
+``format_ints``, the same text ``Fraction`` parts would print, for
+``ParamPoly``, the operator renderer and the Clifford fixture matrices alike.
 """
 
 from __future__ import annotations
@@ -24,124 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Union
 
-ScalarLike = Union[int, Fraction, "GaussianRational", "ParamPoly"]
-
-_RATIONALS = (int, Fraction)
-
-
-def _fraction(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
-
-
-class GaussianRational:
-    """A number a + b*i with exact rational parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "im", _fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def of(value: Union[int, Fraction, "GaussianRational"]) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(value)
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, _RATIONALS):
-                return NotImplemented
-            other = GaussianRational(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, _RATIONALS):
-                return NotImplemented
-            other = GaussianRational(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) - self
-
-    def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, _RATIONALS):
-                return NotImplemented
-            other = GaussianRational(other)
-        a, b = self.re, self.im
-        c, e = other.re, other.im
-        return GaussianRational(a * c - b * e, a * e + b * c)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        return self * GaussianRational.of(other).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, _RATIONALS):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
-            im_part = "i"
-        elif self.im == -1:
-            im_part = "-i"
-        else:
-            im_part = f"{self.im}i"
-        if not self.re:
-            return im_part
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im_part}"
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-G_ZERO = GaussianRational(0)
-G_ONE = GaussianRational(1)
-
-
-def _coerce_gaussian(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, _RATIONALS):
-        return GaussianRational(value)
-    raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+ScalarLike = Union[int, Fraction, "ParamPoly"]
 
 
 class ParamPoly:
@@ -155,38 +38,36 @@ class ParamPoly:
     The stored form of a value is therefore unique, and ``==`` and ``hash``
     compare it directly.  Instances are immutable and hashable.
 
-    The constructor takes a map of Gaussian-rational (or int, Fraction)
-    coefficients; ``items()`` gives them back in that form.
+    The constructor takes a map ``{(alpha_power, e_power): coefficient}`` of
+    ints, Fractions or constant ParamPolys; ``items()`` gives the
+    coefficients back as constant ParamPolys.
     """
 
     __slots__ = ("_den", "_num", "_hash")
 
-    def __init__(self, terms: Optional[Mapping[tuple, GaussianRational]] = None):
-        values = {}
-        den = 1
-        if terms:
-            for key, coeff in terms.items():
-                coeff = _coerce_gaussian(coeff)
-                if coeff:
-                    values[(int(key[0]), int(key[1]))] = coeff
-                    den = lcm(den, coeff.re.denominator, coeff.im.denominator)
-        # den is the lcm of every part's reduced denominator, so the scaled
-        # numerators share no factor with it
+    def __init__(self, terms: Optional[Mapping[tuple, ScalarLike]] = None):
+        parts: dict = {}
+        for key, coeff in (terms or {}).items():
+            den, num = _constant(coeff).int_form()
+            if num:
+                parts.setdefault(den, {})[(int(key[0]), int(key[1]))] = num[(0, 0)]
+        # each part is in lowest terms, so no factor is common to the lcm of
+        # their denominators and every scaled numerator
+        den, num = common_denominator(parts) if parts else (1, {})
         _set_den(self, den)
-        _set_num(self, {key: (int(c.re * den), int(c.im * den)) for key, c in values.items()})
+        _set_num(self, num)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
-    @classmethod
-    def of(cls, value: ScalarLike) -> "ParamPoly":
+    @staticmethod
+    def of(value: ScalarLike) -> "ParamPoly":
+        """An int, Fraction or ParamPoly as a ParamPoly; TypeError otherwise."""
         if type(value) is ParamPoly:
             return value
-        if isinstance(value, int):
-            return gaussian_int(value)
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
             return _raw_poly(value.denominator, {(0, 0): (value.numerator, 0)}) if value else P_ZERO
-        return cls({(0, 0): _coerce_gaussian(value)})
+        raise TypeError(f"cannot interpret {value!r} as a scalar")
 
     # -- queries -------------------------------------------------------
 
@@ -196,22 +77,14 @@ class ParamPoly:
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    def _gaussian(self, num: tuple) -> GaussianRational:
-        den = self._den
-        return GaussianRational(Fraction(num[0], den), Fraction(num[1], den))
-
     def items(self) -> "_CoefficientItems":
-        """``((alpha_power, e_power), GaussianRational)`` pairs, one per term."""
+        """``((alpha_power, e_power), constant ParamPoly)`` pairs, one per term."""
         return _CoefficientItems(self)
 
-    def constant_value(self) -> Optional[GaussianRational]:
-        """The value of a constant polynomial, or None if alpha/E appear."""
+    def constant_value(self) -> Optional["ParamPoly"]:
+        """The polynomial itself if it is constant, None if alpha/E appear."""
         num = self._num
-        if not num:
-            return G_ZERO
-        if len(num) == 1 and (0, 0) in num:
-            return self._gaussian(num[(0, 0)])
-        return None
+        return self if not num or (len(num) == 1 and (0, 0) in num) else None
 
     def int_form(self) -> tuple:
         """``(den, {(alpha_power, e_power): (re, im)})``: the stored content
@@ -270,34 +143,27 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "ParamPoly":
-        """Complex conjugation; alpha and E are treated as real."""
-        return _raw_poly(self._den, {key: (re, -im) for key, (re, im) in self._num.items()})
-
-    def substitute(
-        self,
-        alpha_value: Optional[GaussianRational] = None,
-        e_value: Optional[GaussianRational] = None,
-    ) -> "ParamPoly":
-        """Replace alpha and/or E by exact values; result is canonical."""
+    def substitute(self, alpha_value: Optional[ScalarLike] = None, e_value: Optional[ScalarLike] = None) -> "ParamPoly":
+        """Replace alpha and/or E by exact constants (ints, Fractions or
+        constant ParamPolys); the result is canonical."""
         if alpha_value is None and e_value is None:
             return self
-        terms: dict = {}
+        alpha = P_ALPHA if alpha_value is None else _constant(alpha_value)
+        e = P_E if e_value is None else _constant(e_value)
+        out = P_ZERO
         for (pa, pe), coeff in self.items():
-            if alpha_value is not None:
-                coeff = coeff * _pow_gaussian(_coerce_gaussian(alpha_value), pa)
-                pa = 0
-            if e_value is not None:
-                coeff = coeff * _pow_gaussian(_coerce_gaussian(e_value), pe)
-                pe = 0
-            terms[(pa, pe)] = terms.get((pa, pe), G_ZERO) + coeff
-        return ParamPoly(terms)
+            for _ in range(pa):
+                coeff = coeff * alpha
+            for _ in range(pe):
+                coeff = coeff * e
+            out = out + coeff
+        return out
 
     # -- comparisons / rendering ----------------------------------------
 
     def __eq__(self, other):
         if type(other) is not ParamPoly:
-            if not isinstance(other, (*_RATIONALS, GaussianRational)):
+            if not isinstance(other, _SCALARS):
                 return NotImplemented
             other = ParamPoly.of(other)
         return self._den == other._den and self._num == other._num
@@ -318,8 +184,8 @@ class ParamPoly:
 
 
 class _CoefficientItems:
-    """Sized view of a ParamPoly's terms; converts to GaussianRational only
-    while iterating, so taking its length costs nothing."""
+    """Sized view of a ParamPoly's terms; builds the constant coefficients
+    only while iterating, so taking its length costs nothing."""
 
     __slots__ = ("_poly",)
 
@@ -331,10 +197,10 @@ class _CoefficientItems:
 
     def __iter__(self):
         poly = self._poly
-        return ((key, poly._gaussian(num)) for key, num in poly._num.items())
+        return ((key, poly_from_ints(poly._den, {(0, 0): num})) for key, num in poly._num.items())
 
 
-_SCALARS = (int, Fraction, GaussianRational, ParamPoly)
+_SCALARS = (int, Fraction, ParamPoly)
 _set_den = ParamPoly._den.__set__
 _set_num = ParamPoly._num.__set__
 _set_hash = ParamPoly._hash.__set__
@@ -403,13 +269,6 @@ def reduce_content(den: int, num: dict) -> tuple:
     return den // g, {key: (re // g, im // g) for key, (re, im) in num.items()}
 
 
-def gaussian_int(re: int, im: int = 0) -> ParamPoly:
-    """The constant polynomial re + im*i, built straight from ints."""
-    if not re and not im:
-        return P_ZERO
-    return _raw_poly(1, {(0, 0): (re, im)})
-
-
 def needs_parens(text: str) -> bool:
     """Whether a coefficient's text needs brackets before a factor."""
     return text.startswith("-") or "+" in text or "-" in text[1:]
@@ -424,7 +283,8 @@ def _format_part(n: int, den: int) -> str:
 
 
 def _format_gaussian(den: int, re: int, im: int) -> str:
-    """``(re + im*i) / den`` as ``GaussianRational`` prints it."""
+    """The text of ``(re + im*i) / den``, such as ``1/2-3/4i``: each part as
+    ``Fraction`` prints it, and a unit imaginary part as ``i`` or ``-i``."""
     if not im:
         return _format_part(re, den)
     if im == den:
@@ -464,13 +324,6 @@ def format_ints(den: int, num: Mapping[tuple, tuple]) -> str:
     return " + ".join(parts)
 
 
-def _pow_gaussian(base: GaussianRational, n: int) -> GaussianRational:
-    out = G_ONE
-    for _ in range(n):
-        out = out * base
-    return out
-
-
 P_ZERO = _raw_poly(1, {})
 P_ONE = _raw_poly(1, {(0, 0): (1, 0)})
 P_I = _raw_poly(1, {(0, 0): (0, 1)})
@@ -479,9 +332,13 @@ P_E = _raw_poly(1, {(0, 1): (1, 0)})
 
 
 def poly(value: ScalarLike) -> ParamPoly:
-    """Coerce an int, Fraction, or GaussianRational into a ParamPoly."""
+    """Coerce an int, Fraction or ParamPoly into a ParamPoly."""
     return ParamPoly.of(value)
 
 
-def gauss(re=0, im=0) -> GaussianRational:
-    return GaussianRational(re, im)
+def _constant(value: ScalarLike) -> ParamPoly:
+    """A scalar with no alpha or E as a ParamPoly; TypeError otherwise."""
+    out = ParamPoly.of(value).constant_value()
+    if out is None:
+        raise TypeError(f"{value} is not a constant")
+    return out

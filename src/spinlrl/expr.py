@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Tuple, Union
 
 from . import ops, weyl
-from .coeff import GaussianRational, P_ALPHA, P_E, P_I, ParamPoly
+from .coeff import P_ALPHA, P_E, P_I
 from .weyl import OperatorExpr
 
 
@@ -96,24 +96,30 @@ class Sub:
     right: "Ast"
 
 
+# ``pos`` is the offset of a step that can grow a scalar, for a diagnostic
+# raised at evaluation: a product's "*" or right operand, a "/", a power's
+# exponent, a bracket.  It is None for a product by, or a power of, an atom
+# with one unit coefficient (see ``_grows_scalars``), which is not checked.
+
+
 @dataclass(frozen=True, slots=True)
 class Mul:
     left: "Ast"
     right: "Ast"
+    pos: Optional[int]
 
 
 @dataclass(frozen=True, slots=True)
 class Div:
     left: "Ast"
-    divisor: int
+    divisor: "Ast"  # an integer literal or a power of one
+    pos: int
 
 
 @dataclass(frozen=True, slots=True)
 class Pow:
     base: "Ast"
     exponent: int
-    # offset of the exponent, for a diagnostic raised at evaluation; None for
-    # a power of a generator or rinv2, whose coefficients never grow
     pos: Optional[int]
 
 
@@ -121,12 +127,14 @@ class Pow:
 class Comm:
     left: "Ast"
     right: "Ast"
+    pos: int
 
 
 @dataclass(frozen=True, slots=True)
 class AntiComm:
     left: "Ast"
     right: "Ast"
+    pos: int
 
 
 Ast = Union[Lit, Imag, Param, Gen, RInv2, Builder, Neg, Add, Sub, Mul, Div, Pow, Comm, AntiComm]
@@ -189,29 +197,11 @@ _ATOM_STARTS = {"int", "ident", "(", "[", "{"}
 MAX_NESTING = 100
 
 # CPython's default limit on int <-> str conversion: a longer literal cannot
-# be read, and a longer numerator or denominator cannot be printed.  Powers
-# with no x or p are refused before they are computed when their result could
-# pass it, so that neither the power nor its printing runs into it.
+# be read, and a longer numerator or denominator cannot be printed.  Every
+# product, division and scalar power is refused before it is computed when
+# its result could pass it (``_size``), so that neither the step nor the
+# printing of its result runs into it.
 MAX_DIGITS = 4300
-
-
-def _power_digits(base: int, exponent: int) -> float:
-    """Decimal digits of base^exponent less one (base >= 0), from the size
-    of the base, without computing the power."""
-    return exponent * math.log10(base) if base > 1 else 0.0
-
-
-class _OversizedPower(ValueError):
-    """A power past ``MAX_DIGITS``, found at evaluation; ``evaluate`` turns
-    it into an ``ExprError`` at the exponent's position."""
-
-    def __init__(self, pos: int, message: str):
-        super().__init__(message)
-        self.pos = pos
-
-
-def _too_many_digits(digits: float) -> str:
-    return f"the power has about {int(digits) + 1:,} digits, more than the limit of {MAX_DIGITS:,}"
 
 
 class _Parser:
@@ -291,29 +281,26 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "*":
                 self.advance()
-                node = Mul(node, self.power())
+                node = self.times(node, tok)
             elif tok.kind == "/":
                 self.advance()
-                divisor = self.expect_int()
-                if self.peek().kind == "^":
-                    self.advance()
-                    exponent_tok = self.peek()
-                    exponent = self.expect_int()
-                    digits = _power_digits(divisor, exponent)
-                    if digits >= MAX_DIGITS:
-                        raise self.error(exponent_tok, _too_many_digits(digits))
-                    divisor **= exponent
-                node = Div(node, divisor)
+                node = Div(node, self.power(Lit(Fraction(self.expect_int()))), tok.pos)
             elif tok.kind in _ATOM_STARTS:
-                node = Mul(node, self.power())
+                node = self.times(node, tok)
             else:
                 return node
 
-    def power(self) -> Ast:
-        node = self.atom()
+    def times(self, left: Ast, tok: Token) -> Mul:
+        right = self.power()
+        return Mul(left, right, tok.pos if _grows_scalars(right) else None)
+
+    def power(self, node: Optional[Ast] = None) -> Ast:
+        """An atom, or the given one, with its exponent if it has one."""
+        if node is None:
+            node = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            pos = None if isinstance(node, (Gen, RInv2)) else self.peek().pos
+            pos = self.peek().pos if _grows_scalars(node) else None
             node = Pow(node, self.expect_int(), pos)
         return node
 
@@ -327,10 +314,10 @@ class _Parser:
             return self.nested(tok, self.parenthesized)
         if tok.kind == "[":
             self.advance()
-            return self.nested(tok, lambda: Comm(*self.pair("]")))
+            return self.nested(tok, lambda: Comm(*self.pair("]"), tok.pos))
         if tok.kind == "{":
             self.advance()
-            return self.nested(tok, lambda: AntiComm(*self.pair("}")))
+            return self.nested(tok, lambda: AntiComm(*self.pair("}"), tok.pos))
         if tok.kind == "ident":
             self.advance()
             return self.ident_atom(tok)
@@ -381,6 +368,13 @@ class _Parser:
         raise self.error(tok, f"unknown identifier {name!r}")
 
 
+def _grows_scalars(node: Ast) -> bool:
+    """False for x, p, g, rinv2, i, alpha and E and for a power of one: each
+    has one unit coefficient, so a product by it or a power of it leaves the
+    size estimate (``_size``) as it was."""
+    return not isinstance(node.base if isinstance(node, Pow) else node, (Gen, RInv2, Imag, Param))
+
+
 def parse(text: str, d: int) -> Ast:
     """Parse an expression; raises ExprError with line:col on any problem."""
     return _Parser(text, d).parse()
@@ -416,13 +410,15 @@ def evaluate_ast(ast: Ast, d: int) -> OperatorExpr:
         return _evaluate_product(ast, d)
     if isinstance(ast, Pow):
         base = evaluate_ast(ast.base, d)
-        if ast.pos is not None:
-            _check_power_digits(base, ast)
+        # powers of a base with x or p are bounded by the exponent limit and
+        # the work budgets instead
+        if ast.pos is not None and not any(xk or pk for xk, pk, _, _, _ in base.num):
+            _check_digits(ast.exponent * math.log10(max(_size(base))), ast.pos, "power")
         return base ** ast.exponent
-    if isinstance(ast, Comm):
-        return weyl.commutator(evaluate_ast(ast.left, d), evaluate_ast(ast.right, d))
-    if isinstance(ast, AntiComm):
-        return weyl.anticommutator(evaluate_ast(ast.left, d), evaluate_ast(ast.right, d))
+    if isinstance(ast, (Comm, AntiComm)):
+        left, right = evaluate_ast(ast.left, d), evaluate_ast(ast.right, d)
+        _check_product(left, right, ast.pos)
+        return (weyl.commutator if isinstance(ast, Comm) else weyl.anticommutator)(left, right)
     raise TypeError(f"unknown AST node {ast!r}")
 
 
@@ -454,35 +450,60 @@ def _evaluate_product(ast: Union[Mul, Div], d: int) -> OperatorExpr:
     out = evaluate_ast(node, d)
     for step in reversed(steps):
         if isinstance(step, Mul):
-            out = weyl.multiply(out, evaluate_ast(step.right, d))
+            right = evaluate_ast(step.right, d)
+            if step.pos is not None:
+                _check_product(out, right, step.pos)
+            out = weyl.multiply(out, right)
         else:
-            if step.divisor == 0:
+            # a literal or its power: denominator 1, numerator sum its value
+            _, divisor = _size(evaluate_ast(step.divisor, d))
+            if not divisor:
                 raise ZeroDivisionError("division by zero literal")
-            out = out / Fraction(step.divisor)
+            den, num = _size(out)
+            _check_digits(math.log10(max(den * divisor, num)), step.pos, "quotient")
+            out = out / divisor
     return out
 
 
-def _check_power_digits(base: OperatorExpr, ast: Pow) -> None:
-    """Refuse a power of a base with no x or p, such as 7, 3/2, 2 g1 or
-    2 rinv2, whose numerators or denominator could pass ``MAX_DIGITS``.  Such
-    a power has no other budget: its degree stays 0, and repeated squaring
-    would square ever larger coefficients.  Gamma words multiply with unit
-    phases, so every numerator of the power is at most (sum of the base's
-    |re| + |im|)^n, and its denominator divides the base's to the n."""
-    for xk, pk, _, _, _ in base.num:
-        if xk or pk:
-            return
-    size = max(base.den, sum(abs(re) + abs(im) for re, im in base.num.values()))
-    digits = _power_digits(size, ast.exponent)
+class _Oversized(ValueError):
+    """A step past ``MAX_DIGITS``, found at evaluation; ``evaluate`` turns it
+    into an ``ExprError`` at the step's position."""
+
+    def __init__(self, pos: int, message: str):
+        super().__init__(message)
+        self.pos = pos
+
+
+def _size(a: OperatorExpr) -> Tuple[int, int]:
+    """a's denominator and the sum of its numerators' |re| + |im|: the one
+    size estimate behind every scalar-growing step.  Gamma words multiply
+    with unit phases, so, while no momentum moves past a position, the
+    denominator and every numerator of a product are at most the products
+    of its factors' sizes, those of an nth power at most their nth powers,
+    and a division by n multiplies the denominator by n."""
+    num = 0
+    for re, im in a.num.values():
+        num += abs(re) + abs(im)
+    return a.den, num
+
+
+def _check_digits(digits: float, pos: int, what: str) -> None:
+    """Refuse a step whose result's estimate, ``digits`` + 1 decimal digits,
+    reaches past ``MAX_DIGITS``."""
     if digits >= MAX_DIGITS:
-        raise _OversizedPower(ast.pos, _too_many_digits(digits))
+        raise _Oversized(pos, f"the {what} has about {int(digits) + 1:,} digits, more than the limit of {MAX_DIGITS:,}")
+
+
+def _check_product(a: OperatorExpr, b: OperatorExpr, pos: int) -> None:
+    (den_a, num_a), (den_b, num_b) = _size(a), _size(b)
+    _check_digits(math.log10(max(den_a * den_b, num_a * num_b)), pos, "product")
 
 
 def evaluate(text: str, d: int) -> OperatorExpr:
     """Parse and evaluate in one step."""
     try:
         return evaluate_ast(parse(text, d), d)
-    except _OversizedPower as err:
+    except _Oversized as err:
         line, col = _position(text, err.pos)
         raise ExprError(line, col, str(err)) from None
 

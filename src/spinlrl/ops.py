@@ -16,11 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import weyl
-from .coeff import GaussianRational, P_ALPHA, P_E, ParamPoly
+from .coeff import P_ALPHA, P_E, P_I
 from .weyl import OperatorExpr
 
 HALF = Fraction(1, 2)
-I = GaussianRational(0, 1)
+I = P_I
 
 
 class IndexError_(ValueError):
@@ -95,7 +95,7 @@ def spin(d: int, i: int, j: int) -> OperatorExpr:
     if i == j:
         return weyl.zero(d)
     gi, gj = weyl.gamma(d, i), weyl.gamma(d, j)
-    quarter = ParamPoly.of(GaussianRational(0, Fraction(-1, 4)))
+    quarter = P_I * Fraction(-1, 4)
     return quarter * (weyl.multiply(gi, gj) - weyl.multiply(gj, gi))
 
 
@@ -108,7 +108,7 @@ def so_j(d: int, i: int, j: int) -> OperatorExpr:
 @lru_cache(maxsize=None)
 def dilation(d: int) -> OperatorExpr:
     """x . p - i(d-1)/2."""
-    return x_dot_p(d) + weyl.scalar(d, GaussianRational(0, Fraction(-(d - 1), 2)))
+    return x_dot_p(d) + weyl.scalar(d, P_I * Fraction(-(d - 1), 2))
 
 
 @lru_cache(maxsize=None)

@@ -50,7 +50,6 @@ from .oracle import SpinorFunction
 from .weyl import OperatorExpr
 
 MAX_DIMENSION = 8
-DEFAULT_DIMENSIONS = (2, 3, 4, 5, 6)
 
 SUITES = ("core", "sturm", "schrodinger", "appendix", "d3", "all")
 

@@ -39,7 +39,8 @@ operation whose result could pass the limit raises ValueError before it
 builds a single key, so a field never carries into the next one.  All the
 arithmetic of products, sums, canonicalisation and r^2 division is int
 arithmetic on these keys and numerators; ``ParamPoly`` appears only at the
-boundary (scalar inputs, ``constant_value``, ``substitute`` and ``terms``).
+boundary.  A scalar input is an int, a Fraction or a ParamPoly, and
+``constant_value``, ``substitute`` and ``terms`` hand back ParamPolys.
 
 One-term products.  ``multiply`` forms a product of two one-term operands
 directly when nothing has to be reordered: a has no momenta, or b has no
@@ -111,11 +112,10 @@ from math import comb
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .clifford import UNITS, CliffordIndexError, check_word, pauli_reduce_word, word_adjoint, word_mul
-from .coeff import GaussianRational, P_ZERO, ParamPoly, common_denominator, format_ints, merge_term, needs_parens, poly_from_ints, reduce_content
+from .coeff import P_ZERO, ParamPoly, ScalarLike, common_denominator, format_ints, merge_term, needs_parens, poly_from_ints, reduce_content
 
 Exponents = Tuple[int, ...]
 Monomial = Tuple[Exponents, Exponents, Tuple[int, ...]]
-ScalarLike = Union[int, Fraction, GaussianRational, ParamPoly]
 
 FIELD_BITS = 16
 EXPONENT_LIMIT = (1 << FIELD_BITS) - 1
@@ -314,7 +314,7 @@ class OperatorExpr(PackedTerms):
     def __add__(self, other):
         if isinstance(other, OperatorExpr):
             return _add(self, other)
-        if isinstance(other, (int, Fraction, GaussianRational, ParamPoly)):
+        if isinstance(other, (int, Fraction, ParamPoly)):
             return _add(self, scalar(self.d, other))
         return NotImplemented
 
@@ -326,7 +326,7 @@ class OperatorExpr(PackedTerms):
     def __sub__(self, other):
         if isinstance(other, OperatorExpr):
             return _add(self, -other)
-        if isinstance(other, (int, Fraction, GaussianRational, ParamPoly)):
+        if isinstance(other, (int, Fraction, ParamPoly)):
             return _add(self, -scalar(self.d, other))
         return NotImplemented
 
@@ -336,19 +336,19 @@ class OperatorExpr(PackedTerms):
     def __mul__(self, other):
         if isinstance(other, OperatorExpr):
             return multiply(self, other)
-        if isinstance(other, (int, Fraction, GaussianRational, ParamPoly)):
+        if isinstance(other, (int, Fraction, ParamPoly)):
             return _scale(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
         # scalars commute with everything, so left scaling is plain scaling
-        if isinstance(other, (int, Fraction, GaussianRational, ParamPoly)):
+        if isinstance(other, (int, Fraction, ParamPoly)):
             return _scale(self, other)
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return _scale(self, GaussianRational.of(other).inverse())
+        if isinstance(other, (int, Fraction)):
+            return _scale(self, 1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, n: int):

@@ -273,6 +273,17 @@ def test_reduce_levels_match_golden(capsys, case):
     assert out == case["output"]
 
 
+@pytest.mark.parametrize("case", json.loads((GOLDEN / "reduce_sub.json").read_text()), ids=lambda c: f"d{c['d']}:{c['sub']}:{c['expression']}")
+def test_reduce_sub_matches_golden(capsys, case):
+    # complex values, both parameters at once, powers of each, rinv2 and gamma
+    # words; and the two refusals of a value that is not a constant scalar
+    code, out, err = run(capsys, "reduce", "--d", str(case["d"]), "--sub", case["sub"], case["expression"])
+    if "error" in case:
+        assert code == 2 and out == "" and err == case["error"]
+    else:
+        assert code == 0 and out == case["output"] and err == ""
+
+
 # -- hostile input: clean results or exit 2, never a traceback --------------------------
 
 
@@ -310,7 +321,12 @@ def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
 # literals and scalar powers past the interpreter's 4,300-digit limit: refused at their
 # position before anything is computed (these hung, or failed when printed, with no position)
 @pytest.mark.parametrize(
-    "text", ["x1^" + "9" * 5000, "x" + "1" * 5000, "7^300000000 x1", "(3/2)^300000000", "x1 / 7^1000000", "x1 / 7^5200"]
+    "text",
+    [
+        "x1^" + "9" * 5000, "x" + "1" * 5000, "7^300000000 x1", "(3/2)^300000000", "x1 / 7^1000000", "x1 / 7^5200",
+        # products and quotients of printable scalars (these failed when printed, or ran past 20 s)
+        "7^3000 7^3000 x1", "(7^3000 + 1) (7^3000 + 1) x1", "x1 / 7^3000 / 7^3000", " ".join(["7^4000"] * 3000) + " x1",
+    ],
 )
 def test_reduce_of_an_unprintably_large_scalar_exits_two(capsys, text):
     start = time.perf_counter()

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from spinlrl import expr, ops, weyl
-from spinlrl.coeff import GaussianRational, P_ALPHA, P_E, ParamPoly
+from spinlrl.coeff import P_E, P_I
 
-I = GaussianRational(0, 1)
+I = P_I
 
 
 # -- parsing and evaluation ----------------------------------------------------
@@ -100,6 +100,13 @@ def test_known_identities_reduce_to_zero():
         # no x or p: the same bound holds for gamma words and r^-2
         ("(2 g1)^300000000", "1:8: the power has about 90,308,999 digits"),
         ("(x1 - x1 + 7 rinv2)^300000000", "1:21: the power has about 253,529,413 digits"),
+        # products and quotients of printable scalars, refused at the step that would pass the limit
+        ("7^3000 7^3000 x1", "1:8: the product has about 5,071 digits"),
+        ("(7^3000 + 1) (7^3000 + 1) x1", "1:14: the product has about 5,071 digits"),
+        ("x1 7^3000 * 7^3000", "1:11: the product has about 5,071 digits"),
+        ("x1 / 7^3000 / 7^3000", "1:13: the quotient has about 5,071 digits"),
+        (" ".join(["7^4000"] * 3000) + " x1", "1:8: the product has about 6,761 digits"),
+        ("x1 +\n [7^3000 p1, 7^3000 x1]", "2:2: the product has about 5,071 digits"),
     ],
 )
 def test_diagnostics_carry_position_and_expectation(text, fragment):

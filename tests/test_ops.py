@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from spinlrl import ops, weyl
-from spinlrl.coeff import GaussianRational, P_ALPHA, P_E, ParamPoly
+from spinlrl.coeff import P_ALPHA, P_E, P_I
 
-I = GaussianRational(0, 1)
+I = P_I
 
 
 def test_schrodinger_operators():
@@ -31,7 +31,7 @@ def test_radial_schrodinger_interconversion():
 
 def test_dilation_value():
     d = 2
-    expected = ops.x_dot_p(d) + weyl.scalar(d, GaussianRational(0, Fraction(-1, 2)))
+    expected = ops.x_dot_p(d) + weyl.scalar(d, P_I * Fraction(-1, 2))
     assert ops.dilation(d) == expected
 
 

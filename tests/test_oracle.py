@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from spinlrl import ops, oracle, verify, weyl
-from spinlrl.coeff import GaussianRational, P_ALPHA, P_E, P_ONE, ParamPoly
+from spinlrl.coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from spinlrl.oracle import SpinorFunction
 from spinlrl.weyl import DimensionMismatch, divide_xpoly_by_r2
 
-I = GaussianRational(0, 1)
+I = P_I
 
 
 def basis_function(d, k, xe, s, coeff=1):
@@ -23,7 +23,7 @@ def basis_function(d, k, xe, s, coeff=1):
 def test_derivative_action():
     f = basis_function(2, 0, (1, 0), 1)
     out = oracle.apply(weyl.p(2, 1), f)
-    assert out == basis_function(2, 0, (0, 0), 1, GaussianRational(0, -1))
+    assert out == basis_function(2, 0, (0, 0), 1, -P_I)
 
 
 def test_hamiltonian_action_on_linear_function():

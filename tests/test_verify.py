@@ -1,13 +1,14 @@
 """Check registry, suite runner, report formats, and concordance plumbing."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from spinlrl import verify, weyl
-from spinlrl.verify import CheckResult, Report
+from spinlrl import expr, verify, weyl
+from spinlrl.verify import CheckResult, Report, of_expr
 
 
 # -- catalog -------------------------------------------------------------------
@@ -169,6 +170,38 @@ def test_full_registry_zero_residual(d):
     # every check, every applicable dimension in the default range
     report = verify.run_suite("all", d)
     assert report.failed == 0, [(r.id, r.failed_label) for r in report.results if not r.passed]
+
+
+# -- negative controls: a pass is evidence only if the same path can fail ----------------
+
+PERTURBATIONS = ("x1", "p1", "g1", "rinv2", "alpha", "E", "i", "rinv2 x1 p2", "g1 g2 p1")
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_perturbed_checks_fail(monkeypatch, d):
+    # one term P added to the rhs of each check's first pair must make run_check,
+    # the path verify reports, fail on that pair, and the oracle disagree there; the
+    # perturbed check keeps only that pair, where run_check would stop anyway
+    terms = [(of_expr(expr.evaluate(text, d)), True) for text in PERTURBATIONS]
+    if d == 3:
+        # the engine side only: the oracle's one irreducible representation at odd d
+        # has g1 g2 g3 = i (the strict xfail in test_cli), and the two
+        # pauli_quotient checks project the term away by design
+        terms.append((of_expr(expr.evaluate("g1 g2 g3 - i", d)), False))
+    for check in verify.list_checks():
+        if not check.applicable(d):
+            continue
+        label, lhs, rhs = check.pairs(d)[0]
+        for term, oracle_side in terms:
+            if not oracle_side and check.pauli_quotient:
+                continue
+            pair = (label, lhs, rhs + term)
+            monkeypatch.setitem(verify._BY_ID, check.id, dataclasses.replace(check, pairs=lambda _: [pair]))
+            result = verify.run_check(check.id, d)
+            assert not result.passed and result.failed_label == label and not result.residual.is_zero(), (check.id, str(term.to_expr()))
+            if oracle_side:
+                (entry,) = verify.crosscheck_check(check.id, d, trials=1)
+                assert not entry.agreed and entry.witness is not None, (check.id, str(term.to_expr()))
 
 
 # -- oracle concordance ----------------------------------------------------------------

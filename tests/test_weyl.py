@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from spinlrl import expr, oracle, verify, weyl
-from spinlrl.coeff import GaussianRational, P_ALPHA, P_E, P_I, P_ONE, ParamPoly
+from spinlrl.coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from spinlrl.weyl import (
     DimensionMismatch,
     OperatorExpr,
@@ -23,7 +23,12 @@ from spinlrl.weyl import (
     normalize,
 )
 
-I = GaussianRational(0, 1)
+I = P_I
+
+
+def gaussian(re, im=0):
+    """The Gaussian rational re + im*i as a constant ParamPoly."""
+    return ParamPoly.of(Fraction(re)) + P_I * Fraction(im)
 
 
 def atoms(d):
@@ -41,7 +46,7 @@ def rand_operator(d, rng, factors=4, summands=2):
         e = weyl.one(d)
         for _ in range(rng.randint(1, factors)):
             e = multiply(e, rng.choice(pool))
-        coeff = ParamPoly({(rng.randint(0, 1), rng.randint(0, 1)): GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))})
+        coeff = ParamPoly({(rng.randint(0, 1), rng.randint(0, 1)): gaussian(rng.randint(-3, 3), rng.randint(-1, 1))})
         parts.append((coeff if coeff else P_ONE, e))
     return linear_combine(parts, d=d)
 
@@ -267,7 +272,7 @@ def test_adjoint_conjugates_coefficients():
 def test_substitution_renormalizes():
     d = 2
     e = (P_ONE - 2 * P_E) * weyl.x(d, 1)
-    assert e.substitute(e_value=GaussianRational(Fraction(1, 2))).is_zero()
+    assert e.substitute(e_value=gaussian(Fraction(1, 2))).is_zero()
 
 
 def test_operator_expr_not_mutable():
@@ -332,7 +337,7 @@ def test_equal_operators_through_different_denominators():
     assert thirds == halves and hash(thirds) == hash(halves)
     assert halves.den == 2
     # (1/2 + i/2)(1 - i) = 1: the product's content cancels the denominator
-    unit = (GaussianRational(Fraction(1, 2), Fraction(1, 2)) * weyl.x(d, 1)) * GaussianRational(1, -1)
+    unit = (gaussian(Fraction(1, 2), Fraction(1, 2)) * weyl.x(d, 1)) * gaussian(1, -1)
     assert unit == weyl.x(d, 1) and hash(unit) == hash(weyl.x(d, 1)) and unit.den == 1
     # r^-2 (x1^2 + x2^2) / 3 times 3 is the identity
     third = multiply(weyl.rinv2(d), weyl.r_squared(d) / 3) * 3
@@ -341,6 +346,17 @@ def test_equal_operators_through_different_denominators():
     a = multiply(weyl.p(d, 1) / 4, weyl.x(d, 1) * Fraction(2, 3))
     b = multiply(weyl.p(d, 1) / 6, weyl.x(d, 1))
     assert a == b and hash(a) == hash(b)
+
+
+def test_division_takes_ints_and_fractions():
+    d = 2
+    x1 = weyl.x(d, 1)
+    assert x1 / Fraction(2, 3) == Fraction(3, 2) * x1 and x1 / -4 == Fraction(-1, 4) * x1
+    with pytest.raises(ZeroDivisionError):
+        x1 / 0
+    # a ParamPoly has no inverse here, not even a constant one
+    with pytest.raises(TypeError):
+        x1 / P_I
 
 
 def test_cancellation_gives_canonical_zero():
@@ -358,7 +374,7 @@ def test_stored_form_is_primitive():
 
     for _ in range(100):
         d = rng.choice((2, 3))
-        e = rand_operator(d, rng) * GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-2, 2))
+        e = rand_operator(d, rng) * gaussian(Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-2, 2))
         if e.is_zero():
             continue
         g = e.den
@@ -379,7 +395,7 @@ def rand_monomial(d, rng):
     factors += [weyl.p(d, rng.randint(1, d)) for _ in range(rng.randint(0, 3))]
     factors += [weyl.gamma(d, i) for i in sorted(rng.sample(range(1, d + 1), rng.randint(0, 2)))]
     coeff = rng.choice((P_ONE, P_ALPHA, P_E, P_ALPHA * P_E, P_I * P_E + 2 * P_ALPHA))
-    return normalize(d, factors + [coeff * GaussianRational(rng.choice((1, -2, 3)), rng.randint(-1, 1))])
+    return normalize(d, factors + [coeff * gaussian(rng.choice((1, -2, 3)), rng.randint(-1, 1))])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -561,7 +577,7 @@ def rand_bracket_operand(d, rng):
         factors += [weyl.p(d, rng.randint(1, d)) for _ in range(rng.randint(0, 2))]
         factors += [weyl.gamma(d, i) for i in sorted(rng.sample(range(1, d + 1), rng.randint(0, min(3, d))))]
         coeff = rng.choice((P_ONE, P_ALPHA, P_E, P_ALPHA * P_E, P_I * P_E + 2 * P_ALPHA))
-        parts.append((coeff * GaussianRational(rng.choice((1, -2, 3)), rng.randint(-1, 1)), normalize(d, factors)))
+        parts.append((coeff * gaussian(rng.choice((1, -2, 3)), rng.randint(-1, 1)), normalize(d, factors)))
     return linear_combine(parts, d=d)
 
 
@@ -652,8 +668,18 @@ def _needs_parens(text):
     return text.startswith("-") or "+" in text or "-" in text[1:]
 
 
+def _gaussian_text(coeff):
+    """A constant ParamPoly's text from Fractions computed from its ints."""
+    den, num = coeff.int_form()
+    re, im = (Fraction(part, den) for part in num.get((0, 0), (0, 0)))
+    if not im:
+        return str(re)
+    im_part = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    return im_part if not re else f"{re}{'+' if im > 0 else ''}{im_part}"
+
+
 def _poly_text_by_fractions(poly):
-    """A ParamPoly's text through its GaussianRational (Fraction) coefficients."""
+    """A ParamPoly's text through the Fraction parts of its coefficients."""
     items = dict(poly.items())
     if not items:
         return "0"
@@ -665,7 +691,7 @@ def _poly_text_by_fractions(poly):
             atoms.append("alpha" if pa == 1 else f"alpha^{pa}")
         if pe:
             atoms.append("E" if pe == 1 else f"E^{pe}")
-        text = str(coeff)
+        text = _gaussian_text(coeff)
         if atoms and coeff == 1:
             parts.append(" ".join(atoms))
         elif atoms and coeff == -1:
@@ -701,7 +727,7 @@ def _render_by_decoding(a):
     return f"{'rinv2' if a.denom_pow == 1 else f'rinv2^{a.denom_pow}'} ({body})"
 
 
-HALF_MINUS_3_4_I = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+HALF_MINUS_3_4_I = gaussian(Fraction(1, 2), Fraction(-3, 4))
 RENDER_COEFFICIENTS = (
     P_ONE,
     P_I,
@@ -749,7 +775,7 @@ def test_param_poly_text_matches_the_fraction_reference():
     for _ in range(400):
         terms = {}
         for _ in range(rng.randint(0, 4)):
-            terms[(rng.randint(0, 3), rng.randint(0, 2))] = GaussianRational(rng.choice(values), rng.choice(values))
+            terms[(rng.randint(0, 3), rng.randint(0, 2))] = gaussian(rng.choice(values), rng.choice(values))
         poly = ParamPoly(terms)
         assert str(poly) == _poly_text_by_fractions(poly)
     for c in RENDER_COEFFICIENTS:
@@ -766,7 +792,7 @@ def rand_one_term(d, rng):
     factors += [weyl.x(d, rng.randint(1, d)) for _ in range(rng.randint(0, 3))]
     factors += [weyl.p(d, rng.randint(1, d)) for _ in range(rng.choice((0, 0, 1, 2)))]
     factors += [weyl.gamma(d, i) for i in sorted(rng.sample(range(1, d + 1), rng.randint(0, min(d, 3))))]
-    coeff = rng.choice((P_ONE, -P_I, P_ALPHA, P_E * P_E, P_ALPHA * P_E)) * rng.choice((1, -2, Fraction(3, 4), GaussianRational(1, -1)))
+    coeff = rng.choice((P_ONE, -P_I, P_ALPHA, P_E * P_E, P_ALPHA * P_E)) * rng.choice((1, -2, Fraction(3, 4), gaussian(1, -1)))
     out = normalize(d, factors + [coeff])
     assert len(out.num) == 1
     return out
@@ -844,7 +870,7 @@ def _combine_by_chains(d, terms):
     return weyl._finalize(d, out)
 
 
-CHAIN_SCALES = (1, -1, 2, Fraction(1, 3), P_ALPHA, P_E, P_I, P_I * P_E + 2 * P_ALPHA, GaussianRational(Fraction(1, 2), Fraction(-3, 4)))
+CHAIN_SCALES = (1, -1, 2, Fraction(1, 3), P_ALPHA, P_E, P_I, P_I * P_E + 2 * P_ALPHA, gaussian(Fraction(1, 2), Fraction(-3, 4)))
 
 
 def rand_chain_sum(d, rng):
