@@ -9,6 +9,7 @@ base directory for relative --output paths.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -100,6 +101,22 @@ def _parse_substitutions(text: Optional[str], d: int):
     return alpha_value, e_value
 
 
+def _substitute(value: weyl.OperatorExpr, alpha_value, e_value) -> weyl.OperatorExpr:
+    """``value`` with alpha and/or E replaced, refused before it is formed when
+    its coefficients could pass ``expr.MAX_DIGITS``: the largest numerator
+    part or denominator times each value's size to the highest power of its
+    parameter."""
+    largest = max((max(abs(re), abs(im)) for re, im in value.num.values()), default=0)
+    digits = math.log10(max(value.den, largest))
+    for power, constant in zip(value.max_param_powers(), (alpha_value, e_value)):
+        if constant is not None and power:
+            den, num = constant.int_form()
+            digits += power * math.log10(max(den, sum(abs(re) + abs(im) for re, im in num.values())))
+    if digits >= expr.MAX_DIGITS:
+        raise UsageError(f"the substitution has about {int(digits) + 1:,} digits, more than the limit of {expr.MAX_DIGITS:,}")
+    return value.substitute(alpha_value, e_value)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -163,7 +180,7 @@ def cmd_reduce(args) -> int:
         return EXIT_USAGE
     alpha_value, e_value = _parse_substitutions(args.sub, d)
     if alpha_value is not None or e_value is not None:
-        value = value.substitute(alpha_value, e_value)
+        value = _substitute(value, alpha_value, e_value)
     if args.adjoint:
         value = weyl.adjoint(value)
     return _emit(expr.format_expr(value) + "\n", _resolve_output(args.output))

@@ -276,7 +276,8 @@ def test_reduce_levels_match_golden(capsys, case):
 @pytest.mark.parametrize("case", json.loads((GOLDEN / "reduce_sub.json").read_text()), ids=lambda c: f"d{c['d']}:{c['sub']}:{c['expression']}")
 def test_reduce_sub_matches_golden(capsys, case):
     # complex values, both parameters at once, powers of each, rinv2 and gamma
-    # words; and the two refusals of a value that is not a constant scalar
+    # words; the two refusals of a value that is not a constant scalar; and
+    # substitutions whose coefficients would pass the 4,300-digit limit
     code, out, err = run(capsys, "reduce", "--d", str(case["d"]), "--sub", case["sub"], case["expression"])
     if "error" in case:
         assert code == 2 and out == "" and err == case["error"]
@@ -326,6 +327,8 @@ def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
         "x1^" + "9" * 5000, "x" + "1" * 5000, "7^300000000 x1", "(3/2)^300000000", "x1 / 7^1000000", "x1 / 7^5200",
         # products and quotients of printable scalars (these failed when printed, or ran past 20 s)
         "7^3000 7^3000 x1", "(7^3000 + 1) (7^3000 + 1) x1", "x1 / 7^3000 / 7^3000", " ".join(["7^4000"] * 3000) + " x1",
+        # a sum, and powers of a base with x or p (these failed when printed, or ran past 20 s)
+        "9" * 4300 + " + " + "9" * 4300, "(x1 + 7^100)^100", "(x1 + 7^100)^1000",
     ],
 )
 def test_reduce_of_an_unprintably_large_scalar_exits_two(capsys, text):
@@ -410,4 +413,4 @@ def test_reduce_within_the_budgets_matches_golden(capsys, case):
 def test_division_by_zero_exits_two(capsys, command):
     code, out, err = run(capsys, command[0], "--d", "2", *command[1:])
     assert code == 2 and out == ""
-    assert err == "error: division by zero literal\n"
+    assert err == "error: 1:3: division by zero literal\n"

@@ -107,6 +107,18 @@ def test_known_identities_reduce_to_zero():
         ("x1 / 7^3000 / 7^3000", "1:13: the quotient has about 5,071 digits"),
         (" ".join(["7^4000"] * 3000) + " x1", "1:8: the product has about 6,761 digits"),
         ("x1 +\n [7^3000 p1, 7^3000 x1]", "2:2: the product has about 5,071 digits"),
+        # the first failing step, reading left to right, is the one reported
+        ("7^3000 7^3000 x1 )", "1:8: the product has about 5,071 digits"),
+        # a sum, refused at the sign that would pass the limit
+        ("9" * 4300 + " + " + "9" * 4300, "1:4302: the sum has about 4,301 digits"),
+        # powers of a base with x or p, estimated from its largest coefficient
+        ("(x1 + 7^100)^100", "1:14: the power has about 8,451 digits"),
+        ("(x1 + 7^100)^1000", "1:14: the power has about 84,510 digits"),
+        ("(x1 + 7^100 / 2)^60", "1:18: the power has about 5,071 digits"),
+        # an exponent past a float
+        ("7^" + "9" * 400, "1:3: the power has more than 10^308 digits"),
+        ("x1/0", "1:3: division by zero literal"),
+        ("x1 + 2 / 0^3", "1:8: division by zero literal"),
     ],
 )
 def test_diagnostics_carry_position_and_expectation(text, fragment):
@@ -118,7 +130,7 @@ def test_diagnostics_carry_position_and_expectation(text, fragment):
 
 
 def test_division_by_zero_literal():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(expr.ExprError, match="^1:3: division by zero literal$"):
         expr.evaluate("x1/0", 2)
 
 
@@ -130,8 +142,6 @@ def test_parser_totality_fuzz():
         try:
             expr.evaluate(text, 3)
         except expr.ExprError:
-            pass
-        except ZeroDivisionError:
             pass
 
 
@@ -171,6 +181,12 @@ def test_long_sum_reads_back():
     assert value.term_count() == 1199
     rendered = expr.format_expr(value)
     assert expr.format_expr(expr.evaluate(rendered, 2)) == rendered
+    # terms over one 2,000-digit denominator: the sum's digit bound takes their
+    # lcm, since their product (80,000 digits) would refuse the read-back
+    den = "7" * 2000
+    value = expr.evaluate(" + ".join(f"x1^{k} / {den}" for k in range(40, 0, -1)), 2)
+    assert value.den == int(den) and value.term_count() == 40
+    assert expr.evaluate(expr.format_expr(value), 2) == value
 
 
 def test_mixed_sum_chain_keeps_each_sign():
