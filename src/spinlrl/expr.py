@@ -183,16 +183,31 @@ class _Parser:
         of terms stay off the recursion limit.  The sum's common denominator
         is kept exactly (an lcm, not a product, so long read-backs are not
         refused) with a bound on its numerators; each sign is refused when
-        the sum so far could pass ``MAX_DIGITS``.
+        the sum so far could pass ``MAX_DIGITS``.  The sum is stored at its
+        highest r^-2 power m, so a part at r^-2k is multiplied by
+        (r^2)^(m-k), whose coefficients sum to d^(m-k); a power of r^2 with
+        more monomials than ``weyl.PRODUCT_TERM_BUDGET`` is left to that
+        budget, which refuses it before forming any.
         """
         yield 1, first
         den, num = _size(first)
+        level = first.denom_pow
         while self.peek().kind in ("+", "-"):
             tok = self.advance()
             term = self.signed_product()
             term_den, term_num = _size(term)
             common = math.lcm(den, term_den)
-            num = num * (common // den) + term_num * (common // term_den)
+            num, term_num = num * (common // den), term_num * (common // term_den)
+            raised = abs(term.denom_pow - level)
+            if raised and math.comb(raised + self.d - 1, self.d - 1) <= weyl.PRODUCT_TERM_BUDGET:
+                # the part at the lower level is raised, estimated before it is formed
+                low = num if term.denom_pow > level else term_num
+                self.check(tok, math.log10(max(low, 1)) + raised * math.log10(self.d), "sum")
+                if term.denom_pow > level:
+                    num, level = num * self.d ** raised, term.denom_pow
+                else:
+                    term_num *= self.d ** raised
+            num += term_num
             den = common
             self.check(tok, math.log10(max(den, num)), "sum")
             yield (1 if tok.kind == "+" else -1), term

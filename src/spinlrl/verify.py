@@ -18,11 +18,28 @@ three combinators that the registry table calls with the operator builders:
 * ``family(label, a, b, rhs, indices, bracket=comm)``: one bracket per index
   tuple against its right side, vanishing ones included.
 
-The other checks (contractions, squares, the appendix chains) have one-off
-``_pr_*`` builders, which write the repeated sums sum_i X_i Y_i and
-sum_{i != j} X_ij X_ij / 2 through ``_dot`` and ``_half_square``.  Either way
-lhs and rhs stay separate formal sums, and a bracket enters only through
-``comm`` (``acomm`` for the Clifford relation) as its two factor chains.
+The other checks (contractions, squares, the appendix chains) write each
+side in the paper's index notation, as ``(coefficient, chain)`` terms that
+``_Sides`` expands into an ``OpSum``:
+
+* A chain is space-separated factors ``NAME`` or ``NAME_letters``:
+  ``"S_ij S_ik p_j p_k"``, ``"LRL_i LRL_i"``, ``"B_i Y KpA"``, ``""`` for a
+  scalar.  Names are ``ops.build``'s, the generators x, p and g, the
+  Kronecker delta ``delta_ij`` and the fused factors of ``_FACTORS``.
+* ``_stated(state, free)`` expands a pair once per tuple of its free
+  letters, which are substituted; every other letter is summed over 1..d.
+* A chain with a zero factor (S_ii, L_ii, J_ii) or an unequal delta is left
+  out; an equal delta is dropped from its chain.
+* Consecutive terms that sum over the same letters are expanded together,
+  one index tuple at a time, so L L / L S / S S of one (i, j) stay together
+  and {S_ij, S_ik} stays a bracket pair; sums meant to follow one another
+  take different letters, A_i A_i - M_j M_j.
+* Each factor is built once per ``pairs(d)`` call: one name with one index
+  tuple is one object in every chain, and the chains ending in it are
+  summed before it multiplies them.
+
+Either way lhs and rhs stay separate formal sums, and a bracket enters as
+its two factor chains (``comm``, or ``acomm`` for the Clifford relation).
 The oracle applies every chain as written, factor by factor; the engine
 multiplies chains out, and sums the chains that end in one factor before
 that factor multiplies them (``weyl.combine_products``).  So the two form
@@ -42,10 +59,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
+from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__, ops, oracle, weyl
-from .coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly
+from .coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly, ScalarLike
 from .oracle import SpinorFunction
 from .weyl import OperatorExpr
 
@@ -106,10 +124,6 @@ class OpSum:
         return oracle.linear_combine(self.d, parts)
 
 
-def osum(d: int, *terms: tuple) -> OpSum:
-    return OpSum(d, terms)
-
-
 def of_expr(e: OperatorExpr, coeff=1) -> OpSum:
     return OpSum(e.d, [(coeff, (e,))])
 
@@ -120,10 +134,6 @@ def comm(a: OperatorExpr, b: OperatorExpr) -> OpSum:
 
 def acomm(a: OperatorExpr, b: OperatorExpr) -> OpSum:
     return OpSum(a.d, [(1, (a, b)), (1, (b, a))])
-
-
-def zero_sum(d: int) -> OpSum:
-    return OpSum(d, [])
 
 
 # ---------------------------------------------------------------------------
@@ -248,869 +258,675 @@ def _interleave(*families: Pairs) -> Pairs:
     return [pair for pairs in zip(*families) for pair in pairs]
 
 
-def _dot(d: int, X: Callable, Y: Callable) -> OpSum:
-    """sum_i X_i Y_i for builders X(d, i) and Y(d, i)."""
-    return OpSum(d, [(1, (X(d, i), Y(d, i))) for i in _idx(d)])
+# ---------------------------------------------------------------------------
+# one-off sides in index notation
+# ---------------------------------------------------------------------------
+
+Terms = Sequence[Tuple[ScalarLike, str]]
+Stated = List[Tuple[str, Terms, Terms]]
 
 
-def _half_square(d: int, X: Callable) -> OpSum:
-    """sum_{i != j} X_ij X_ij / 2 for a builder X(d, i, j)."""
-    return OpSum(d, [(Fraction(1, 2), (X(d, i, j), X(d, i, j))) for i, j in product(_idx(d), repeat=2) if i != j])
+def _w(d: int) -> OperatorExpr:
+    """W = r^2 p^2 - 2(x.p)^2 + 2i(d-1) x.p + LS + d(d-1)/2 + 2E r^2."""
+    terms = [
+        (1, "R2 P2"),
+        (-2, "XP XP"),
+        (I_ * 2 * (d - 1), "XP"),
+        (1, "LS"),
+        (Fraction(d * (d - 1), 2), ""),
+        (2 * P_E, "R2"),
+    ]
+    return _Sides(d)(terms).to_expr()
+
+
+# The factor names besides ops.build's and delta, as name -> (index letters,
+# builder(d, *indices)): the generators and the factors the sides fuse.
+_FACTORS = {
+    "x": ("i", weyl.x),
+    "p": ("i", weyl.p),
+    "g": ("i", weyl.gamma),
+    "rinv2": ("", ops.rinv2),
+    "Y": ("", ops.gx_over_r2),
+    "W": ("", _w),
+    "LRLX": ("i", ops.lrl_explicit),
+    "HmE": ("", lambda d: ops.hamiltonian(d) - weyl.scalar(d, P_E)),
+    "KpA": ("", lambda d: ops.sturm_k(d) + weyl.scalar(d, P_ALPHA)),
+    "P2h": ("", lambda d: Fraction(1, 2) * ops.p_squared(d)),
+    "TP": ("i", lambda d, i: weyl.multiply(ops.dilation(d), weyl.p(d, i))),
+    "Acore": ("i", lambda d, i: ops.boost_a(d, i) + Fraction(1, 2) * weyl.x(d, i)),
+    "MmA": ("i", lambda d, i: ops.boost_m(d, i) - ops.boost_a(d, i)),
+    "XPXP": ("", lambda d: weyl.multiply(ops.x_dot_p(d), ops.x_dot_p(d))),
+    "cP2Y": ("", lambda d: weyl.commutator(ops.p_squared(d), ops.gx_over_r2(d))),
+    "cXPXPY": ("", lambda d: weyl.commutator(weyl.multiply(ops.x_dot_p(d), ops.x_dot_p(d)), ops.gx_over_r2(d))),
+    "cXPY": ("", lambda d: weyl.commutator(ops.x_dot_p(d), ops.gx_over_r2(d))),
+    "cLSY": ("", lambda d: weyl.commutator(ops.ls_contraction(d), ops.gx_over_r2(d))),
+}
+
+
+class _Sides:
+    """Expands sides in the index notation at one d, building each factor
+    once: one name with one index tuple is one object in every chain."""
+
+    def __init__(self, d: int):
+        self.d = d
+        self.indices = _idx(d)
+        self.built: dict = {}  # (name, indices) -> factor
+
+    def __call__(self, terms: Terms, **bound: int) -> OpSum:
+        """The ``(coefficient, chain)`` terms with the ``bound`` letters
+        substituted and every other letter summed over 1..d."""
+        return self.expand(terms, _plan([chain for _, chain in terms], tuple(bound)), tuple(bound.values()))
+
+    def expand(self, terms: Terms, plan: tuple, fixed: tuple) -> OpSum:
+        """The terms expanded by their ``_plan``, with ``fixed`` the values
+        of the letters it binds."""
+        built = self.built
+        out = []
+        for width, run in plan:
+            for values in product(self.indices, repeat=width):
+                at = fixed + values
+                for n, factors, deltas in run:
+                    if deltas and any(i != j for i, j in (pick(at) for pick in deltas)):
+                        continue
+                    chain = []
+                    for name, pick in factors:
+                        ix = pick(at) if pick else ()
+                        f = built.get((name, ix))
+                        if f is None:
+                            f = built[name, ix] = self._build(name, ix)
+                        if not f.num:
+                            break
+                        chain.append(f)
+                    else:
+                        out.append((terms[n][0], chain))
+        return OpSum(self.d, out)
+
+    def _build(self, name: str, ix) -> OperatorExpr:
+        """The factor ``name`` at ``ix``, one index or a tuple."""
+        ixs = ix if type(ix) is tuple else (ix,)
+        if name in _FACTORS:
+            return _FACTORS[name][1](self.d, *ixs)
+        return ops.build(self.d, name, *ixs)
+
+
+def _plan(chains: Sequence[str], bound: Tuple[str, ...]) -> tuple:
+    """How a side's chains expand, read once: runs of consecutive chains
+    that sum over one set of letters, as (number of summed letters, [(chain
+    position, [(name, pick)], [delta pick])]).  A pick takes indices from
+    the ``bound`` letters' values, then the summed ones in the order the
+    run's first chain names them; None takes none."""
+    runs: list = []  # [(summed letters, where, width, steps)]
+    for n, chain in enumerate(chains):
+        tokens = [_token(word) for word in chain.split()]
+        summed = tuple(dict.fromkeys([c for _, letters in tokens for c in letters if c not in bound])) if "_" in chain else ()
+        if not runs or runs[-1][0] != set(summed):
+            runs.append((set(summed), {c: k for k, c in enumerate(bound + summed)}, len(summed), []))
+        _, where, _, steps = runs[-1]
+        picks = tuple((name, itemgetter(*[where[c] for c in letters]) if letters else None) for name, letters in tokens)
+        deltas = tuple(pick for name, pick in picks if name == "delta")
+        steps.append((n, tuple(p for p in picks if p[0] != "delta") if deltas else picks, deltas))
+    return tuple((width, tuple(steps)) for _, _, width, steps in runs)
+
+
+def _token(word: str) -> Tuple[str, str]:
+    """A factor ``NAME`` or ``NAME_letters`` as (name, letters)."""
+    name, _, letters = word.partition("_")
+    arity = 2 if name == "delta" else len(_FACTORS[name][0]) if name in _FACTORS else ops.BUILDER_ARITY.get(name)
+    if arity is None:
+        raise ValueError(f"unknown factor {word!r}")
+    if arity != len(letters):
+        raise ValueError(f"factor {word!r}: {name} takes {arity} index letter(s)")
+    return name, letters
+
+
+def _stated(state: Callable[[int], Stated], free: str = "") -> Callable[[int], Pairs]:
+    """A check's ``pairs(d)`` from ``state(d)``, its ``(label, lhs, rhs)``
+    pairs with sides in the index notation: each pair once per tuple of the
+    ``free`` letters, ``"i"`` or ``"ij"`` for every tuple and ``"i<j"`` for
+    increasing ones, its label formatted with them.  ``state`` states the
+    same chains at every d, only their coefficients depend on d, so each
+    side is read once, here."""
+    letters = tuple(free.replace("<", ""))
+    plans = [[_plan([chain for _, chain in side], letters) for side in (lhs, rhs)] for _, lhs, rhs in state(2)]
+
+    def pairs(d: int) -> Pairs:
+        sides = _Sides(d)
+        stated = state(d)
+        tuples = combinations(_idx(d), len(letters)) if "<" in free else product(_idx(d), repeat=len(letters))
+        out = []
+        for ix in tuples:
+            bound = dict(zip(letters, ix))
+            for (label, lhs, rhs), (lhs_plan, rhs_plan) in zip(stated, plans):
+                out.append((label.format(**bound), sides.expand(lhs, lhs_plan, ix), sides.expand(rhs, rhs_plan, ix)))
+        return out
+
+    return pairs
 
 
 # ---------------------------------------------------------------------------
-# pair builders, Clifford and defining relations
+# one-off pairs, core suite
 # ---------------------------------------------------------------------------
 
+# the weights of the ladder pair in K and of the boosts in B
+_HALF_1M2E = (P_ONE - 2 * P_E) * Fraction(1, 2)
+_HALF_1P2E = (P_ONE + 2 * P_E) * Fraction(1, 2)
 
-def _pr_gx_square(d: int) -> Pairs:
-    gx = ops.gamma_dot_x(d)
-    return [("(g.x)^2 = r^2", osum(d, (1, (gx, gx))), of_expr(ops.r_squared(d)))]
+
+def _pr_gx_square(d: int) -> Stated:
+    return [("(g.x)^2 = r^2", [(1, "GX GX")], [(1, "R2")])]
 
 
-def _pr_k_h_rel(d: int) -> Pairs:
-    H, K = ops.hamiltonian(d), ops.sturm_k(d)
-    gx = ops.gamma_dot_x(d)
-    hme = H - weyl.scalar(d, P_E)
-    kpa = K + weyl.scalar(d, P_ALPHA)
+def _pr_k_h_rel(d: int) -> Stated:
     return [
-        ("K = (g.x)(H-E) - alpha", of_expr(K), osum(d, (1, (gx, hme)), (-P_ALPHA, ()))),
-        ("H = rinv2 (g.x)(K+alpha) + E", of_expr(H), osum(d, (1, (ops.gx_over_r2(d), kpa)), (P_E, ()))),
+        ("K = (g.x)(H-E) - alpha", [(1, "K")], [(1, "GX HmE"), (-P_ALPHA, "")]),
+        ("H = rinv2 (g.x)(K+alpha) + E", [(1, "H")], [(1, "Y KpA"), (P_E, "")]),
     ]
 
 
-# ---------------------------------------------------------------------------
-# pair builders, non-compact algebra
-# ---------------------------------------------------------------------------
-
-
-def _pr_casimir_q2(d: int) -> Pairs:
-    structured = _half_square(d, ops.so_j) + _dot(d, ops.boost_a, ops.boost_a) + -_dot(d, ops.boost_m, ops.boost_m)
-    structured += osum(d, (-1, (ops.dilation(d), ops.dilation(d))))
-    constant = osum(d, (Fraction(-(d - 1) * (d + 2), 8), ()))
+def _pr_casimir_q2(d: int) -> Stated:
+    structured = [
+        (Fraction(1, 2), "J_ij J_ij"),
+        (1, "A_k A_k"),
+        (-1, "M_l M_l"),
+        (-1, "T T"),
+    ]
     return [
-        ("Q2 definition matches contraction builder", of_expr(ops.casimir_q2(d)), structured),
-        ("Q2 = -(d-1)(d+2)/8", structured, constant),
+        ("Q2 definition matches contraction builder", [(1, "Q2")], structured),
+        ("Q2 = -(d-1)(d+2)/8", structured, [(Fraction(-(d - 1) * (d + 2), 8), "")]),
     ]
 
 
-def _pr_nonclose_g0gd1(d: int) -> Pairs:
-    lhs = comm(ops.gamma0(d), ops.gamma_d1(d))
-    rhs = osum(
-        d,
-        (I_, (ops.dilation(d),)),
-        (Fraction(-(d - 1), 2), ()),
-        (-1, (ops.ls_contraction(d),)),
-    )
-    return [("[G0,Gd1]", lhs, rhs)]
+def _pr_nonclose_g0gd1(d: int) -> Stated:
+    return [("[G0,Gd1]", [(1, "G0 Gd1"), (-1, "Gd1 G0")], [(I_, "T"), (Fraction(-(d - 1), 2), ""), (-1, "LS")])]
 
 
-def _nonclose_vector_rhs(d: int, i: int, spin_sign: int) -> list:
-    """Common tail of the ladder-commutator right sides.
-
-    spin_sign is the sign of the lone S_ij x_j term: -1 pairs with p^2+1,
-    +1 with p^2-1.
-    """
-    terms = []
-    P2 = ops.p_squared(d)
-    for j in _idx(d):
-        if j == i:
-            continue
-        S = ops.spin(d, i, j)
-        xj = weyl.x(d, j)
-        terms.append((-1, (S, xj, P2)))
-        terms.append((spin_sign, (S, xj)))
-        terms.append((I_, (S, weyl.p(d, j))))
-    terms.append((Fraction(-(d - 1), 2), (weyl.p(d, i),)))
-    terms.append((-1, (ops.ls_contraction(d), weyl.p(d, i))))
-    return terms
+def _pr_nonclose_gig0(d: int) -> Stated:
+    rhs = [
+        (-I_, "M_i"),
+        (-1, "S_ij x_j P2"),
+        (-1, "S_ij x_j"),
+        (I_, "S_ij p_j"),
+        (Fraction(-(d - 1), 2), "p_i"),
+        (-1, "LS p_i"),
+    ]
+    return [("[G{i},G0]", [(1, "G_i G0"), (-1, "G0 G_i")], rhs)]
 
 
-def _pr_nonclose_gig0(d: int) -> Pairs:
-    out = []
-    for i in _idx(d):
-        lhs = comm(ops.gamma_i(d, i), ops.gamma0(d))
-        rhs = OpSum(d, [(-I_, (ops.boost_m(d, i),))] + _nonclose_vector_rhs(d, i, -1))
-        out.append((f"[G{i},G0]", lhs, rhs))
-    return out
+def _pr_nonclose_gigd1(d: int) -> Stated:
+    rhs = [
+        (-I_, "A_i"),
+        (-1, "S_ij x_j P2"),
+        (1, "S_ij x_j"),
+        (I_, "S_ij p_j"),
+        (Fraction(-(d - 1), 2), "p_i"),
+        (-1, "LS p_i"),
+    ]
+    return [("[G{i},Gd1]", [(1, "G_i Gd1"), (-1, "Gd1 G_i")], rhs)]
 
 
-def _pr_nonclose_gigd1(d: int) -> Pairs:
-    out = []
-    for i in _idx(d):
-        lhs = comm(ops.gamma_i(d, i), ops.gamma_d1(d))
-        rhs = OpSum(d, [(-I_, (ops.boost_a(d, i),))] + _nonclose_vector_rhs(d, i, +1))
-        out.append((f"[G{i},Gd1]", lhs, rhs))
-    return out
+def _pr_nonclose_gigj(d: int) -> Stated:
+    rhs = [
+        (-I_, "J_ij"),
+        (I_, "S_ij"),
+        (-2, "x_k S_ik p_j"),
+        (2, "x_k S_jk p_i"),
+    ]
+    return [("[G{i},G{j}]", [(1, "G_i G_j"), (-1, "G_j G_i")], rhs)]
 
 
-def _pr_nonclose_gigj(d: int) -> Pairs:
-    out = []
-    for (i, j) in combinations(_idx(d), 2):
-        lhs = comm(ops.gamma_i(d, i), ops.gamma_i(d, j))
-        terms = [(-I_, (ops.so_j(d, i, j),)), (I_, (ops.spin(d, i, j),))]
-        for k in _idx(d):
-            terms.append((-2, (weyl.x(d, k), ops.spin(d, i, k), weyl.p(d, j))))
-            terms.append((2, (weyl.x(d, k), ops.spin(d, j, k), weyl.p(d, i))))
-        out.append((f"[G{i},G{j}]", lhs, OpSum(d, terms)))
-    return out
+def _pr_rel_gxgi(d: int) -> Stated:
+    return [("(g.x)g{i}", [(1, "GX g_i")], [(1, "x_i"), (-2 * I_, "S_ij x_j")])]
 
 
-def _pr_rel_gxgi(d: int) -> Pairs:
-    gx = ops.gamma_dot_x(d)
-    out = []
-    for i in _idx(d):
-        lhs = osum(d, (1, (gx, weyl.gamma(d, i))))
-        terms = [(1, (weyl.x(d, i),))]
-        for j in _idx(d):
-            if j != i:
-                terms.append((-2 * I_, (ops.spin(d, i, j), weyl.x(d, j))))
-        out.append((f"(g.x)g{i}", lhs, OpSum(d, terms)))
-    return out
+def _pr_rel_gxgp(d: int) -> Stated:
+    return [("(g.x)(g.p)", [(1, "GX GP")], [(1, "XP"), (I_, "LS")])]
 
 
-def _pr_rel_gxgp(d: int) -> Pairs:
-    lhs = osum(d, (1, (ops.gamma_dot_x(d), ops.gamma_dot_p(d))))
-    rhs = osum(d, (1, (ops.x_dot_p(d),)), (I_, (ops.ls_contraction(d),)))
-    return [("(g.x)(g.p)", lhs, rhs)]
-
-
-def _pr_cas_gamma(d: int) -> Pairs:
-    lhs = osum(
-        d,
-        (1, (ops.gamma0(d), ops.gamma0(d))),
-        (-1, (ops.gamma_d1(d), ops.gamma_d1(d))),
-        (-1, (ops.dilation(d), ops.dilation(d))),
-    )
-    rhs = osum(d, (1, (ops.j_squared(d),)), (Fraction((d - 1) * (d - 2), 8), ()))
-    return [("G0^2 - Gd1^2 - T^2", lhs, rhs)]
+def _pr_cas_gamma(d: int) -> Stated:
+    return [("G0^2 - Gd1^2 - T^2", [(1, "G0 G0"), (-1, "Gd1 Gd1"), (-1, "T T")], [(1, "J2"), (Fraction((d - 1) * (d - 2), 8), "")])]
 
 
 # ---------------------------------------------------------------------------
-# pair builders, radial picture
+# one-off pairs, radial picture
 # ---------------------------------------------------------------------------
 
 
-def _pr_k_decomp(d: int) -> Pairs:
-    one_minus = (P_ONE - 2 * P_E) * Fraction(1, 2)
-    one_plus = (P_ONE + 2 * P_E) * Fraction(1, 2)
-    rhs = osum(d, (one_minus, (ops.gamma0(d),)), (one_plus, (ops.gamma_d1(d),)))
-    return [("K from ladder pair", of_expr(ops.sturm_k(d)), rhs)]
+def _pr_k_decomp(d: int) -> Stated:
+    return [("K from ladder pair", [(1, "K")], [(_HALF_1M2E, "G0"), (_HALF_1P2E, "Gd1")])]
 
 
-def _pr_b_explicit(d: int) -> Pairs:
-    one_minus = (P_ONE - 2 * P_E) * Fraction(1, 2)
-    one_plus = (P_ONE + 2 * P_E) * Fraction(1, 2)
-    out = []
-    for i in _idx(d):
-        rhs = osum(d, (one_minus, (ops.boost_a(d, i),)), (one_plus, (ops.boost_m(d, i),)))
-        out.append((f"B{i} from boosts", of_expr(ops.sturm_b(d, i)), rhs))
-    return out
+def _pr_b_explicit(d: int) -> Stated:
+    return [("B{i} from boosts", [(1, "B_i")], [(_HALF_1M2E, "A_i"), (_HALF_1P2E, "M_i")])]
 
 
-def _b_square_common_terms(d: int) -> list:
-    R2, P2, XP = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d)
+def _pr_b1_square(d: int) -> Stated:
+    rhs = [
+        (Fraction(1, 4), "R2 P2 P2"),
+        (I_ * Fraction(-1, 2), "T P2"),
+        (P_E, "R2 P2"),
+        (-2 * P_E, "XP XP"),
+        (I_ * (2 * d - 3) * P_E, "XP"),
+        (P_E * Fraction(d * (d - 1), 2), ""),
+        (P_E * P_E, "R2"),
+    ]
+    return [("(B1)^2", [(1, "B1_i B1_i")], rhs)]
+
+
+def _pr_b_cross(d: int) -> Stated:
+    return [("B1.B2 + B2.B1", [(1, "B1_i B2_i"), (1, "B2_j B1_j")], [(Fraction(1, 2), "LS P2"), (P_E, "LS")])]
+
+
+def _pr_b2_square(d: int) -> Stated:
+    lhs = [(1, "B2_i B2_i")]
     return [
-        (P_E, (R2, P2)),
-        (-2 * P_E, (XP, XP)),
-        (I_ * (2 * d - 3) * P_E, (XP,)),
-        (P_E * Fraction(d * (d - 1), 2), ()),
-        (P_E * P_E, (R2,)),
+        ("(B2)^2 = S_ij S_ik p_j p_k", lhs, [(1, "S_ij S_ik p_j p_k")]),
+        ("(B2)^2 symmetrized", lhs, [(Fraction(1, 2), "S_ij S_ik p_j p_k"), (Fraction(1, 2), "S_ik S_ij p_j p_k")]),
+        ("(B2)^2 = (d-1)p^2/4", lhs, [(Fraction(d - 1, 4), "P2")]),
     ]
 
 
-def _pr_b1_square(d: int) -> Pairs:
-    R2, P2, T = ops.r_squared(d), ops.p_squared(d), ops.dilation(d)
-    lhs = _dot(d, ops.sturm_b1, ops.sturm_b1)
-    rhs = OpSum(d, [(Fraction(1, 4), (R2, P2, P2)), (I_ * Fraction(-1, 2), (T, P2))] + _b_square_common_terms(d))
-    return [("(B1)^2", lhs, rhs)]
+def _pr_s_anticomm(d: int) -> Stated:
+    return [("sum_i {{S_i{j},S_i{k}}}", [(1, "S_ij S_ik"), (1, "S_ik S_ij")], [(Fraction(d - 1, 2), "delta_jk")])]
 
 
-def _pr_b_cross(d: int) -> Pairs:
-    lhs = _dot(d, ops.sturm_b1, ops.sturm_b2) + _dot(d, ops.sturm_b2, ops.sturm_b1)
-    rhs = osum(d, (Fraction(1, 2), (ops.ls_contraction(d), ops.p_squared(d))), (P_E, (ops.ls_contraction(d),)))
-    return [("B1.B2 + B2.B1", lhs, rhs)]
+def _pr_b_square(d: int) -> Stated:
+    rhs = [
+        (Fraction(1, 4), "R2 P2 P2"),
+        (I_ * Fraction(-1, 2), "XP P2"),
+        (Fraction(1, 2), "LS P2"),
+        (P_E, "LS"),
+        (P_E, "R2 P2"),
+        (-2 * P_E, "XP XP"),
+        (I_ * (2 * d - 3) * P_E, "XP"),
+        (P_E * Fraction(d * (d - 1), 2), ""),
+        (P_E * P_E, "R2"),
+    ]
+    return [("B^2 explicit", [(1, "B_i B_i")], rhs)]
 
 
-def _pr_b2_square(d: int) -> Pairs:
-    lhs = _dot(d, ops.sturm_b2, ops.sturm_b2)
-    contracted = OpSum(
-        d,
-        [
-            (1, (ops.spin(d, i, j), ops.spin(d, i, k), weyl.p(d, j), weyl.p(d, k)))
-            for i in _idx(d)
-            for j in _idx(d)
-            for k in _idx(d)
-        ],
-    )
-    symmetrized = OpSum(
-        d,
-        [
-            (Fraction(1, 2), (s1, s2, weyl.p(d, j), weyl.p(d, k)))
-            for i in _idx(d)
-            for j in _idx(d)
-            for k in _idx(d)
-            for (s1, s2) in ((ops.spin(d, i, j), ops.spin(d, i, k)), (ops.spin(d, i, k), ops.spin(d, i, j)))
-        ],
-    )
-    constant = osum(d, (Fraction(d - 1, 4), (ops.p_squared(d),)))
+def _pr_k_square(d: int) -> Stated:
+    rhs = [
+        (Fraction(1, 4), "R2 P2 P2"),
+        (I_ * Fraction(-1, 2), "XP P2"),
+        (Fraction(1, 2), "LS P2"),
+        (-P_E, "R2 P2"),
+        (I_ * P_E, "XP"),
+        (-P_E, "LS"),
+        (P_E * P_E, "R2"),
+    ]
     return [
-        ("(B2)^2 = S_ij S_ik p_j p_k", lhs, contracted),
-        ("(B2)^2 symmetrized", lhs, symmetrized),
-        ("(B2)^2 = (d-1)p^2/4", lhs, constant),
+        ("[p^2, g.x] = -2i g.p (plus-sign reading)", [(1, "P2 GX"), (-1, "GX P2")], [(-2 * I_, "GP")]),
+        ("K^2 explicit", [(1, "K K")], rhs),
     ]
 
 
-def _pr_s_anticomm(d: int) -> Pairs:
-    out = []
-    for j in _idx(d):
-        for k in _idx(d):
-            terms = []
-            for i in _idx(d):
-                terms.append((1, (ops.spin(d, i, j), ops.spin(d, i, k))))
-                terms.append((1, (ops.spin(d, i, k), ops.spin(d, i, j))))
-            rhs = osum(d, (Fraction((d - 1) * (j == k), 2), ()))
-            out.append((f"sum_i {{S_i{j},S_i{k}}}", OpSum(d, terms), rhs))
-    return out
+def _pr_b2_k2_j2(d: int) -> Stated:
+    return [("B^2 = K^2 + 2E(J^2 + d(d-1)/8)", [(1, "B_i B_i")], [(1, "K K"), (2 * P_E, "J2"), (P_E * Fraction(d * (d - 1), 4), "")])]
 
 
-def _pr_b_square(d: int) -> Pairs:
-    R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    lhs = _dot(d, ops.sturm_b, ops.sturm_b)
-    rhs = OpSum(
-        d,
-        [
-            (Fraction(1, 4), (R2, P2, P2)),
-            (I_ * Fraction(-1, 2), (XP, P2)),
-            (Fraction(1, 2), (LS, P2)),
-            (P_E, (LS,)),
-        ]
-        + _b_square_common_terms(d),
-    )
-    return [("B^2 explicit", lhs, rhs)]
+# ---------------------------------------------------------------------------
+# one-off pairs, Schroedinger picture
+# ---------------------------------------------------------------------------
 
 
-def _pr_k_square(d: int) -> Pairs:
-    R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    K = ops.sturm_k(d)
-    bracket = comm(P2, ops.gamma_dot_x(d))
-    bracket_rhs = osum(d, (-2 * I_, (ops.gamma_dot_p(d),)))
-    rhs = osum(
-        d,
-        (Fraction(1, 4), (R2, P2, P2)),
-        (I_ * Fraction(-1, 2), (XP, P2)),
-        (Fraction(1, 2), (LS, P2)),
-        (-P_E, (R2, P2)),
-        (I_ * P_E, (XP,)),
-        (-P_E, (LS,)),
-        (P_E * P_E, (R2,)),
-    )
+def _pr_xh_comm(d: int) -> Stated:
     return [
-        ("[p^2, g.x] = -2i g.p (plus-sign reading)", bracket, bracket_rhs),
-        ("K^2 explicit", osum(d, (1, (K, K))), rhs),
+        ("[x{i},H]", [(1, "x_i H"), (-1, "H x_i")], [(I_, "p_i")]),
+        ("[x{i},p^2/2]", [(1, "x_i P2h"), (-1, "P2h x_i")], [(I_, "p_i")]),
     ]
 
 
-def _pr_b2_k2_j2(d: int) -> Pairs:
-    lhs = _dot(d, ops.sturm_b, ops.sturm_b)
-    rhs = osum(
-        d,
-        (1, (ops.sturm_k(d), ops.sturm_k(d))),
-        (2 * P_E, (ops.j_squared(d),)),
-        (P_E * Fraction(d * (d - 1), 4), ()),
-    )
-    return [("B^2 = K^2 + 2E(J^2 + d(d-1)/8)", lhs, rhs)]
-
-
-# ---------------------------------------------------------------------------
-# pair builders, Schroedinger picture
-# ---------------------------------------------------------------------------
-
-
-def _pr_xh_comm(d: int) -> Pairs:
-    H = ops.hamiltonian(d)
-    half_p2 = Fraction(1, 2) * ops.p_squared(d)
-    out = []
-    for i in _idx(d):
-        rhs = osum(d, (I_, (weyl.p(d, i),)))
-        out.append((f"[x{i},H]", comm(weyl.x(d, i), H), rhs))
-        out.append((f"[x{i},p^2/2]", comm(weyl.x(d, i), half_p2), rhs))
-    return out
-
-
-def _pr_bh_chain(d: int) -> Pairs:
-    H, K = ops.hamiltonian(d), ops.sturm_k(d)
-    Y = ops.gx_over_r2(d)
-    gx = ops.gamma_dot_x(d)
-    kpa = K + weyl.scalar(d, P_ALPHA)
-    hme = H - weyl.scalar(d, P_E)
-    out = []
-    for i in _idx(d):
-        B = ops.sturm_b(d, i)
-        comm_by_kpa = osum(d, (1, (B, Y, kpa)), (-1, (Y, B, kpa)))
-        comm_by_gx_hme = osum(d, (1, (B, Y, gx, hme)), (-1, (Y, B, gx, hme)))
-        out.append((f"[B{i},H] = [B{i},Y](K+alpha)", comm(B, H), comm_by_kpa))
-        out.append((f"[B{i},Y](K+alpha) = [B{i},Y](g.x)(H-E)", comm_by_kpa, comm_by_gx_hme))
-        out.append(
-            (
-                f"[B{i},Y](g.x) = -i p{i}",
-                osum(d, (1, (B, Y, gx)), (-1, (Y, B, gx))),
-                osum(d, (-I_, (weyl.p(d, i),))),
-            )
-        )
-        out.append((f"[B{i},Y] = -i p{i} Y", comm(B, Y), osum(d, (-I_, (weyl.p(d, i), Y)))))
-    return out
-
-
-def _pr_lrl_explicit(d: int) -> Pairs:
-    out = []
-    for i in _idx(d):
-        xi = weyl.x(d, i)
-        rhs = osum(
-            d,
-            (1, (xi, ops.p_squared(d))),
-            (-1, (ops.dilation(d), weyl.p(d, i))),
-            (1, (ops.sturm_b2(d, i),)),
-            (P_ALPHA, (xi, ops.gx_over_r2(d))),
-        )
-        out.append((f"LRL{i} closed form", of_expr(ops.lrl(d, i)), rhs))
-        out.append((f"LRL{i} builder agreement", of_expr(ops.lrl(d, i)), of_expr(ops.lrl_explicit(d, i))))
-    return out
-
-
-def _pr_lrl_aux_1(d: int) -> Pairs:
-    H = ops.hamiltonian(d)
-    hme = H - weyl.scalar(d, P_E)
-    out = []
-    for (i, j) in combinations(_idx(d), 2):
-        Bi, Bj = ops.sturm_b(d, i), ops.sturm_b(d, j)
-        xi, xj = weyl.x(d, i), weyl.x(d, j)
-        lhs = osum(
-            d,
-            (1, (Bi, xj, hme)),
-            (-1, (xj, hme, Bi)),
-            (-1, (Bj, xi, hme)),
-            (1, (xi, hme, Bj)),
-        )
-        rhs = osum(d, (-2 * I_, (ops.so_j(d, i, j), hme)), (I_, (ops.angular(d, i, j), hme)))
-        out.append((f"[B{i},x{j}(H-E)] antisymmetrized", lhs, rhs))
-    return out
-
-
-def _pr_lrl_aux_2(d: int) -> Pairs:
-    hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
-    out = []
-    for (i, j) in combinations(_idx(d), 2):
-        xi, xj = weyl.x(d, i), weyl.x(d, j)
-        lhs = osum(d, (1, (xi, hme, xj, hme)), (-1, (xj, hme, xi, hme)))
-        rhs = osum(d, (-I_, (ops.angular(d, i, j), hme)))
-        out.append((f"[x{i}(H-E),x{j}(H-E)]", lhs, rhs))
-    return out
-
-
-def _pr_lrl_aux_3(d: int) -> Pairs:
-    T = ops.dilation(d)
-    out = []
-    for i in _idx(d):
-        for j in _idx(d):
-            Bi = ops.sturm_b(d, i)
-            lhs = comm(Bi, weyl.x(d, j))
-            diff = ops.boost_m(d, j) - ops.boost_a(d, j)
-            out.append((f"[B{i},x{j}] via boosts", lhs, comm(Bi, diff)))
-            rhs = osum(d, (I_ * (i == j), (T,)), (-I_, (ops.so_j(d, i, j),)))
-            out.append((f"[B{i},x{j}]", lhs, rhs))
-    return out
-
-
-def _pr_lrl_square(d: int) -> Pairs:
-    lhs = _dot(d, ops.lrl, ops.lrl)
-    rhs = osum(
-        d,
-        (2, (ops.hamiltonian(d), ops.j_squared(d))),
-        (Fraction(d * (d - 1), 4), (ops.hamiltonian(d),)),
-        (P_ALPHA * P_ALPHA, ()),
-    )
-    return [("LRL^2 = 2H(J^2 + d(d-1)/8) + alpha^2", lhs, rhs)]
-
-
-# ---------------------------------------------------------------------------
-# pair builders, d=3 vector identities
-# ---------------------------------------------------------------------------
-
-
-def _pr_d3_dots(d: int) -> Pairs:
-    XS, PS, XP, P2 = ops.x_dot_s(3), ops.p_dot_s(3), ops.x_dot_p(3), ops.p_squared(3)
+def _pr_bh_chain(d: int) -> Stated:
+    by_kpa = [(1, "B_i Y KpA"), (-1, "Y B_i KpA")]
     return [
-        ("L.B1 = 0", _dot(3, ops.vector_l, ops.sturm_b1), zero_sum(3)),
-        ("L.B2", _dot(3, ops.vector_l, ops.sturm_b2), osum(3, (1, (XP, PS)), (-1, (XS, P2)))),
-        ("S.B1", _dot(3, ops.vector_s, ops.sturm_b1), osum(3, (Fraction(1, 2), (XS, P2)), (-1, (XP, PS)), (I_, (PS,)), (P_E, (XS,)))),
-        ("S.B2", _dot(3, ops.vector_s, ops.sturm_b2), osum(3, (-I_, (PS,)))),
+        ("[B{i},H] = [B{i},Y](K+alpha)", [(1, "B_i H"), (-1, "H B_i")], by_kpa),
+        ("[B{i},Y](K+alpha) = [B{i},Y](g.x)(H-E)", by_kpa, [(1, "B_i Y GX HmE"), (-1, "Y B_i GX HmE")]),
+        ("[B{i},Y](g.x) = -i p{i}", [(1, "B_i Y GX"), (-1, "Y B_i GX")], [(-I_, "p_i")]),
+        ("[B{i},Y] = -i p{i} Y", [(1, "B_i Y"), (-1, "Y B_i")], [(-I_, "p_i Y")]),
     ]
 
 
-def _pr_jb_dot(d: int) -> Pairs:
-    rhs = osum(3, (Fraction(-1, 2), (ops.x_dot_s(3), ops.p_squared(3))), (P_E, (ops.x_dot_s(3),)))
-    return [("J.B = -(x.S)(p^2/2 - E)", _dot(3, ops.vector_j, ops.sturm_b), rhs)]
-
-
-def _pr_jb_dot_sigma(d: int) -> Pairs:
-    rhs = osum(3, (Fraction(-1, 2), (ops.sturm_k(3),)))
-    return [("J.B = -K/2 (Pauli)", _dot(3, ops.vector_j, ops.sturm_b), rhs)]
-
-
-def _pr_ja_dot(d: int) -> Pairs:
-    rhs = osum(3, (P_ALPHA * Fraction(1, 2), ()))
-    return [("J.LRL = alpha/2 (Pauli)", _dot(3, ops.vector_j, ops.lrl), rhs)]
-
-
-# ---------------------------------------------------------------------------
-# pair builders, appendix A: Casimir reductions
-# ---------------------------------------------------------------------------
-
-
-def _pr_app_a_j2(d: int) -> Pairs:
-    J2 = ops.j_squared(d)
-    split_terms = []
-    for i in _idx(d):
-        for j in _idx(d):
-            if i == j:
-                continue
-            L, S = ops.angular(d, i, j), ops.spin(d, i, j)
-            split_terms += [(Fraction(1, 2), (L, L)), (1, (L, S)), (Fraction(1, 2), (S, S))]
-    reduced = osum(
-        d,
-        (1, (ops.r_squared(d), ops.p_squared(d))),
-        (-1, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (I_ * (d - 2), (ops.x_dot_p(d),)),
-        (1, (ops.ls_contraction(d),)),
-        (Fraction(d * (d - 1), 8), ()),
-    )
+def _pr_lrl_explicit(d: int) -> Stated:
+    rhs = [
+        (1, "x_i P2"),
+        (-1, "T p_i"),
+        (1, "B2_i"),
+        (P_ALPHA, "x_i Y"),
+    ]
     return [
-        ("J^2 = J_ij J_ij / 2", of_expr(J2), _half_square(d, ops.so_j)),
-        ("J^2 split into L, LS, S", of_expr(J2), OpSum(d, split_terms)),
-        ("J^2 reduced", of_expr(J2), reduced),
+        ("LRL{i} closed form", [(1, "LRL_i")], rhs),
+        ("LRL{i} builder agreement", [(1, "LRL_i")], [(1, "LRLX_i")]),
     ]
 
 
-def _pr_app_a_ll(d: int) -> Pairs:
-    rhs = osum(
-        d,
-        (1, (ops.r_squared(d), ops.p_squared(d))),
-        (-1, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (I_ * (d - 2), (ops.x_dot_p(d),)),
-    )
-    return [("L_ij L_ij / 2", _half_square(d, ops.angular), rhs)]
+def _pr_lrl_aux_1(d: int) -> Stated:
+    lhs = [
+        (1, "B_i x_j HmE"),
+        (-1, "x_j HmE B_i"),
+        (-1, "B_j x_i HmE"),
+        (1, "x_i HmE B_j"),
+    ]
+    return [("[B{i},x{j}(H-E)] antisymmetrized", lhs, [(-2 * I_, "J_ij HmE"), (I_, "L_ij HmE")])]
 
 
-def _pr_app_a_ss(d: int) -> Pairs:
-    return [("S_ij S_ij / 2 = d(d-1)/8", _half_square(d, ops.spin), osum(d, (Fraction(d * (d - 1), 8), ())))]
+def _pr_lrl_aux_2(d: int) -> Stated:
+    return [("[x{i}(H-E),x{j}(H-E)]", [(1, "x_i HmE x_j HmE"), (-1, "x_j HmE x_i HmE")], [(-I_, "L_ij HmE")])]
 
 
-def _pr_app_a_am2(d: int) -> Pairs:
-    lhs = _dot(d, ops.boost_a, ops.boost_a) + -_dot(d, ops.boost_m, ops.boost_m)
-    anticomm_terms = []
-    for i in _idx(d):
-        core = ops.boost_a(d, i) + Fraction(1, 2) * weyl.x(d, i)  # the common boost core
-        xi = weyl.x(d, i)
-        anticomm_terms += [(-1, (core, xi)), (-1, (xi, core))]
-    reduced = osum(
-        d,
-        (-1, (ops.r_squared(d), ops.p_squared(d))),
-        (2, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (I_ * -(2 * d - 3), (ops.x_dot_p(d),)),
-        (-1, (ops.ls_contraction(d),)),
-        (Fraction(-d * (d - 1), 2), ()),
-    )
+def _pr_lrl_aux_3(d: int) -> Stated:
+    bracket = [(1, "B_i x_j"), (-1, "x_j B_i")]
     return [
-        ("A^2 - M^2 as anticommutator", lhs, OpSum(d, anticomm_terms)),
+        ("[B{i},x{j}] via boosts", bracket, [(1, "B_i MmA_j"), (-1, "MmA_j B_i")]),
+        ("[B{i},x{j}]", bracket, [(I_, "delta_ij T"), (-I_, "J_ij")]),
+    ]
+
+
+def _pr_lrl_square(d: int) -> Stated:
+    return [("LRL^2 = 2H(J^2 + d(d-1)/8) + alpha^2", [(1, "LRL_i LRL_i")], [(2, "H J2"), (Fraction(d * (d - 1), 4), "H"), (P_ALPHA * P_ALPHA, "")])]
+
+
+# ---------------------------------------------------------------------------
+# one-off pairs, d=3 vector identities
+# ---------------------------------------------------------------------------
+
+
+def _pr_d3_dots(d: int) -> Stated:
+    s_b1 = [
+        (Fraction(1, 2), "XS P2"),
+        (-1, "XP PS"),
+        (I_, "PS"),
+        (P_E, "XS"),
+    ]
+    return [
+        ("L.B1 = 0", [(1, "Lvec_i B1_i")], []),
+        ("L.B2", [(1, "Lvec_i B2_i")], [(1, "XP PS"), (-1, "XS P2")]),
+        ("S.B1", [(1, "Svec_i B1_i")], s_b1),
+        ("S.B2", [(1, "Svec_i B2_i")], [(-I_, "PS")]),
+    ]
+
+
+def _pr_jb_dot(d: int) -> Stated:
+    return [("J.B = -(x.S)(p^2/2 - E)", [(1, "Jvec_i B_i")], [(Fraction(-1, 2), "XS P2"), (P_E, "XS")])]
+
+
+def _pr_jb_dot_sigma(d: int) -> Stated:
+    return [("J.B = -K/2 (Pauli)", [(1, "Jvec_i B_i")], [(Fraction(-1, 2), "K")])]
+
+
+def _pr_ja_dot(d: int) -> Stated:
+    return [("J.LRL = alpha/2 (Pauli)", [(1, "Jvec_i LRL_i")], [(P_ALPHA * Fraction(1, 2), "")])]
+
+
+# ---------------------------------------------------------------------------
+# one-off pairs, appendix A: Casimir reductions, B: commutators with
+# (g.x)/r^2, C: the squared conserved vector
+# ---------------------------------------------------------------------------
+
+
+def _pr_app_a_j2(d: int) -> Stated:
+    reduced = [
+        (1, "R2 P2"),
+        (-1, "XP XP"),
+        (I_ * (d - 2), "XP"),
+        (1, "LS"),
+        (Fraction(d * (d - 1), 8), ""),
+    ]
+    return [
+        ("J^2 = J_ij J_ij / 2", [(1, "J2")], [(Fraction(1, 2), "J_ij J_ij")]),
+        ("J^2 split into L, LS, S", [(1, "J2")], [(Fraction(1, 2), "L_ij L_ij"), (1, "L_ij S_ij"), (Fraction(1, 2), "S_ij S_ij")]),
+        ("J^2 reduced", [(1, "J2")], reduced),
+    ]
+
+
+def _pr_app_a_ll(d: int) -> Stated:
+    return [("L_ij L_ij / 2", [(Fraction(1, 2), "L_ij L_ij")], [(1, "R2 P2"), (-1, "XP XP"), (I_ * (d - 2), "XP")])]
+
+
+def _pr_app_a_ss(d: int) -> Stated:
+    return [("S_ij S_ij / 2 = d(d-1)/8", [(Fraction(1, 2), "S_ij S_ij")], [(Fraction(d * (d - 1), 8), "")])]
+
+
+def _pr_app_a_am2(d: int) -> Stated:
+    lhs = [(1, "A_i A_i"), (-1, "M_j M_j")]
+    reduced = [
+        (-1, "R2 P2"),
+        (2, "XP XP"),
+        (I_ * -(2 * d - 3), "XP"),
+        (-1, "LS"),
+        (Fraction(-d * (d - 1), 2), ""),
+    ]
+    return [
+        ("A^2 - M^2 as anticommutator", lhs, [(-1, "Acore_i x_i"), (-1, "x_i Acore_i")]),
         ("A^2 - M^2 reduced", lhs, reduced),
     ]
 
 
-def _pr_app_a_t2(d: int) -> Pairs:
-    T = ops.dilation(d)
-    rhs = osum(
-        d,
-        (1, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (I_ * -(d - 1), (ops.x_dot_p(d),)),
-        (Fraction(-(d - 1) * (d - 1), 4), ()),
-    )
-    return [("T^2 reduced", osum(d, (1, (T, T))), rhs)]
+def _pr_app_a_t2(d: int) -> Stated:
+    return [("T^2 reduced", [(1, "T T")], [(1, "XP XP"), (I_ * -(d - 1), "XP"), (Fraction(-(d - 1) * (d - 1), 4), "")])]
 
 
-def _pr_app_a_g2(d: int) -> Pairs:
-    G0, Gd1, T = ops.gamma0(d), ops.gamma_d1(d), ops.dilation(d)
-    gdiff = osum(d, (1, (G0, G0)), (-1, (Gd1, Gd1)))
-    with_gammas = osum(d, (1, (ops.gamma_dot_x(d), ops.gamma_dot_x(d), ops.p_squared(d))), (-I_, (ops.gamma_dot_x(d), ops.gamma_dot_p(d))))
-    reduced = osum(d, (1, (ops.r_squared(d), ops.p_squared(d))), (-I_, (ops.x_dot_p(d),)), (1, (ops.ls_contraction(d),)))
-    full = gdiff + osum(d, (-1, (T, T)))
-    full_rhs = osum(
-        d,
-        (1, (ops.r_squared(d), ops.p_squared(d))),
-        (-1, (ops.x_dot_p(d), ops.x_dot_p(d))),
-        (I_ * (d - 2), (ops.x_dot_p(d),)),
-        (1, (ops.ls_contraction(d),)),
-        (Fraction((d - 1) * (d - 1), 4), ()),
-    )
+def _pr_app_a_g2(d: int) -> Stated:
+    gdiff = [(1, "G0 G0"), (-1, "Gd1 Gd1")]
+    full_rhs = [
+        (1, "R2 P2"),
+        (-1, "XP XP"),
+        (I_ * (d - 2), "XP"),
+        (1, "LS"),
+        (Fraction((d - 1) * (d - 1), 4), ""),
+    ]
     return [
-        ("G0^2 - Gd1^2 via (g.x)(g.p)", gdiff, with_gammas),
-        ("G0^2 - Gd1^2 reduced", gdiff, reduced),
-        ("G0^2 - Gd1^2 - T^2 reduced", full, full_rhs),
+        ("G0^2 - Gd1^2 via (g.x)(g.p)", gdiff, [(1, "GX GX P2"), (-I_, "GX GP")]),
+        ("G0^2 - Gd1^2 reduced", gdiff, [(1, "R2 P2"), (-I_, "XP"), (1, "LS")]),
+        ("G0^2 - Gd1^2 - T^2 reduced", gdiff + [(-1, "T T")], full_rhs),
     ]
 
 
-# ---------------------------------------------------------------------------
-# pair builders, appendix B: commutators with (g.x)/r^2
-# ---------------------------------------------------------------------------
+def _pr_app_b1(d: int) -> Stated:
+    return [("[p{i}, Y]", [(1, "p_i Y"), (-1, "Y p_i")], [(-I_, "rinv2 g_i"), (2 * I_, "rinv2 rinv2 x_i GX")])]
 
 
-def _pr_app_b1(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    R = ops.rinv2(d)
-    out = []
-    for i in _idx(d):
-        rhs = osum(d, (-I_, (R, weyl.gamma(d, i))), (2 * I_, (R, R, weyl.x(d, i), ops.gamma_dot_x(d))))
-        out.append((f"[p{i}, Y]", comm(weyl.p(d, i), Y), rhs))
-    return out
+def _pr_app_b2(d: int) -> Stated:
+    rhs = [(-2 * I_, "rinv2 GP"), (4 * I_, "rinv2 rinv2 GX XP"), (2 * (d - 2), "rinv2 rinv2 GX")]
+    return [("[p^2, Y]", [(1, "P2 Y"), (-1, "Y P2")], rhs)]
 
 
-def _pr_app_b2(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    R = ops.rinv2(d)
-    rhs = osum(
-        d,
-        (-2 * I_, (R, ops.gamma_dot_p(d))),
-        (4 * I_, (R, R, ops.gamma_dot_x(d), ops.x_dot_p(d))),
-        (2 * (d - 2), (R, R, ops.gamma_dot_x(d))),
-    )
-    return [("[p^2, Y]", comm(ops.p_squared(d), Y), rhs)]
+def _pr_app_b3(d: int) -> Stated:
+    return [("[x.p, Y]", [(1, "XP Y"), (-1, "Y XP")], [(I_, "rinv2 GX")])]
 
 
-def _pr_app_b3(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    rhs = osum(d, (I_, (ops.rinv2(d), ops.gamma_dot_x(d))))
-    return [("[x.p, Y]", comm(ops.x_dot_p(d), Y), rhs)]
+def _pr_app_b4(d: int) -> Stated:
+    rhs = [
+        (-I_, "rinv2 g_i XP"),
+        (Fraction(-(d - 5), 2), "rinv2 g_i"),
+        (2 * I_, "rinv2 rinv2 x_i GX XP"),
+        (d - 5, "rinv2 rinv2 x_i GX"),
+        (I_, "rinv2 GX p_i"),
+    ]
+    return [("[T p{i}, Y]", [(1, "TP_i Y"), (-1, "Y TP_i")], rhs)]
 
 
-def _pr_app_b4(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    R = ops.rinv2(d)
-    GX, XP = ops.gamma_dot_x(d), ops.x_dot_p(d)
-    out = []
-    for i in _idx(d):
-        tp = weyl.multiply(ops.dilation(d), weyl.p(d, i))
-        gi, xi = weyl.gamma(d, i), weyl.x(d, i)
-        rhs = osum(
-            d,
-            (-I_, (R, gi, XP)),
-            (Fraction(-(d - 5), 2), (R, gi)),
-            (2 * I_, (R, R, xi, GX, XP)),
-            (d - 5, (R, R, xi, GX)),
-            (I_, (R, GX, weyl.p(d, i))),
-        )
-        out.append((f"[T p{i}, Y]", comm(tp, Y), rhs))
-    return out
-
-
-def _pr_app_b5(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    R = ops.rinv2(d)
-    GX, GP, XP = ops.gamma_dot_x(d), ops.gamma_dot_p(d), ops.x_dot_p(d)
-    out = []
-    for i in _idx(d):
-        lhs = comm(ops.sturm_b2(d, i), Y)
-        gi, xi = weyl.gamma(d, i), weyl.x(d, i)
-        first_terms = []
-        for j in _idx(d):
-            if j == i:
-                continue
-            S = ops.spin(d, i, j)
-            first_terms.append((-I_, (S, R, weyl.gamma(d, j))))
-            first_terms.append((2 * I_, (S, R, R, weyl.x(d, j), GX)))
-        first_terms.append((I_, (R, xi, GP)))
-        first_terms.append((-I_, (R, gi, XP)))
-        second = osum(
-            d,
-            (-I_, (R, gi, XP)),
-            (Fraction(-(d - 3), 2), (R, gi)),
-            (-1, (R, R, xi, GX)),
-            (I_, (R, xi, GP)),
-        )
-        out.append((f"[S{i}j p_j, Y] expanded", lhs, OpSum(d, first_terms)))
-        out.append((f"[S{i}j p_j, Y] reduced", lhs, second))
-    return out
-
-
-def _pr_app_b6(d: int) -> Pairs:
-    GX = ops.gamma_dot_x(d)
-    out = []
-    for i in _idx(d):
-        sg = OpSum(d, [(1, (ops.spin(d, i, j), weyl.gamma(d, j))) for j in _idx(d) if j != i])
-        sg_rhs = osum(d, (I_ * Fraction(-(d - 1), 2), (weyl.gamma(d, i),)))
-        out.append((f"S{i}j g_j", sg, sg_rhs))
-        sx = OpSum(d, [(1, (ops.spin(d, i, j), weyl.x(d, j))) for j in _idx(d) if j != i])
-        sx_rhs = osum(d, (I_ * Fraction(-1, 2), (weyl.gamma(d, i), GX)), (I_ * Fraction(1, 2), (weyl.x(d, i),)))
-        out.append((f"S{i}j x_j", sx, sx_rhs))
-    return out
-
-
-def _pr_app_b7(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    R = ops.rinv2(d)
-    GX = ops.gamma_dot_x(d)
-    out = []
-    for i in _idx(d):
-        rhs = osum(
-            d,
-            (2, (R, R, weyl.x(d, i), GX)),
-            (-1, (R, weyl.gamma(d, i))),
-            (-I_, (R, GX, weyl.p(d, i))),
-        )
-        out.append((f"[B{i}, Y]", comm(ops.sturm_b(d, i), Y), rhs))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pair builders, appendix C: squared conserved vector
-# ---------------------------------------------------------------------------
-
-
-def _xhme_squared(d: int) -> OpSum:
-    hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
-    return OpSum(d, [(1, (weyl.x(d, i), hme, weyl.x(d, i), hme)) for i in _idx(d)])
-
-
-def _pr_app_c2(d: int) -> Pairs:
-    hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
-    rhs = osum(d, (1, (ops.r_squared(d), hme, hme)), (-I_, (ops.x_dot_p(d), hme)))
-    return [("x(H-E).x(H-E)", _xhme_squared(d), rhs)]
-
-
-def _pr_app_c3(d: int) -> Pairs:
-    hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
-    Y, R = ops.gx_over_r2(d), ops.rinv2(d)
-    P2, XP, LS = ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    rhs = osum(
-        d,
-        (Fraction(1, 4), (P2, P2)),
-        (P_ALPHA, (Y, P2)),
-        (I_ * P_ALPHA, (Y, R, XP)),
-        (P_ALPHA * (d - 2), (Y, R)),
-        (P_ALPHA, (Y, R, LS)),
-        (P_ALPHA * P_ALPHA, (R,)),
-        (-P_E, (P2,)),
-        (-2 * P_E * P_ALPHA, (Y,)),
-        (P_E * P_E, ()),
-    )
-    return [("(H-E)^2", osum(d, (1, (hme, hme))), rhs)]
-
-
-def _pr_app_c4(d: int) -> Pairs:
-    hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
-    Y = ops.gx_over_r2(d)
-    P2, XP = ops.p_squared(d), ops.x_dot_p(d)
-    lhs = osum(d, (-I_, (XP, hme)))
-    rhs = osum(
-        d,
-        (I_ * Fraction(-1, 2), (XP, P2)),
-        (-I_ * P_ALPHA, (Y, XP)),
-        (P_ALPHA, (Y,)),
-        (I_ * P_E, (XP,)),
-    )
-    return [("-i x.p (H-E)", lhs, rhs)]
-
-
-def _pr_app_c5(d: int) -> Pairs:
-    R2, P2, XP, GX, R, LS = (
-        ops.r_squared(d),
-        ops.p_squared(d),
-        ops.x_dot_p(d),
-        ops.gamma_dot_x(d),
-        ops.rinv2(d),
-        ops.ls_contraction(d),
-    )
-    rhs = osum(
-        d,
-        (Fraction(1, 4), (R2, P2, P2)),
-        (I_ * Fraction(-1, 2), (XP, P2)),
-        (P_ALPHA, (GX, P2)),
-        (P_ALPHA * (d - 1), (GX, R)),
-        (P_ALPHA, (GX, R, LS)),
-        (P_ALPHA * P_ALPHA, ()),
-        (-P_E, (R2, P2)),
-        (I_ * P_E, (XP,)),
-        (-2 * P_E * P_ALPHA, (GX,)),
-        (P_E * P_E, (R2,)),
-    )
-    return [("x(H-E).x(H-E) reduced", _xhme_squared(d), rhs)]
-
-
-def _pr_app_c6(d: int) -> Pairs:
-    lhs = osum(d, (-I_, (ops.gamma_dot_p(d),)))
-    rhs = osum(d, (-I_, (ops.gx_over_r2(d), ops.x_dot_p(d))), (1, (ops.gx_over_r2(d), ops.ls_contraction(d))))
-    return [("-i g.p via Y", lhs, rhs)]
-
-
-def _c7_w_terms(d: int, tail: tuple) -> list:
-    """W = r^2 p^2 - 2(x.p)^2 + 2i(d-1) x.p + LS + d(d-1)/2 + 2E r^2, times tail."""
-    R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
+def _pr_app_b5(d: int) -> Stated:
+    bracket = [(1, "B2_i Y"), (-1, "Y B2_i")]
+    expanded = [
+        (-I_, "S_ij rinv2 g_j"),
+        (2 * I_, "S_ij rinv2 rinv2 x_j GX"),
+        (I_, "rinv2 x_i GP"),
+        (-I_, "rinv2 g_i XP"),
+    ]
+    reduced = [
+        (-I_, "rinv2 g_i XP"),
+        (Fraction(-(d - 3), 2), "rinv2 g_i"),
+        (-1, "rinv2 rinv2 x_i GX"),
+        (I_, "rinv2 x_i GP"),
+    ]
     return [
-        (1, (R2, P2) + tail),
-        (-2, (XP, XP) + tail),
-        (I_ * 2 * (d - 1), (XP,) + tail),
-        (1, (LS,) + tail),
-        (Fraction(d * (d - 1), 2), tail),
-        (2 * P_E, (R2,) + tail),
+        ("[S{i}j p_j, Y] expanded", bracket, expanded),
+        ("[S{i}j p_j, Y] reduced", bracket, reduced),
     ]
 
 
-def _w_expr(d: int) -> OperatorExpr:
-    return OpSum(d, _c7_w_terms(d, ())).to_expr()
-
-
-def _mixed_terms(d: int) -> OpSum:
-    """x(H-E).B + B.x(H-E): the first side of APP-C-7, the left side of APP-C-13."""
-    hme = ops.hamiltonian(d) - weyl.scalar(d, P_E)
-    terms = []
-    for i in _idx(d):
-        xi, Bi = weyl.x(d, i), ops.sturm_b(d, i)
-        terms += [(1, (xi, hme, Bi)), (1, (Bi, xi, hme))]
-    return OpSum(d, terms)
-
-
-def _pr_app_c7(d: int) -> Pairs:
-    H = ops.hamiltonian(d)
-    hme = H - weyl.scalar(d, P_E)
-    T, XP = ops.dilation(d), ops.x_dot_p(d)
-    e2_terms = []
-    for i in _idx(d):
-        xi, Bi = weyl.x(d, i), ops.sturm_b(d, i)
-        e2_terms += [(1, (xi, Bi, hme)), (1, (Bi, xi, hme))]
-    e2_terms.append((I_, (XP, hme)))
-    e2 = OpSum(d, e2_terms)
-    e3_terms = [(2, (weyl.x(d, i), ops.sturm_b(d, i), hme)) for i in _idx(d)]
-    e3_terms += [(I_ * d, (T, hme)), (I_, (XP, hme))]
-    e3 = OpSum(d, e3_terms)
-    e4 = OpSum(d, _c7_w_terms(d, (hme,)))
+def _pr_app_b6(d: int) -> Stated:
     return [
-        ("x(H-E).B + B.x(H-E), step 1", _mixed_terms(d), e2),
+        ("S{i}j g_j", [(1, "S_ij g_j")], [(I_ * Fraction(-(d - 1), 2), "g_i")]),
+        ("S{i}j x_j", [(1, "S_ij x_j")], [(I_ * Fraction(-1, 2), "g_i GX"), (I_ * Fraction(1, 2), "x_i")]),
+    ]
+
+
+def _pr_app_b7(d: int) -> Stated:
+    return [("[B{i}, Y]", [(1, "B_i Y"), (-1, "Y B_i")], [(2, "rinv2 rinv2 x_i GX"), (-1, "rinv2 g_i"), (-I_, "rinv2 GX p_i")])]
+
+
+def _pr_app_c2(d: int) -> Stated:
+    return [("x(H-E).x(H-E)", [(1, "x_i HmE x_i HmE")], [(1, "R2 HmE HmE"), (-I_, "XP HmE")])]
+
+
+def _pr_app_c3(d: int) -> Stated:
+    rhs = [
+        (Fraction(1, 4), "P2 P2"),
+        (P_ALPHA, "Y P2"),
+        (I_ * P_ALPHA, "Y rinv2 XP"),
+        (P_ALPHA * (d - 2), "Y rinv2"),
+        (P_ALPHA, "Y rinv2 LS"),
+        (P_ALPHA * P_ALPHA, "rinv2"),
+        (-P_E, "P2"),
+        (-2 * P_E * P_ALPHA, "Y"),
+        (P_E * P_E, ""),
+    ]
+    return [("(H-E)^2", [(1, "HmE HmE")], rhs)]
+
+
+def _pr_app_c4(d: int) -> Stated:
+    rhs = [
+        (I_ * Fraction(-1, 2), "XP P2"),
+        (-I_ * P_ALPHA, "Y XP"),
+        (P_ALPHA, "Y"),
+        (I_ * P_E, "XP"),
+    ]
+    return [("-i x.p (H-E)", [(-I_, "XP HmE")], rhs)]
+
+
+def _pr_app_c5(d: int) -> Stated:
+    rhs = [
+        (Fraction(1, 4), "R2 P2 P2"),
+        (I_ * Fraction(-1, 2), "XP P2"),
+        (P_ALPHA, "GX P2"),
+        (P_ALPHA * (d - 1), "GX rinv2"),
+        (P_ALPHA, "GX rinv2 LS"),
+        (P_ALPHA * P_ALPHA, ""),
+        (-P_E, "R2 P2"),
+        (I_ * P_E, "XP"),
+        (-2 * P_E * P_ALPHA, "GX"),
+        (P_E * P_E, "R2"),
+    ]
+    return [("x(H-E).x(H-E) reduced", [(1, "x_i HmE x_i HmE")], rhs)]
+
+
+def _pr_app_c6(d: int) -> Stated:
+    return [("-i g.p via Y", [(-I_, "GP")], [(-I_, "Y XP"), (1, "Y LS")])]
+
+
+def _pr_app_c7(d: int) -> Stated:
+    e2 = [(1, "x_i B_i HmE"), (1, "B_i x_i HmE"), (I_, "XP HmE")]
+    e3 = [(2, "x_i B_i HmE"), (I_ * d, "T HmE"), (I_, "XP HmE")]
+    e4 = [
+        (1, "R2 P2 HmE"),
+        (-2, "XP XP HmE"),
+        (I_ * 2 * (d - 1), "XP HmE"),
+        (1, "LS HmE"),
+        (Fraction(d * (d - 1), 2), "HmE"),
+        (2 * P_E, "R2 HmE"),
+    ]
+    return [
+        ("x(H-E).B + B.x(H-E), step 1", [(1, "x_i HmE B_i"), (1, "B_i x_i HmE")], e2),
         ("x(H-E).B + B.x(H-E), step 2", e2, e3),
         ("x(H-E).B + B.x(H-E), step 3", e3, e4),
     ]
 
 
-def _w_kinetic(d: int) -> OpSum:
+def _w_kinetic(d: int) -> Terms:
     """W p^2/2 reduced: the right side of APP-C-8."""
-    R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    return osum(
-        d,
-        (Fraction(1, 2), (R2, P2, P2)),
-        (-1, (XP, XP, P2)),
-        (I_ * (d - 1), (XP, P2)),
-        (Fraction(1, 2), (LS, P2)),
-        (Fraction(d * (d - 1), 4), (P2,)),
-        (P_E, (R2, P2)),
-    )
+    return [
+        (Fraction(1, 2), "R2 P2 P2"),
+        (-1, "XP XP P2"),
+        (I_ * (d - 1), "XP P2"),
+        (Fraction(1, 2), "LS P2"),
+        (Fraction(d * (d - 1), 4), "P2"),
+        (P_E, "R2 P2"),
+    ]
 
 
-def _pr_app_c8(d: int) -> Pairs:
-    half_p2 = Fraction(1, 2) * ops.p_squared(d)
-    return [("W p^2/2", osum(d, (1, (_w_expr(d), half_p2))), _w_kinetic(d))]
+def _pr_app_c8(d: int) -> Stated:
+    return [("W p^2/2", [(1, "W P2h")], _w_kinetic(d))]
 
 
-def _w_coupling(d: int) -> OpSum:
+def _w_coupling(d: int) -> Terms:
     """alpha W Y reduced: the last side of APP-C-9."""
-    Y = ops.gx_over_r2(d)
-    R2, P2, XP, LS, GX = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d), ops.gamma_dot_x(d)
-    return osum(
-        d,
-        (P_ALPHA, (Y, R2, P2)),
-        (-2 * P_ALPHA, (Y, XP, XP)),
-        (I_ * 2 * (d - 2) * P_ALPHA, (Y, XP)),
-        (P_ALPHA, (Y, LS)),
-        (P_ALPHA * Fraction((d - 1) * (d - 2), 2), (Y,)),
-        (2 * P_ALPHA * P_E, (GX,)),
-    )
+    return [
+        (P_ALPHA, "Y R2 P2"),
+        (-2 * P_ALPHA, "Y XP XP"),
+        (I_ * 2 * (d - 2) * P_ALPHA, "Y XP"),
+        (P_ALPHA, "Y LS"),
+        (P_ALPHA * Fraction((d - 1) * (d - 2), 2), "Y"),
+        (2 * P_ALPHA * P_E, "GX"),
+    ]
 
 
-def _pr_app_c9(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    W = _w_expr(d)
-    e1 = osum(d, (P_ALPHA, (W, Y)))
-    e2 = osum(
-        d,
-        (P_ALPHA, (Y, W)),
-        (P_ALPHA, (R2, weyl.commutator(P2, Y))),
-        (-2 * P_ALPHA, (weyl.commutator(weyl.multiply(XP, XP), Y),)),
-        (I_ * 2 * (d - 1) * P_ALPHA, (weyl.commutator(XP, Y),)),
-        (P_ALPHA, (weyl.commutator(LS, Y),)),
-    )
-    return [("alpha W Y, step 1", e1, e2), ("alpha W Y, step 2", e2, _w_coupling(d))]
+def _pr_app_c9(d: int) -> Stated:
+    e2 = [
+        (P_ALPHA, "Y W"),
+        (P_ALPHA, "R2 cP2Y"),
+        (-2 * P_ALPHA, "cXPXPY"),
+        (I_ * 2 * (d - 1) * P_ALPHA, "cXPY"),
+        (P_ALPHA, "cLSY"),
+    ]
+    return [("alpha W Y, step 1", [(P_ALPHA, "W Y")], e2), ("alpha W Y, step 2", e2, _w_coupling(d))]
 
 
-def _pr_app_c10(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    XP = ops.x_dot_p(d)
-    lhs = comm(weyl.multiply(XP, XP), Y)
-    rhs = osum(d, (2 * I_, (Y, XP)), (-1, (Y,)))
-    return [("[(x.p)^2, Y]", lhs, rhs)]
+def _pr_app_c10(d: int) -> Stated:
+    return [("[(x.p)^2, Y]", [(1, "XPXP Y"), (-1, "Y XPXP")], [(2 * I_, "Y XP"), (-1, "Y")])]
 
 
-def _pr_app_c11(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    R = ops.rinv2(d)
-    lhs = comm(ops.ls_contraction(d), Y)
-    rhs = osum(
-        d,
-        (-2 * I_, (R, ops.gamma_dot_x(d), ops.x_dot_p(d))),
-        (-(d - 1), (R, ops.gamma_dot_x(d))),
-        (2 * I_, (R, ops.r_squared(d), ops.gamma_dot_p(d))),
-    )
-    return [("[LS, Y]", lhs, rhs)]
+def _pr_app_c11(d: int) -> Stated:
+    rhs = [(-2 * I_, "rinv2 GX XP"), (-(d - 1), "rinv2 GX"), (2 * I_, "rinv2 R2 GP")]
+    return [("[LS, Y]", [(1, "LS Y"), (-1, "Y LS")], rhs)]
 
 
-def _w_energy(d: int) -> OpSum:
+def _w_energy(d: int) -> Terms:
     """-E W expanded: the right side of APP-C-12."""
-    R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    return osum(
-        d,
-        (-P_E, (R2, P2)),
-        (2 * P_E, (XP, XP)),
-        (I_ * -2 * (d - 1) * P_E, (XP,)),
-        (-P_E, (LS,)),
-        (-P_E * Fraction(d * (d - 1), 2), ()),
-        (-2 * P_E * P_E, (R2,)),
-    )
+    return [
+        (-P_E, "R2 P2"),
+        (2 * P_E, "XP XP"),
+        (I_ * -2 * (d - 1) * P_E, "XP"),
+        (-P_E, "LS"),
+        (-P_E * Fraction(d * (d - 1), 2), ""),
+        (-2 * P_E * P_E, "R2"),
+    ]
 
 
-def _pr_app_c12(d: int) -> Pairs:
-    return [("-E W", osum(d, (-P_E, (_w_expr(d),))), _w_energy(d))]
+def _pr_app_c12(d: int) -> Stated:
+    return [("-E W", [(-P_E, "W")], _w_energy(d))]
 
 
-def _pr_app_c13(d: int) -> Pairs:
+def _pr_app_c13(d: int) -> Stated:
     # W(H-E) = W p^2/2 + alpha W Y - E W; the +-E r^2 p^2 pair cancels
-    return [("x(H-E).B + B.x(H-E) total", _mixed_terms(d), _w_kinetic(d) + _w_coupling(d) + _w_energy(d))]
+    return [("x(H-E).B + B.x(H-E) total", [(1, "x_i HmE B_i"), (1, "B_i x_i HmE")], _w_kinetic(d) + _w_coupling(d) + _w_energy(d))]
 
 
-def _pr_app_c14(d: int) -> Pairs:
-    Y = ops.gx_over_r2(d)
-    R2, P2, XP, LS = ops.r_squared(d), ops.p_squared(d), ops.x_dot_p(d), ops.ls_contraction(d)
-    rhs = osum(
-        d,
-        (1, (R2, P2, P2)),
-        (-1, (XP, XP, P2)),
-        (I_ * (d - 2), (XP, P2)),
-        (1, (LS, P2)),
-        (Fraction(d * (d - 1), 4), (P2,)),
-        (2 * P_ALPHA, (Y, R2, P2)),
-        (-2 * P_ALPHA, (Y, XP, XP)),
-        (I_ * 2 * (d - 2) * P_ALPHA, (Y, XP)),
-        (2 * P_ALPHA, (Y, LS)),
-        (P_ALPHA * Fraction(d * (d - 1), 2), (Y,)),
-        (P_ALPHA * P_ALPHA, ()),
-    )
-    return [("LRL^2 fully reduced", _dot(d, ops.lrl, ops.lrl), rhs)]
+def _pr_app_c14(d: int) -> Stated:
+    rhs = [
+        (1, "R2 P2 P2"),
+        (-1, "XP XP P2"),
+        (I_ * (d - 2), "XP P2"),
+        (1, "LS P2"),
+        (Fraction(d * (d - 1), 4), "P2"),
+        (2 * P_ALPHA, "Y R2 P2"),
+        (-2 * P_ALPHA, "Y XP XP"),
+        (I_ * 2 * (d - 2) * P_ALPHA, "Y XP"),
+        (2 * P_ALPHA, "Y LS"),
+        (P_ALPHA * Fraction(d * (d - 1), 2), "Y"),
+        (P_ALPHA * P_ALPHA, ""),
+    ]
+    return [("LRL^2 fully reduced", [(1, "LRL_i LRL_i")], rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +936,6 @@ def _pr_app_c14(d: int) -> Pairs:
 _ALL = (2, MAX_DIMENSION)
 _METRIC_DIMS = (2, 4)
 _D3 = (3, 3)
-_APPENDIX = (2, MAX_DIMENSION)
 
 
 def _registry() -> Tuple[Check, ...]:
@@ -1129,8 +944,8 @@ def _registry() -> Tuple[Check, ...]:
         # defining relations
         c("GAMMA-CLIFF", "Clifford generators anticommute to 2 delta", "{g_i, g_j} = 2 d_ij", "core", _ALL, lambda d: family("{{g{},g{}}}", lambda i, j: weyl.gamma(d, i), lambda i, j: weyl.gamma(d, j), lambda i, j: [(2 * (i == j), ())], combinations_with_replacement(_idx(d), 2), acomm)),
         c("S-SO(D)", "spin matrices close the rotation algebra", "[S_ij, S_kl] = i(d_ik S_jl + d_il S_kj + d_jk S_li + d_jl S_ik)", "core", _ALL, lambda d: closure("S", partial(ops.spin, d), product(_idx(d), repeat=2))),
-        c("GX-SQUARE", "the coupling vector squares to r^2", "(g.x)^2 = r^2", "core", _ALL, _pr_gx_square),
-        c("K-H-REL", "radial and Schroedinger operators interconvert", "K = (g.x)(H-E) - alpha; H = (g.x)/r^2 (K+alpha) + E", "core", _ALL, _pr_k_h_rel),
+        c("GX-SQUARE", "the coupling vector squares to r^2", "(g.x)^2 = r^2", "core", _ALL, _stated(_pr_gx_square)),
+        c("K-H-REL", "radial and Schroedinger operators interconvert", "K = (g.x)(H-E) - alpha; H = (g.x)/r^2 (K+alpha) + E", "core", _ALL, _stated(_pr_k_h_rel)),
         # so(d+1,1) commutators
         c("SO-COM-JJ", "rotation-rotation commutators", "[J_ij, J_kl] = i(d_ik J_jl + d_il J_kj + d_jk J_li + d_jl J_ik)", "core", _ALL, lambda d: closure("J", partial(ops.so_j, d), combinations(_idx(d), 2))),
         c("SO-COM-JA", "rotations act on the first boost vector", "[J_ij, A_k] = i(d_ik A_j - d_jk A_i)", "core", _ALL, lambda d: covariant("A", partial(ops.boost_a, d))),
@@ -1142,7 +957,7 @@ def _registry() -> Tuple[Check, ...]:
         c("SO-COM-AT", "dilation rotates A into M", "[A_i, T] = -i M_i", "core", _ALL, lambda d: family("[A{},T]", partial(ops.boost_a, d), lambda i: ops.dilation(d), lambda i: [(-I_, (ops.boost_m(d, i),))], product(_idx(d)))),
         c("SO-COM-MT", "dilation rotates M into A", "[M_i, T] = -i A_i", "core", _ALL, lambda d: family("[M{},T]", partial(ops.boost_m, d), lambda i: ops.dilation(d), lambda i: [(-I_, (ops.boost_a(d, i),))], product(_idx(d)))),
         c("SO21-METRIC", "all generators satisfy the metric form of the algebra", "[L_ab, L_cd] = i(g_ac L_bd + g_ad L_cb + g_bc L_da + g_bd L_ac), g = diag(1..1,-1)", "core", _METRIC_DIMS, lambda d: closure("L", partial(ops.lorentz_generator, d), product(range(1, d + 3), repeat=2), ops.metric_signature(d))),
-        c("CASIMIR-Q2", "quadratic Casimir reduces to a constant", "J^2 + A^2 - M^2 - T^2 = -(d-1)(d+2)/8", "core", _ALL, _pr_casimir_q2),
+        c("CASIMIR-Q2", "quadratic Casimir reduces to a constant", "J^2 + A^2 - M^2 - T^2 = -(d-1)(d+2)/8", "core", _ALL, _stated(_pr_casimir_q2)),
         # ladder operators
         c("SO-GAMMA-JGK", "rotations act on the ladder vector", "[J_ij, G_k] = i(d_ik G_j - d_jk G_i)", "core", _ALL, lambda d: covariant("G", partial(ops.gamma_i, d))),
         c("SO-GAMMA-AGD1", "first boost lowers the ladder pair", "[A_i, G_d+1] = -i G_i", "core", _ALL, lambda d: family("[A{},Gd1]", partial(ops.boost_a, d), lambda i: ops.gamma_d1(d), lambda i: [(-I_, (ops.gamma_i(d, i),))], product(_idx(d)))),
@@ -1159,36 +974,36 @@ def _registry() -> Tuple[Check, ...]:
             family("[T,G{}]", lambda i: ops.dilation(d), partial(ops.gamma_i, d), vanishes, product(_idx(d))),
         )),
         # non-closure of the extended set
-        c("NONCLOSE-G0GD1", "scalar ladder commutator leaves the algebra", "[G_0, G_d+1] = i(T + i(d-1)/2 + i L_ij S_ij)", "core", _ALL, _pr_nonclose_g0gd1, tier="transcription"),
-        c("NONCLOSE-GIG0", "vector-scalar ladder commutator, raising side", "[G_i, G_0] = -i M_i - S_ij x_j (p^2+1) - ((d-1)/2 + L_jk S_jk) p_i + i S_ij p_j", "core", _ALL, _pr_nonclose_gig0, tier="transcription"),
-        c("NONCLOSE-GIGD1", "vector-scalar ladder commutator, lowering side; encoded with (p^2 - 1) on the spin-position term, the (p^2 + 1) variant fails by 2 S_ij x_j", "[G_i, G_d+1] = -i A_i - S_ij x_j (p^2-1) - ((d-1)/2 + L_jk S_jk) p_i + i S_ij p_j", "core", _ALL, _pr_nonclose_gigd1, tier="transcription"),
-        c("NONCLOSE-GIGJ", "vector-vector ladder commutator", "[G_i, G_j] = -i J_ij + i S_ij - 2 x_k (S_ik p_j - S_jk p_i)", "core", _ALL, _pr_nonclose_gigj, tier="transcription"),
-        c("REL-GXGI", "contraction of the coupling vector with one generator", "(g.x) g_i = x_i - 2i S_ij x_j", "core", _ALL, _pr_rel_gxgi),
-        c("REL-GXGP", "product of coupling and momentum contractions", "(g.x)(g.p) = x.p + i L_ij S_ij", "core", _ALL, _pr_rel_gxgp),
-        c("CAS-GAMMA", "ladder Casimir-like combination", "G_0^2 - G_d+1^2 - T^2 = J^2 + (d-1)(d-2)/8", "core", _ALL, _pr_cas_gamma),
+        c("NONCLOSE-G0GD1", "scalar ladder commutator leaves the algebra", "[G_0, G_d+1] = i(T + i(d-1)/2 + i L_ij S_ij)", "core", _ALL, _stated(_pr_nonclose_g0gd1), tier="transcription"),
+        c("NONCLOSE-GIG0", "vector-scalar ladder commutator, raising side", "[G_i, G_0] = -i M_i - S_ij x_j (p^2+1) - ((d-1)/2 + L_jk S_jk) p_i + i S_ij p_j", "core", _ALL, _stated(_pr_nonclose_gig0, "i"), tier="transcription"),
+        c("NONCLOSE-GIGD1", "vector-scalar ladder commutator, lowering side; encoded with (p^2 - 1) on the spin-position term, the (p^2 + 1) variant fails by 2 S_ij x_j", "[G_i, G_d+1] = -i A_i - S_ij x_j (p^2-1) - ((d-1)/2 + L_jk S_jk) p_i + i S_ij p_j", "core", _ALL, _stated(_pr_nonclose_gigd1, "i"), tier="transcription"),
+        c("NONCLOSE-GIGJ", "vector-vector ladder commutator", "[G_i, G_j] = -i J_ij + i S_ij - 2 x_k (S_ik p_j - S_jk p_i)", "core", _ALL, _stated(_pr_nonclose_gigj, "i<j"), tier="transcription"),
+        c("REL-GXGI", "contraction of the coupling vector with one generator", "(g.x) g_i = x_i - 2i S_ij x_j", "core", _ALL, _stated(_pr_rel_gxgi, "i")),
+        c("REL-GXGP", "product of coupling and momentum contractions", "(g.x)(g.p) = x.p + i L_ij S_ij", "core", _ALL, _stated(_pr_rel_gxgp)),
+        c("CAS-GAMMA", "ladder Casimir-like combination", "G_0^2 - G_d+1^2 - T^2 = J^2 + (d-1)(d-2)/8", "core", _ALL, _stated(_pr_cas_gamma)),
         # radial picture
-        c("K-DECOMP", "radial operator from the ladder pair", "K = (1-2E)/2 G_0 + (1+2E)/2 G_d+1", "sturm", _ALL, _pr_k_decomp),
+        c("K-DECOMP", "radial operator from the ladder pair", "K = (1-2E)/2 G_0 + (1+2E)/2 G_d+1", "sturm", _ALL, _stated(_pr_k_decomp)),
         c("STURM-INV", "rotations and B are radial integrals of motion", "[J_ij, K] = [B_i, K] = 0", "sturm", _ALL, lambda d: family("[J{}{},K]", partial(ops.so_j, d), lambda i, j: ops.sturm_k(d), vanishes, combinations(_idx(d), 2)) + family("[B{},K]", partial(ops.sturm_b, d), lambda i: ops.sturm_k(d), vanishes, product(_idx(d)))),
-        c("B-EXPLICIT", "B from boosts equals its closed form", "B_i = (1-2E)/2 A_i + (1+2E)/2 M_i", "sturm", _ALL, _pr_b_explicit),
+        c("B-EXPLICIT", "B from boosts equals its closed form", "B_i = (1-2E)/2 A_i + (1+2E)/2 M_i", "sturm", _ALL, _stated(_pr_b_explicit, "i")),
         c("JB-ALG", "invariants close with an energy factor", "[J_ij, B_k] = i(d_ik B_j - d_jk B_i); [B_i, B_j] = -2iE J_ij", "sturm", _ALL, lambda d: covariant("B", partial(ops.sturm_b, d)) + family("[B{},B{}]", lambda i, j: ops.sturm_b(d, i), lambda i, j: ops.sturm_b(d, j), lambda i, j: [(-2 * I_ * P_E, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
-        c("B1-SQUARE", "spin-free part of B squared", "(B1)^2 = (r^2 p^4 - 2iT p^2 + 4E[...] + 4E^2 r^2)/4", "sturm", _ALL, _pr_b1_square),
-        c("B-CROSS", "cross terms of the B split", "B1.B2 + B2.B1 = L_ij S_ij (p^2 + 2E)/2", "sturm", _ALL, _pr_b_cross),
-        c("B2-SQUARE", "spin part of B squared", "(B2)^2 = S_ij S_ik p_j p_k = (d-1) p^2 / 4", "sturm", _ALL, _pr_b2_square),
-        c("S-ANTICOMM", "contracted spin anticommutator", "sum_i {S_ij, S_ik} = (d-1) d_jk / 2", "sturm", _ALL, _pr_s_anticomm),
-        c("B-SQUARE", "full B squared", "B^2 explicit expansion", "sturm", _ALL, _pr_b_square),
-        c("K-SQUARE", "radial operator squared; companion bracket encoded as [p^2, g.x] = -2i g.p (not the -p^2 variant)", "K^2 explicit expansion", "sturm", _ALL, _pr_k_square),
-        c("B2-K2-J2", "B, K, and J squares are linearly related", "B^2 = K^2 + 2E(J^2 + d(d-1)/8)", "sturm", _ALL, _pr_b2_k2_j2),
+        c("B1-SQUARE", "spin-free part of B squared", "(B1)^2 = (r^2 p^4 - 2iT p^2 + 4E[...] + 4E^2 r^2)/4", "sturm", _ALL, _stated(_pr_b1_square)),
+        c("B-CROSS", "cross terms of the B split", "B1.B2 + B2.B1 = L_ij S_ij (p^2 + 2E)/2", "sturm", _ALL, _stated(_pr_b_cross)),
+        c("B2-SQUARE", "spin part of B squared", "(B2)^2 = S_ij S_ik p_j p_k = (d-1) p^2 / 4", "sturm", _ALL, _stated(_pr_b2_square)),
+        c("S-ANTICOMM", "contracted spin anticommutator", "sum_i {S_ij, S_ik} = (d-1) d_jk / 2", "sturm", _ALL, _stated(_pr_s_anticomm, "jk")),
+        c("B-SQUARE", "full B squared", "B^2 explicit expansion", "sturm", _ALL, _stated(_pr_b_square)),
+        c("K-SQUARE", "radial operator squared; companion bracket encoded as [p^2, g.x] = -2i g.p (not the -p^2 variant)", "K^2 explicit expansion", "sturm", _ALL, _stated(_pr_k_square)),
+        c("B2-K2-J2", "B, K, and J squares are linearly related", "B^2 = K^2 + 2E(J^2 + d(d-1)/8)", "sturm", _ALL, _stated(_pr_b2_k2_j2)),
         # Schroedinger picture
         c("JH-COM", "rotations are integrals of motion", "[J_ij, H] = 0", "schrodinger", _ALL, lambda d: family("[J{}{},H]", partial(ops.so_j, d), lambda i, j: ops.hamiltonian(d), vanishes, combinations(_idx(d), 2))),
         c("LRL-CONSERVED", "the conserved vector commutes with H", "[LRL_i, H] = 0", "schrodinger", _ALL, lambda d: family("[LRL{},H]", partial(ops.lrl, d), lambda i: ops.hamiltonian(d), vanishes, product(_idx(d)))),
-        c("XH-COM", "position commutator with H", "[x_i, H] = [x_i, p^2/2] = i p_i", "schrodinger", _ALL, _pr_xh_comm),
-        c("BH-CHAIN", "proof chain for conservation of the vector", "[B_i, H] = [B_i, Y](K+alpha) = [B_i, Y](g.x)(H-E); [B_i,Y](g.x) = -i p_i; [B_i, Y] = -i p_i Y", "schrodinger", _ALL, _pr_bh_chain),
-        c("LRL-EXPLICIT", "conserved vector closed form", "LRL_i = x_i p^2 - (x.p - i(d-1)/2) p_i + S_ij p_j + alpha x_i (g.x)/r^2", "schrodinger", _ALL, _pr_lrl_explicit),
+        c("XH-COM", "position commutator with H", "[x_i, H] = [x_i, p^2/2] = i p_i", "schrodinger", _ALL, _stated(_pr_xh_comm, "i")),
+        c("BH-CHAIN", "proof chain for conservation of the vector", "[B_i, H] = [B_i, Y](K+alpha) = [B_i, Y](g.x)(H-E); [B_i,Y](g.x) = -i p_i; [B_i, Y] = -i p_i Y", "schrodinger", _ALL, _stated(_pr_bh_chain, "i")),
+        c("LRL-EXPLICIT", "conserved vector closed form", "LRL_i = x_i p^2 - (x.p - i(d-1)/2) p_i + S_ij p_j + alpha x_i (g.x)/r^2", "schrodinger", _ALL, _stated(_pr_lrl_explicit, "i")),
         c("LRL-ALG", "conserved vector algebra", "[J_ij, LRL_k] = i(d_ik LRL_j - d_jk LRL_i); [LRL_i, LRL_j] = -2iH J_ij", "schrodinger", _ALL, lambda d: covariant("LRL", partial(ops.lrl, d)) + family("[LRL{},LRL{}]", lambda i, j: ops.lrl(d, i), lambda i, j: ops.lrl(d, j), lambda i, j: [(-2 * I_, (ops.hamiltonian(d), ops.so_j(d, i, j)))], combinations(_idx(d), 2))),
-        c("LRL-AUX-1", "antisymmetrized mixed commutator", "[B_i, x_j(H-E)] - [B_j, x_i(H-E)] = (-2i J_ij + i L_ij)(H-E)", "schrodinger", _ALL, _pr_lrl_aux_1),
-        c("LRL-AUX-2", "commutator of the position-weighted pieces", "[x_i(H-E), x_j(H-E)] = -i L_ij (H-E)", "schrodinger", _ALL, _pr_lrl_aux_2),
-        c("LRL-AUX-3", "B against positions", "[B_i, x_j] = i d_ij T - i J_ij", "schrodinger", _ALL, _pr_lrl_aux_3),
-        c("LRL-SQUARE", "squared conserved vector", "LRL^2 = 2H(J^2 + d(d-1)/8) + alpha^2", "schrodinger", _ALL, _pr_lrl_square),
+        c("LRL-AUX-1", "antisymmetrized mixed commutator", "[B_i, x_j(H-E)] - [B_j, x_i(H-E)] = (-2i J_ij + i L_ij)(H-E)", "schrodinger", _ALL, _stated(_pr_lrl_aux_1, "i<j")),
+        c("LRL-AUX-2", "commutator of the position-weighted pieces", "[x_i(H-E), x_j(H-E)] = -i L_ij (H-E)", "schrodinger", _ALL, _stated(_pr_lrl_aux_2, "i<j")),
+        c("LRL-AUX-3", "B against positions", "[B_i, x_j] = i d_ij T - i J_ij", "schrodinger", _ALL, _stated(_pr_lrl_aux_3, "ij")),
+        c("LRL-SQUARE", "squared conserved vector", "LRL^2 = 2H(J^2 + d(d-1)/8) + alpha^2", "schrodinger", _ALL, _stated(_pr_lrl_square)),
         # three-dimensional vector identities
         c("D3-VEC-COM", "epsilon-contracted vectors close su(2)-style", "[J_i, J_j] = i e_ijk J_k (same for L, S)", "d3", _D3, lambda d: [pair for name, V in (("J", ops.vector_j), ("L", ops.vector_l), ("S", ops.vector_s)) for pair in family(
             f"[{name}{{}},{name}{{}}]",
@@ -1197,39 +1012,39 @@ def _registry() -> Tuple[Check, ...]:
             lambda i, j: [(I_ * ops.EPS3[i, j, k], (V(d, k),)) for k in _idx(d) if (i, j, k) in ops.EPS3],
             combinations(_idx(d), 2),
         )]),
-        c("D3-DOTS", "dot products of the vector split", "L.B1 = 0; L.B2, S.B1, S.B2 explicit", "d3", _D3, _pr_d3_dots),
-        c("JB-DOT", "total rotation dotted into B", "J.B = -(x.S)(p^2/2 - E)", "d3", _D3, _pr_jb_dot),
-        c("JB-DOT-SIGMA", "Pauli-representation reduction of J.B", "J.B = -K/2 (in the g1 g2 g3 = i quotient)", "d3", _D3, _pr_jb_dot_sigma, pauli_quotient=True),
-        c("JA-DOT", "Pauli-representation reduction of J.LRL", "J.LRL = alpha/2 (in the g1 g2 g3 = i quotient)", "d3", _D3, _pr_ja_dot, pauli_quotient=True),
+        c("D3-DOTS", "dot products of the vector split", "L.B1 = 0; L.B2, S.B1, S.B2 explicit", "d3", _D3, _stated(_pr_d3_dots)),
+        c("JB-DOT", "total rotation dotted into B", "J.B = -(x.S)(p^2/2 - E)", "d3", _D3, _stated(_pr_jb_dot)),
+        c("JB-DOT-SIGMA", "Pauli-representation reduction of J.B", "J.B = -K/2 (in the g1 g2 g3 = i quotient)", "d3", _D3, _stated(_pr_jb_dot_sigma), pauli_quotient=True),
+        c("JA-DOT", "Pauli-representation reduction of J.LRL", "J.LRL = alpha/2 (in the g1 g2 g3 = i quotient)", "d3", _D3, _stated(_pr_ja_dot), pauli_quotient=True),
         # appendix A: Casimir reductions
-        c("APP-A-J2", "total rotation square reduced", "J^2 = r^2 p^2 - (x.p)^2 + i(d-2) x.p + L_ij S_ij + d(d-1)/8", "appendix", _APPENDIX, _pr_app_a_j2, tier="transcription"),
-        c("APP-A-LL", "orbital square reduced", "L_ij L_ij / 2 = r^2 p^2 - (x.p)^2 + i(d-2) x.p", "appendix", _APPENDIX, _pr_app_a_ll, tier="transcription"),
-        c("APP-A-SS", "spin square is a constant", "S_ij S_ij / 2 = d(d-1)/8", "appendix", _APPENDIX, _pr_app_a_ss, tier="transcription"),
-        c("APP-A-AM2", "boost square difference reduced", "A^2 - M^2 = -r^2 p^2 + 2(x.p)^2 - i(2d-3) x.p - L_ij S_ij - d(d-1)/2", "appendix", _APPENDIX, _pr_app_a_am2, tier="transcription"),
-        c("APP-A-T2", "dilation square reduced", "T^2 = (x.p)^2 - i(d-1) x.p - (d-1)^2/4", "appendix", _APPENDIX, _pr_app_a_t2, tier="transcription"),
-        c("APP-A-G2", "ladder square difference reduced", "G_0^2 - G_d+1^2 = r^2 p^2 - i x.p + L_ij S_ij", "appendix", _APPENDIX, _pr_app_a_g2, tier="transcription"),
+        c("APP-A-J2", "total rotation square reduced", "J^2 = r^2 p^2 - (x.p)^2 + i(d-2) x.p + L_ij S_ij + d(d-1)/8", "appendix", _ALL, _stated(_pr_app_a_j2), tier="transcription"),
+        c("APP-A-LL", "orbital square reduced", "L_ij L_ij / 2 = r^2 p^2 - (x.p)^2 + i(d-2) x.p", "appendix", _ALL, _stated(_pr_app_a_ll), tier="transcription"),
+        c("APP-A-SS", "spin square is a constant", "S_ij S_ij / 2 = d(d-1)/8", "appendix", _ALL, _stated(_pr_app_a_ss), tier="transcription"),
+        c("APP-A-AM2", "boost square difference reduced", "A^2 - M^2 = -r^2 p^2 + 2(x.p)^2 - i(2d-3) x.p - L_ij S_ij - d(d-1)/2", "appendix", _ALL, _stated(_pr_app_a_am2), tier="transcription"),
+        c("APP-A-T2", "dilation square reduced", "T^2 = (x.p)^2 - i(d-1) x.p - (d-1)^2/4", "appendix", _ALL, _stated(_pr_app_a_t2), tier="transcription"),
+        c("APP-A-G2", "ladder square difference reduced", "G_0^2 - G_d+1^2 = r^2 p^2 - i x.p + L_ij S_ij", "appendix", _ALL, _stated(_pr_app_a_g2), tier="transcription"),
         # appendix B: commutators with (g.x)/r^2
-        c("APP-B-1", "momentum against the localized coupling", "[p_i, Y] = -i g_i / r^2 + 2i x_i (g.x) / r^4", "appendix", _APPENDIX, _pr_app_b1, tier="transcription"),
-        c("APP-B-2", "kinetic term against the localized coupling", "[p^2, Y] = -2i (g.p)/r^2 + 4i (g.x)(x.p - i(d-2)/2)/r^4", "appendix", _APPENDIX, _pr_app_b2, tier="transcription"),
-        c("APP-B-3", "scaling term against the localized coupling", "[x.p, Y] = i (g.x)/r^2", "appendix", _APPENDIX, _pr_app_b3, tier="transcription"),
-        c("APP-B-4", "dilation-momentum product against the coupling", "[(x.p - i(d-1)/2) p_i, Y] expansion", "appendix", _APPENDIX, _pr_app_b4, tier="transcription"),
-        c("APP-B-5", "spin-momentum contraction against the coupling", "[S_ij p_j, Y] expansion and reduction", "appendix", _APPENDIX, _pr_app_b5, tier="transcription"),
-        c("APP-B-6", "spin contractions with one generator and position", "S_ij g_j = -i(d-1)/2 g_i; S_ij x_j = -i(g_i (g.x) - x_i)/2", "appendix", _APPENDIX, _pr_app_b6, tier="transcription"),
-        c("APP-B-7", "B against the localized coupling", "[B_i, Y] = 2 x_i (g.x)/r^4 - g_i/r^2 - i (g.x) p_i /r^2", "appendix", _APPENDIX, _pr_app_b7, tier="transcription"),
+        c("APP-B-1", "momentum against the localized coupling", "[p_i, Y] = -i g_i / r^2 + 2i x_i (g.x) / r^4", "appendix", _ALL, _stated(_pr_app_b1, "i"), tier="transcription"),
+        c("APP-B-2", "kinetic term against the localized coupling", "[p^2, Y] = -2i (g.p)/r^2 + 4i (g.x)(x.p - i(d-2)/2)/r^4", "appendix", _ALL, _stated(_pr_app_b2), tier="transcription"),
+        c("APP-B-3", "scaling term against the localized coupling", "[x.p, Y] = i (g.x)/r^2", "appendix", _ALL, _stated(_pr_app_b3), tier="transcription"),
+        c("APP-B-4", "dilation-momentum product against the coupling", "[(x.p - i(d-1)/2) p_i, Y] expansion", "appendix", _ALL, _stated(_pr_app_b4, "i"), tier="transcription"),
+        c("APP-B-5", "spin-momentum contraction against the coupling", "[S_ij p_j, Y] expansion and reduction", "appendix", _ALL, _stated(_pr_app_b5, "i"), tier="transcription"),
+        c("APP-B-6", "spin contractions with one generator and position", "S_ij g_j = -i(d-1)/2 g_i; S_ij x_j = -i(g_i (g.x) - x_i)/2", "appendix", _ALL, _stated(_pr_app_b6, "i"), tier="transcription"),
+        c("APP-B-7", "B against the localized coupling", "[B_i, Y] = 2 x_i (g.x)/r^4 - g_i/r^2 - i (g.x) p_i /r^2", "appendix", _ALL, _stated(_pr_app_b7, "i"), tier="transcription"),
         # appendix C: squared conserved vector
-        c("APP-C-2", "squared position-weighted piece", "x(H-E).x(H-E) = r^2 (H-E)^2 - i x.p (H-E)", "appendix", _APPENDIX, _pr_app_c2, tier="transcription"),
-        c("APP-C-3", "shifted Hamiltonian squared", "(H-E)^2 expansion", "appendix", _APPENDIX, _pr_app_c3, tier="transcription"),
-        c("APP-C-4", "scaling term times the shifted Hamiltonian", "-i x.p (H-E) expansion", "appendix", _APPENDIX, _pr_app_c4, tier="transcription"),
-        c("APP-C-5", "squared position-weighted piece, reduced", "x(H-E).x(H-E) full expansion", "appendix", _APPENDIX, _pr_app_c5, tier="transcription"),
-        c("APP-C-6", "momentum contraction through the localized coupling", "-i g.p = (g.x)/r^2 (-i x.p + L_ij S_ij)", "appendix", _APPENDIX, _pr_app_c6, tier="transcription"),
-        c("APP-C-7", "mixed terms reduced in three steps", "x(H-E).B + B.x(H-E) = W (H-E)", "appendix", _APPENDIX, _pr_app_c7, tier="transcription"),
-        c("APP-C-8", "kinetic third of the mixed terms", "W p^2/2 expansion", "appendix", _APPENDIX, _pr_app_c8, tier="transcription"),
-        c("APP-C-9", "coupling third of the mixed terms", "alpha W (g.x)/r^2 reordered and reduced", "appendix", _APPENDIX, _pr_app_c9, tier="transcription"),
-        c("APP-C-10", "scaling square against the coupling", "[(x.p)^2, Y] = Y (2i x.p - 1)", "appendix", _APPENDIX, _pr_app_c10, tier="transcription"),
-        c("APP-C-11", "spin-orbit contraction against the coupling", "[L_ij S_ij, Y] = (-2i (g.x)(x.p - i(d-1)/2) + 2i r^2 (g.p))/r^2", "appendix", _APPENDIX, _pr_app_c11, tier="transcription"),
-        c("APP-C-12", "energy third of the mixed terms", "-E W expansion", "appendix", _APPENDIX, _pr_app_c12, tier="transcription"),
-        c("APP-C-13", "mixed terms fully reduced", "x(H-E).B + B.x(H-E) explicit", "appendix", _APPENDIX, _pr_app_c13, tier="transcription"),
-        c("APP-C-14", "squared conserved vector fully reduced", "LRL^2 explicit expansion", "appendix", _APPENDIX, _pr_app_c14, tier="transcription"),
+        c("APP-C-2", "squared position-weighted piece", "x(H-E).x(H-E) = r^2 (H-E)^2 - i x.p (H-E)", "appendix", _ALL, _stated(_pr_app_c2), tier="transcription"),
+        c("APP-C-3", "shifted Hamiltonian squared", "(H-E)^2 expansion", "appendix", _ALL, _stated(_pr_app_c3), tier="transcription"),
+        c("APP-C-4", "scaling term times the shifted Hamiltonian", "-i x.p (H-E) expansion", "appendix", _ALL, _stated(_pr_app_c4), tier="transcription"),
+        c("APP-C-5", "squared position-weighted piece, reduced", "x(H-E).x(H-E) full expansion", "appendix", _ALL, _stated(_pr_app_c5), tier="transcription"),
+        c("APP-C-6", "momentum contraction through the localized coupling", "-i g.p = (g.x)/r^2 (-i x.p + L_ij S_ij)", "appendix", _ALL, _stated(_pr_app_c6), tier="transcription"),
+        c("APP-C-7", "mixed terms reduced in three steps", "x(H-E).B + B.x(H-E) = W (H-E)", "appendix", _ALL, _stated(_pr_app_c7), tier="transcription"),
+        c("APP-C-8", "kinetic third of the mixed terms", "W p^2/2 expansion", "appendix", _ALL, _stated(_pr_app_c8), tier="transcription"),
+        c("APP-C-9", "coupling third of the mixed terms", "alpha W (g.x)/r^2 reordered and reduced", "appendix", _ALL, _stated(_pr_app_c9), tier="transcription"),
+        c("APP-C-10", "scaling square against the coupling", "[(x.p)^2, Y] = Y (2i x.p - 1)", "appendix", _ALL, _stated(_pr_app_c10), tier="transcription"),
+        c("APP-C-11", "spin-orbit contraction against the coupling", "[L_ij S_ij, Y] = (-2i (g.x)(x.p - i(d-1)/2) + 2i r^2 (g.p))/r^2", "appendix", _ALL, _stated(_pr_app_c11), tier="transcription"),
+        c("APP-C-12", "energy third of the mixed terms", "-E W expansion", "appendix", _ALL, _stated(_pr_app_c12), tier="transcription"),
+        c("APP-C-13", "mixed terms fully reduced", "x(H-E).B + B.x(H-E) explicit", "appendix", _ALL, _stated(_pr_app_c13), tier="transcription"),
+        c("APP-C-14", "squared conserved vector fully reduced", "LRL^2 explicit expansion", "appendix", _ALL, _stated(_pr_app_c14), tier="transcription"),
     ]
     ids = [check.id for check in checks]
     if len(ids) != len(set(ids)):

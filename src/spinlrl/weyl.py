@@ -72,10 +72,11 @@ prefixes can cancel, sums them and multiplies the sum by F once if it has no
 more terms than the scaled prefixes together.  Prefixes can cancel when they
 multiply the same factors in different orders, as a proof chain's do,
 B Y - Y B = -i p Y, and then the large F multiplies a few terms; or when
-they sit at one r^-2 level and share a term.  Prefixes at different levels
-would only inflate their sum, which is brought to the top level, so they,
-and every chain whose last factor is not shared, are multiplied out on their
-own.
+they share a term, at one r^-2 level or at several: APP-C-2's x_i (H-E) x_i
+and r^2 (H-E), which end in one H-E, sit at two levels and nearly cancel.
+A sum that grows instead, as prefixes at lower levels brought to the top
+one can, is not used; those prefixes, and every chain whose last factor is
+not shared, are multiplied out on their own.
 
 The work is bounded as well as the degrees: a product that would form more
 than ``PRODUCT_TERM_BUDGET`` terms, an expansion or adjoint whose passes
@@ -687,20 +688,32 @@ def _finalize(d: int, acc: Acc) -> OperatorExpr:
 
 @lru_cache(maxsize=65536)
 def _r2_power_expansion(xk: int, power: int, d: int) -> tuple:
-    """Expand (sum x_j^2)^power * x^xk into (packed exponents, multiplicity) pairs."""
+    """Expand (sum x_j^2)^power * x^xk into (packed exponents, multiplicity)
+    pairs: x^xk x_1^2k_1 ... x_d^2k_d with the multinomial coefficient
+    power! / (k_1! ... k_d!), each formed from the one before it, so the
+    work is at most d times the output."""
     check_degree(degree(xk, d) + 2 * power)
     size = comb(power + d - 1, d - 1)
     if size > PRODUCT_TERM_BUDGET:
         raise ValueError(f"(r^2)^{power} at d={d} has {size:,} terms, past the product-term budget of {PRODUCT_TERM_BUDGET:,}")
-    steps = [2 * unit for unit in unit_keys(d)]
-    current = {xk: 1}
-    for _ in range(power):
-        nxt: Dict[int, int] = {}
-        for key, mult in current.items():
-            for step in steps:
-                nxt[key + step] = nxt.get(key + step, 0) + mult
-        current = nxt
-    return tuple(current.items())
+    *steps, last = [2 * unit for unit in unit_keys(d)]
+    # (key, rest, mult): x^key with the powers of x_1^2 .. x_j^2 chosen, rest
+    # factors of r^2 left for the others, and mult * C(rest, k + 1) formed
+    # from mult * C(rest, k) as one more factor goes to x_j^2; a term with
+    # none left is complete
+    out = []
+    partial = [(xk, power, 1)]
+    for step in steps:
+        grown = []
+        for key, rest, mult in partial:
+            for k in range(rest):
+                grown.append((key, rest - k, mult))
+                mult = mult * (rest - k) // (k + 1)
+                key += step
+            out.append((key, mult))
+        partial = grown
+    out += [(key + rest * last, mult) for key, rest, mult in partial]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -918,14 +931,11 @@ def _multiply_shared(d: int, chains: list, out: Acc) -> None:
 
 def _prefixes_can_cancel(chains: list, prefixes: list) -> bool:
     """Whether summing the prefixes may leave fewer terms: they multiply the
-    same factors in different orders (B Y - Y B = -i p Y), or they sit at
-    one r^-2 level and share a term.  Prefixes at different levels are
-    brought to the top one, which only adds terms, and prefixes with no term
-    in common merge nothing."""
+    same factors in different orders (B Y - Y B = -i p Y), or they share a
+    term, at one r^-2 level or at several.  Prefixes with no term in common
+    merge nothing."""
     if len({tuple(sorted(map(id, factors[:-1]))) for _, factors in chains}) == 1:
         return True
-    if len({prefix.denom_pow for _, prefix in prefixes}) > 1:
-        return False
     keys = [prefix.num.keys() for _, prefix in prefixes]
     return len(set().union(*keys)) < sum(map(len, keys))
 

@@ -329,6 +329,9 @@ def test_reduce_past_the_exponent_limit_exits_two(capsys, text):
         "7^3000 7^3000 x1", "(7^3000 + 1) (7^3000 + 1) x1", "x1 / 7^3000 / 7^3000", " ".join(["7^4000"] * 3000) + " x1",
         # a sum, and powers of a base with x or p (these failed when printed, or ran past 20 s)
         "9" * 4300 + " + " + "9" * 4300, "(x1 + 7^100)^100", "(x1 + 7^100)^1000",
+        # a sum over r^-2 powers far apart: (r^2)^15000 has 15,001 monomials at d = 2, whose
+        # binomial coefficients sum to 2^15000 (this ran past 15 s)
+        "rinv2^15000 + 1", "1 + rinv2^15000",
     ],
 )
 def test_reduce_of_an_unprintably_large_scalar_exits_two(capsys, text):

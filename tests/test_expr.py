@@ -111,6 +111,9 @@ def test_known_identities_reduce_to_zero():
         ("7^3000 7^3000 x1 )", "1:8: the product has about 5,071 digits"),
         # a sum, refused at the sign that would pass the limit
         ("9" * 4300 + " + " + "9" * 4300, "1:4302: the sum has about 4,301 digits"),
+        # a part brought to a higher r^-2 power is multiplied by (r^2)^n, whose coefficients sum to d^n
+        ("9" * 4000 + " + rinv2^1000", "1:4002: the sum has about 4,478 digits"),
+        ("rinv2^1000 + " + "9" * 4000, "1:12: the sum has about 4,478 digits"),
         # powers of a base with x or p, estimated from its largest coefficient
         ("(x1 + 7^100)^100", "1:14: the power has about 8,451 digits"),
         ("(x1 + 7^100)^1000", "1:14: the power has about 84,510 digits"),

@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from spinlrl import expr, verify, weyl
+from spinlrl import expr, ops, verify, weyl
 from spinlrl.verify import CheckResult, Report, of_expr
 
 
@@ -52,19 +53,67 @@ def test_dims_gating():
 def test_registry_sides_match_golden():
     # one sha256 per (check, d) over "label\tlhs\trhs" lines of canonical
     # sides, written by the engine before the index families were stated as
-    # combinators: pins labels, their order and both sides of every pair
+    # combinators (d = 5 added before the one-off sides were written in the
+    # index notation): pins labels, their order and both sides of every pair
     golden = json.loads((Path(__file__).parent / "golden" / "registry_sides.json").read_text())
     digests = {}
     for check in verify.list_checks():
-        for d in (2, 3, 4):
+        for d in (2, 3, 4, 5):
             if check.applicable(d):
                 pairs = check.pairs(d)
                 labels = [label for label, _, _ in pairs]
                 assert len(labels) == len(set(labels)), check.id
                 lines = "".join(f"{label}\t{weyl.render(lhs.to_expr())}\t{weyl.render(rhs.to_expr())}\n" for label, lhs, rhs in pairs)
                 digests[f"{check.id} d={d}"] = hashlib.sha256(lines.encode()).hexdigest()
-    assert len(digests) == 233
+    assert len(digests) == 308
     assert digests == golden
+
+
+# -- sides in index notation ----------------------------------------------------
+
+
+def test_unbound_letters_are_summed_and_zero_factors_left_out():
+    d = 3
+    side = verify._Sides(d)([(1, "S_ij S_ik p_j p_k")])
+    expected = [
+        (ops.spin(d, i, j), ops.spin(d, i, k), weyl.p(d, j), weyl.p(d, k))
+        for i, j, k in itertools.product(range(1, d + 1), repeat=3)
+        if i != j and i != k
+    ]
+    assert len(side.terms) == len(expected) == 12
+    assert [factors for _, factors in side.terms] == expected
+
+
+def test_bound_letters_are_not_summed():
+    d = 3
+    expand = verify._Sides(d)
+    side = expand([(2, "S_ij x_j")], i=2)
+    assert [factors for _, factors in side.terms] == [(ops.spin(d, 2, 1), weyl.x(d, 1)), (ops.spin(d, 2, 3), weyl.x(d, 3))]
+    assert [c for c, _ in side.terms] == [2, 2]
+    # a delta keeps the chains whose letters agree, and is left out of them
+    assert [factors for _, factors in expand([(1, "delta_ij g_j")], i=2).terms] == [(weyl.gamma(d, 2),)]
+    assert [factors for _, factors in expand([(1, "delta_ij g_i")], i=2, j=2).terms] == [(weyl.gamma(d, 2),)]
+    assert expand([(1, "delta_ij g_i")], i=2, j=3).terms == ()
+
+
+def test_a_run_over_the_same_letters_interleaves_and_shares_factors():
+    d = 3
+    side = verify._Sides(d)([(1, "S_ij S_ik"), (1, "S_ik S_ij")])
+    tuples = [(i, j, k) for i, j, k in itertools.product(range(1, d + 1), repeat=3) if i != j and i != k]
+    expected = [chain for i, j, k in tuples for chain in ((ops.spin(d, i, j), ops.spin(d, i, k)), (ops.spin(d, i, k), ops.spin(d, i, j)))]
+    chains = [factors for _, factors in side.terms]
+    assert chains == expected
+    # each adjacent pair is a bracket of the same two objects, so combine_products cuts its leading terms
+    for first, second in zip(chains[::2], chains[1::2]):
+        assert first[0] is second[1] and first[1] is second[0]
+    # a name with one index tuple is one object in every chain
+    assert len({id(f) for chain in chains for f in chain}) == len({(i, j) for i, j, _ in tuples} | {(i, k) for i, _, k in tuples})
+
+
+@pytest.mark.parametrize("chain, token", [("S_ij Foo_i", "Foo_i"), ("x_ij", "x_ij"), ("H_i", "H_i")])
+def test_an_unknown_or_misindexed_factor_names_its_token(chain, token):
+    with pytest.raises(ValueError, match=repr(token)):
+        verify._Sides(3)([(1, chain)])
 
 
 # -- run_check ------------------------------------------------------------------

@@ -483,6 +483,27 @@ def test_r2_power_is_refused_before_it_expands(monkeypatch):
         expand(weyl.pack((1, 0, 0)), 2, d)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_r2_power_expansion_is_repeated_multiplication_by_r2(d):
+    expand = weyl._r2_power_expansion.__wrapped__
+    steps = [2 * unit for unit in weyl.unit_keys(d)]
+    xk = weyl.pack([i % 3 for i in range(d)])
+    current = {xk: 1}
+    for power in range(9):
+        got = expand(xk, power, d)
+        assert len(got) == len(dict(got)) and dict(got) == current
+        assert sum(mult for _, mult in got) == d ** power
+        nxt = {}
+        for key, mult in current.items():
+            for step in steps:
+                nxt[key + step] = nxt.get(key + step, 0) + mult
+        current = nxt
+    if d == 2:
+        # (r^2)^3000: its 3,001 binomial coefficients, formed in time proportional to them
+        got = dict(expand(0, 3000, d))
+        assert len(got) == 3001 and got[weyl.pack((2000, 4000))] == math.comb(3000, 1000)
+
+
 def test_division_step_budget_counts_quotient_steps(monkeypatch):
     d = 3
     x1, x2 = weyl.x(d, 1), weyl.x(d, 2)
@@ -927,17 +948,33 @@ def test_shared_last_factors_match_chain_by_chain(d, monkeypatch):
 
 
 def test_bh_chain_forms_fewer_term_pairs_than_chain_by_chain(monkeypatch):
+    # BH-CHAIN sums prefixes that reorder the same factors; APP-C-2's two sides
+    # end in one H - E object, with prefixes at two r^-2 levels that nearly
+    # cancel; B2-SQUARE's chains share one p_k object
     d = 3
-    pairs = verify.get_check("BH-CHAIN").pairs(d)
     formed = term_pair_counter(monkeypatch)
+    for check_id, factor in (("BH-CHAIN", 2), ("APP-C-2", 1), ("B2-SQUARE", 1)):
+        pairs = verify.get_check(check_id).pairs(d)
 
-    def term_pairs(combine):
-        formed.clear()
-        for _, lhs, rhs in pairs:
-            assert combine(d, lhs.terms + (-rhs).terms).is_zero()
-        return sum(formed)
+        def term_pairs(combine):
+            formed.clear()
+            for _, lhs, rhs in pairs:
+                assert combine(d, lhs.terms + (-rhs).terms).is_zero()
+            return sum(formed)
 
-    assert 2 * term_pairs(weyl.combine_products) < term_pairs(_combine_by_chains)
+        assert factor * term_pairs(weyl.combine_products) < term_pairs(_combine_by_chains), check_id
+
+
+def test_registry_term_pairs_at_d3(monkeypatch):
+    # the term pairs the kernel forms over every pair of the registry at d = 3,
+    # with the sides built first: 74,851 when every chain had its own x_i and
+    # p_i objects and prefixes at two r^-2 levels were never summed
+    d = 3
+    pairs = [pair for check in verify.list_checks() if check.applicable(d) for pair in check.pairs(d)]
+    formed = term_pair_counter(monkeypatch)
+    for _, lhs, rhs in pairs:
+        weyl.combine_products(d, lhs.terms + (-rhs).terms)
+    assert sum(formed) == 73_987
 
 
 def test_product_term_budget_holds_through_a_shared_last_factor(monkeypatch):
