@@ -11,6 +11,11 @@ residual, cross-validated by an independent function-application oracle.
 
 __version__ = "0.1.0"
 
+# the largest d any check declares, and the suite names: read by ``verify``
+# and by the command line, which imports ``verify`` only for its commands
+MAX_DIMENSION = 8
+SUITES = ("core", "sturm", "schrodinger", "appendix", "d3", "all")
+
 from .coeff import P_I, Fraction, ParamPoly, poly
 from .weyl import (
     DimensionMismatch,

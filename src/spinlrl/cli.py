@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import __version__, clifford, expr, ops, oracle, verify, weyl
+from . import MAX_DIMENSION, SUITES, __version__, clifford, expr, ops, oracle, weyl
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -30,7 +30,7 @@ class UsageError(Exception):
     pass
 
 
-def _parse_d_range(text: str, allow_big: bool, cap: int = verify.MAX_DIMENSION) -> List[int]:
+def _parse_d_range(text: str, allow_big: bool, cap: int = MAX_DIMENSION) -> List[int]:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -123,6 +123,8 @@ def _substitute(value: weyl.OperatorExpr, alpha_value, e_value) -> weyl.Operator
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     dims = _parse_d_range(args.d, args.big_d)
     checks = verify.list_checks(args.suite)
     if not any(check.applicable(d) for check in checks for d in dims):
@@ -146,6 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_list(args) -> int:
+    from . import verify
+
     checks = verify.list_checks(args.suite)
     if args.format == "json":
         import json
@@ -258,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     common(p_verify)
-    p_verify.add_argument("--suite", default="all", choices=verify.SUITES, help="which checks to run")
+    p_verify.add_argument("--suite", default="all", choices=SUITES, help="which checks to run")
     p_verify.add_argument("--format", default="text", choices=("text", "json", "markdown"))
     p_verify.add_argument("--strict", action="store_true", help="fail on transcription-tier mismatches too")
     p_verify.add_argument("--no-timing", action="store_true", help="zero out timing fields for reproducible output")
     p_verify.set_defaults(func=cmd_verify)
 
     p_list = sub.add_parser("list", help="list the check catalog")
-    p_list.add_argument("--suite", default="all", choices=verify.SUITES)
+    p_list.add_argument("--suite", default="all", choices=SUITES)
     p_list.add_argument("--format", default="text", choices=("text", "json"))
     p_list.add_argument("--output", help="write output to this path instead of stdout")
     p_list.set_defaults(func=cmd_list)

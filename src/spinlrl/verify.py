@@ -62,14 +62,10 @@ from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from . import __version__, ops, oracle, weyl
+from . import MAX_DIMENSION, SUITES, __version__, ops, oracle, weyl
 from .coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly, ScalarLike
 from .oracle import SpinorFunction
 from .weyl import OperatorExpr
-
-MAX_DIMENSION = 8
-
-SUITES = ("core", "sturm", "schrodinger", "appendix", "d3", "all")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +86,7 @@ class OpSum:
         object.__setattr__(self, "d", d)
         clean = []
         for coeff, factors in terms:
-            poly = ParamPoly.of(coeff)
+            poly = coeff if type(coeff) is ParamPoly else _UNIT_COEFFS.get(coeff) or ParamPoly.of(coeff)
             if poly:
                 clean.append((poly, tuple(factors)))
         object.__setattr__(self, "terms", tuple(clean))
@@ -107,7 +103,7 @@ class OpSum:
     def __neg__(self) -> "OpSum":
         flipped = OpSum.__new__(OpSum)
         object.__setattr__(flipped, "d", self.d)
-        object.__setattr__(flipped, "terms", tuple((-c, f) for c, f in self.terms))
+        object.__setattr__(flipped, "terms", tuple((_NEGATED.get(c) or -c, f) for c, f in self.terms))
         return flipped
 
     def apply(self, f: SpinorFunction, apply_one: Optional[Callable] = None) -> SpinorFunction:
@@ -124,16 +120,23 @@ class OpSum:
         return oracle.linear_combine(self.d, parts)
 
 
+# the unit coefficients, one shared scalar each instead of a new one per term
+_MINUS_ONE = -P_ONE
+_MINUS_I = -P_I
+_UNIT_COEFFS = {1: P_ONE, -1: _MINUS_ONE}
+_NEGATED = {P_ONE: _MINUS_ONE, _MINUS_ONE: P_ONE, P_I: _MINUS_I, _MINUS_I: P_I}
+
+
 def of_expr(e: OperatorExpr, coeff=1) -> OpSum:
     return OpSum(e.d, [(coeff, (e,))])
 
 
 def comm(a: OperatorExpr, b: OperatorExpr) -> OpSum:
-    return OpSum(a.d, [(1, (a, b)), (-1, (b, a))])
+    return OpSum(a.d, [(P_ONE, (a, b)), (_MINUS_ONE, (b, a))])
 
 
 def acomm(a: OperatorExpr, b: OperatorExpr) -> OpSum:
-    return OpSum(a.d, [(1, (a, b)), (1, (b, a))])
+    return OpSum(a.d, [(P_ONE, (a, b)), (P_ONE, (b, a))])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,7 @@ def covariant(name: str, V: Callable[[int], OperatorExpr]) -> Pairs:
         f"[J{{}}{{}},{name}{{}}]",
         lambda i, j, k: ops.so_j(d, i, j),
         lambda i, j, k: V(k),
-        lambda i, j, k: [(I_ * (i == k), (V(j),)), (-I_ * (j == k), (V(i),))],
+        lambda i, j, k: [(I_, (V(j),))] * (i == k) + [(_MINUS_I, (V(i),))] * (j == k),
         [(i, j, k) for i, j in combinations(_idx(d), 2) for k in _idx(d)],
     )
 
@@ -248,7 +251,7 @@ def closure(name: str, X: Callable[[int, int], OperatorExpr], index_pairs: Itera
                 (g(j) * (j == k), (l, i)),
                 (g(j) * (j == l), (i, k)),
             )
-            rhs = OpSum(lhs.d, [(I_ * c, (X(*ab),)) for c, ab in terms if c])
+            rhs = OpSum(lhs.d, [(I_ if c > 0 else _MINUS_I, (X(*ab),)) for c, ab in terms if c])
             out.append((f"[{name}{i}{j},{name}{k}{l}]", lhs, rhs))
     return out
 
@@ -952,15 +955,15 @@ def _registry() -> Tuple[Check, ...]:
         c("SO-COM-JM", "rotations act on the second boost vector", "[J_ij, M_k] = i(d_ik M_j - d_jk M_i)", "core", _ALL, lambda d: covariant("M", partial(ops.boost_m, d))),
         c("SO-COM-JT", "rotations commute with the dilation", "[J_ij, T] = 0", "core", _ALL, lambda d: family("[J{}{},T]", partial(ops.so_j, d), lambda i, j: ops.dilation(d), vanishes, combinations(_idx(d), 2))),
         c("SO-COM-AA", "first boosts close on rotations", "[A_i, A_j] = i J_ij", "core", _ALL, lambda d: family("[A{},A{}]", lambda i, j: ops.boost_a(d, i), lambda i, j: ops.boost_a(d, j), lambda i, j: [(I_, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
-        c("SO-COM-MM", "second boosts close on rotations with a sign", "[M_i, M_j] = -i J_ij", "core", _ALL, lambda d: family("[M{},M{}]", lambda i, j: ops.boost_m(d, i), lambda i, j: ops.boost_m(d, j), lambda i, j: [(-I_, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
-        c("SO-COM-AM", "mixed boosts produce the dilation", "[A_i, M_j] = i d_ij T", "core", _ALL, lambda d: family("[A{},M{}]", lambda i, j: ops.boost_a(d, i), lambda i, j: ops.boost_m(d, j), lambda i, j: [(I_ * (i == j), (ops.dilation(d),))], product(_idx(d), repeat=2))),
-        c("SO-COM-AT", "dilation rotates A into M", "[A_i, T] = -i M_i", "core", _ALL, lambda d: family("[A{},T]", partial(ops.boost_a, d), lambda i: ops.dilation(d), lambda i: [(-I_, (ops.boost_m(d, i),))], product(_idx(d)))),
-        c("SO-COM-MT", "dilation rotates M into A", "[M_i, T] = -i A_i", "core", _ALL, lambda d: family("[M{},T]", partial(ops.boost_m, d), lambda i: ops.dilation(d), lambda i: [(-I_, (ops.boost_a(d, i),))], product(_idx(d)))),
+        c("SO-COM-MM", "second boosts close on rotations with a sign", "[M_i, M_j] = -i J_ij", "core", _ALL, lambda d: family("[M{},M{}]", lambda i, j: ops.boost_m(d, i), lambda i, j: ops.boost_m(d, j), lambda i, j: [(_MINUS_I, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
+        c("SO-COM-AM", "mixed boosts produce the dilation", "[A_i, M_j] = i d_ij T", "core", _ALL, lambda d: family("[A{},M{}]", lambda i, j: ops.boost_a(d, i), lambda i, j: ops.boost_m(d, j), lambda i, j: [(I_, (ops.dilation(d),))] * (i == j), product(_idx(d), repeat=2))),
+        c("SO-COM-AT", "dilation rotates A into M", "[A_i, T] = -i M_i", "core", _ALL, lambda d: family("[A{},T]", partial(ops.boost_a, d), lambda i: ops.dilation(d), lambda i: [(_MINUS_I, (ops.boost_m(d, i),))], product(_idx(d)))),
+        c("SO-COM-MT", "dilation rotates M into A", "[M_i, T] = -i A_i", "core", _ALL, lambda d: family("[M{},T]", partial(ops.boost_m, d), lambda i: ops.dilation(d), lambda i: [(_MINUS_I, (ops.boost_a(d, i),))], product(_idx(d)))),
         c("SO21-METRIC", "all generators satisfy the metric form of the algebra", "[L_ab, L_cd] = i(g_ac L_bd + g_ad L_cb + g_bc L_da + g_bd L_ac), g = diag(1..1,-1)", "core", _METRIC_DIMS, lambda d: closure("L", partial(ops.lorentz_generator, d), product(range(1, d + 3), repeat=2), ops.metric_signature(d))),
         c("CASIMIR-Q2", "quadratic Casimir reduces to a constant", "J^2 + A^2 - M^2 - T^2 = -(d-1)(d+2)/8", "core", _ALL, _stated(_pr_casimir_q2)),
         # ladder operators
         c("SO-GAMMA-JGK", "rotations act on the ladder vector", "[J_ij, G_k] = i(d_ik G_j - d_jk G_i)", "core", _ALL, lambda d: covariant("G", partial(ops.gamma_i, d))),
-        c("SO-GAMMA-AGD1", "first boost lowers the ladder pair", "[A_i, G_d+1] = -i G_i", "core", _ALL, lambda d: family("[A{},Gd1]", partial(ops.boost_a, d), lambda i: ops.gamma_d1(d), lambda i: [(-I_, (ops.gamma_i(d, i),))], product(_idx(d)))),
+        c("SO-GAMMA-AGD1", "first boost lowers the ladder pair", "[A_i, G_d+1] = -i G_i", "core", _ALL, lambda d: family("[A{},Gd1]", partial(ops.boost_a, d), lambda i: ops.gamma_d1(d), lambda i: [(_MINUS_I, (ops.gamma_i(d, i),))], product(_idx(d)))),
         c("SO-GAMMA-MG0", "second boost raises the ladder pair", "[M_i, G_0] = i G_i", "core", _ALL, lambda d: family("[M{},G0]", partial(ops.boost_m, d), lambda i: ops.gamma0(d), lambda i: [(I_, (ops.gamma_i(d, i),))], product(_idx(d)))),
         c("SO-GAMMA-TG0", "dilation maps G_0 to G_d+1", "[T, G_0] = i G_d+1", "core", _ALL, lambda d: family("[T,G0]", lambda: ops.dilation(d), lambda: ops.gamma0(d), lambda: [(I_, (ops.gamma_d1(d),))], [()])),
         c("SO-GAMMA-TGD1", "dilation maps G_d+1 to G_0", "[T, G_d+1] = i G_0", "core", _ALL, lambda d: family("[T,Gd1]", lambda: ops.dilation(d), lambda: ops.gamma_d1(d), lambda: [(I_, (ops.gamma0(d),))], [()])),
@@ -1009,7 +1012,7 @@ def _registry() -> Tuple[Check, ...]:
             f"[{name}{{}},{name}{{}}]",
             lambda i, j: V(d, i),
             lambda i, j: V(d, j),
-            lambda i, j: [(I_ * ops.EPS3[i, j, k], (V(d, k),)) for k in _idx(d) if (i, j, k) in ops.EPS3],
+            lambda i, j: [(I_ if ops.EPS3[i, j, k] > 0 else _MINUS_I, (V(d, k),)) for k in _idx(d) if (i, j, k) in ops.EPS3],
             combinations(_idx(d), 2),
         )]),
         c("D3-DOTS", "dot products of the vector split", "L.B1 = 0; L.B2, S.B1, S.B2 explicit", "d3", _D3, _stated(_pr_d3_dots)),

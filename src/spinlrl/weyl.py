@@ -49,17 +49,28 @@ words multiplied by ``_word_product`` below, and it is canonical when its
 r^-2 power is 0 or d >= 2: there r^2 = x1^2 + ... + xd^2 divides no single
 monomial.  Every other product goes through the kernel.
 
-Products.  ``_multiply_acc`` groups the terms of a by their momenta and word,
-x^xk p^pk w, and moves p^pk w past b one term of b at a time through two
-tables: ``_p_expansion(pk, k, xk, d)``, the normal-ordered expansion of
-p^pk r^-2k x^xk by the rewrite rules above, and ``_word_product(w, v, d)``,
-the reduced product of two Clifford words.  Each entry is a pure function of
+Products.  ``_multiply_acc`` reads each operand r^-2m N level by level, as
+sum_j r^-2j N_j (``_level_terms``): N is divided by r^2 with
+``divide_xpoly_by_r2``, the remainder stays at level j and the quotient
+passes to level j - 1.  A stored numerator carries its lower levels
+multiplied up by powers of r^2 (at d = 8, H stores 72 terms and has 16 level
+terms), so where the split has fewer terms than N the product forms fewer
+term pairs, and ``_finalize`` brings any mix of levels back to the one
+minimal form.  The split is tried once per operand with a denominator and at
+least two terms, and kept on it.  It stops, and N is read as stored, once its
+divisions could take len(N) quotient steps or it has produced len(N) terms,
+so it never raises and costs O(d len(N)).  The kernel groups the level terms
+of a by their momenta, word and level, r^-2j x^xk p^pk w, and moves p^pk w
+past b one level term of b at a time through two tables:
+``_p_expansion(pk, k, xk, d)``, the normal-ordered expansion of p^pk r^-2k
+x^xk by the rewrite rules above, and ``_word_product(w, v, d)``, the reduced
+product of two Clifford words.  Each entry is a pure function of
 a few packed ints and short tuples, whatever operand or check it came from,
 so one entry serves every product that meets the same key; both are
 ``lru_cache`` tables of at most 65,536 entries, like ``_r2_power_expansion``.
 Entry 0 of an expansion is its leading term r^-2k x^xk p^pk.  In a bracket
 [a, b] or {a, b} the leading terms of a b and b a are equal up to the order
-of their words.  So ``commutator``, ``anticommutator`` and
+of their words, since both products read a and b by the same level terms.  So ``commutator``, ``anticommutator`` and
 ``combine_products``, for an adjacent pair (c, (a, b)), (-c, (b, a)) or
 (c, (b, a)) as ``verify.comm`` and ``verify.acomm`` build them, skip entry 0
 for each a-word w and b-word v with w v = v w in a commutator, or
@@ -265,7 +276,7 @@ class OperatorExpr(PackedTerms):
     ``{(x-exponents, p-exponents, word): ParamPoly}``.
     """
 
-    __slots__ = ("d", "denom_pow", "den", "num", "_hash", "_degrees", "_view")
+    __slots__ = ("d", "denom_pow", "den", "num", "_hash", "_degrees", "_view", "_split")
 
     def __init__(self, d: int, denom_pow: int, den: int, num: Dict[tuple, tuple]):
         # internal constructor: callers must hand over canonical data
@@ -401,6 +412,7 @@ _set_den = OperatorExpr.den.__set__
 _set_num = OperatorExpr.num.__set__
 _set_hash = OperatorExpr._hash.__set__
 _set_degrees = OperatorExpr._degrees.__set__
+_set_split = OperatorExpr._split.__set__
 
 
 def _make(d: int, denom_pow: int, den: int, num: dict) -> OperatorExpr:
@@ -619,16 +631,22 @@ def divide_xpoly_by_r2(xpoly: Dict[int, tuple], d: int) -> tuple:
     return quotient, remainder
 
 
-def _try_divide_numerator(num: Dict[tuple, tuple], d: int) -> Optional[Dict[tuple, tuple]]:
-    """One left division of a numerator map by r^2, or None when impossible."""
+def _x_polynomials(num: Dict[tuple, tuple]) -> Dict[tuple, dict]:
+    """A numerator's terms grouped by (p-part, word, alpha power, E power),
+    each group the x-polynomial ``{xk: (re, im)}`` that stands left of them."""
     groups: Dict[tuple, dict] = {}
     for (xk, pk, word, a, e), value in num.items():
         group = groups.get((pk, word, a, e))
         if group is None:
             groups[(pk, word, a, e)] = group = {}
         group[xk] = value
+    return groups
+
+
+def _try_divide_numerator(num: Dict[tuple, tuple], d: int) -> Optional[Dict[tuple, tuple]]:
+    """One left division of a numerator map by r^2, or None when impossible."""
     out: Dict[tuple, tuple] = {}
-    for (pk, word, a, e), xpoly in groups.items():
+    for (pk, word, a, e), xpoly in _x_polynomials(num).items():
         quotient, remainder = divide_xpoly_by_r2(xpoly, d)
         if remainder:
             return None
@@ -726,6 +744,76 @@ def _require_same_d(a: OperatorExpr, b: OperatorExpr) -> None:
         raise DimensionMismatch(f"cannot combine operators at d={a.d} and d={b.d}")
 
 
+def _quotient_steps_bound(xpoly: Dict[int, tuple], d: int, cap: int) -> int:
+    """An upper bound on the quotient steps of ``divide_xpoly_by_r2(xpoly, d)``,
+    summed only until it passes ``cap``.  Each step takes one lead with x1^2
+    in it, and every lead that dividing x^a meets is x^a with some x1^2
+    replaced by x_j^2 (j > 1), so x^a takes at most C(a1 // 2 + d - 2, d - 1)
+    steps and a sum of monomials no more than its terms together."""
+    shift = FIELD_BITS * (d - 1)
+    total = 0
+    for xk in xpoly:
+        half = ((xk >> shift) & _MASK) >> 1
+        if half:
+            total += comb(half + d - 2, d - 1)
+            if total > cap:
+                break
+    return total
+
+
+def _split_levels(a: OperatorExpr) -> Optional[tuple]:
+    """a = r^-2m N as a sum of levels r^-2j N_j, each term as ``(j, xk, pk,
+    word, alpha power, E power, re, im)`` over ``a.den``; None unless that
+    has fewer terms than N.
+
+    N's terms are grouped by (p-part, word, alpha, E).  Each group's
+    x-polynomial is q r^2 + rem by ``divide_xpoly_by_r2``: rem stays at level
+    j and q passes to j - 1, down to level 0.  The x-part stands left of p in
+    normal order, so the split is exact.  The attempt stops once its
+    divisions could take len(N) quotient steps, as ``_quotient_steps_bound``
+    counts them before each division, or once it has produced len(N) terms,
+    so it never raises and costs O(d len(N)).
+    """
+    d = a.d
+    size = len(a.num)
+    steps_left = min(size, DIVISION_STEP_BUDGET)
+    terms: list = []
+    for (pk, word, al, ae), poly in _x_polynomials(a.num).items():
+        j = a.denom_pow
+        while j and poly:
+            steps = _quotient_steps_bound(poly, d, steps_left)
+            if steps > steps_left:
+                return None
+            quotient, remainder = divide_xpoly_by_r2(poly, d) if steps else ({}, poly)
+            steps_left -= len(quotient)
+            terms.extend((j, xk, pk, word, al, ae, re, im) for xk, (re, im) in remainder.items())
+            poly = quotient
+            j -= 1
+        terms.extend((0, xk, pk, word, al, ae, re, im) for xk, (re, im) in poly.items())
+        if len(terms) >= size:
+            return None
+    return tuple(terms)
+
+
+def _level_terms(a: OperatorExpr) -> Sequence[tuple]:
+    """The terms the product kernel reads, as ``(j, xk, pk, word, alpha
+    power, E power, re, im)`` for r^-2j x^xk p^pk word: a's r^-2 levels
+    when ``_split_levels`` finds fewer terms there, else its stored terms at
+    level ``denom_pow``.  The split is tried once per operand, for one of at
+    least two terms with a denominator, and kept in its ``_split`` slot
+    (None when it does not pay)."""
+    m = a.denom_pow
+    if m and len(a.num) > 1:
+        try:
+            split = a._split
+        except AttributeError:
+            split = _split_levels(a)
+            _set_split(a, split)
+        if split is not None:
+            return split
+    return [(m, xk, pk, word, al, ae, re, im) for (xk, pk, word, al, ae), (re, im) in a.num.items()]
+
+
 def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UNIT, swapped: int = 0) -> None:
     """Accumulate scale * a * b into out without canonicalizing.
 
@@ -734,7 +822,8 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
     receives scale * b * a, an anticommutator.  Then the leading term of each
     pair of an a-term with word w and a b-term with word v is not formed when
     the other product's leading term cancels it: when w v = -swapped v w.
-    The caller forms b * a with the same ``swapped``.
+    The caller forms b * a with the same ``swapped``.  Both operands are read
+    by ``_level_terms``, the same way in both orders.
     """
     d = a.d
     if not a.num or not b.num:
@@ -746,27 +835,27 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
     check_degree(ax + bx + (ap if b.denom_pow else 0))
     check_degree(ap + bp)
     sden, sterms = scale
-    # a's terms grouped by what b has to be pushed past: x^xk p^pk w * b
-    # = x^xk (p^pk w b), and p^pk w b is computed once per group
+    a_terms = _level_terms(a)
+    b_terms = _level_terms(b)
+    # a's terms grouped by what b has to be pushed past: r^-2j x^xk p^pk w b
+    # = r^-2j x^xk (p^pk w b), and p^pk w b is computed once per group
     groups: Dict[tuple, list] = {}
-    for (xk, pk, word, al, ae), (re, im) in a.num.items():
-        factors = groups.get((pk, word))
+    for j, xk, pk, word, al, ae, re, im in a_terms:
+        factors = groups.get((pk, word, j))
         if factors is None:
-            groups[(pk, word)] = factors = []
+            groups[(pk, word, j)] = factors = []
         for sa, se, sr, si in sterms:
             factors.append((xk, al + sa, ae + se, re * sr - im * si, re * si + im * sr))
-    bk = b.denom_pow
-    b_terms = [(bxk, bpk, bw, ba, be, br, bi) for (bxk, bpk, bw, ba, be), (br, bi) in b.num.items()]
     # p^pk moved past r^-2k x^xk gives at most 3^|pk| terms: each unit of p_i
     # passes, lowers x_i or raises k.  A product that this bound cannot keep
     # within the budget has the terms it forms counted before any is formed.
-    if len(a.num) * len(sterms) * len(b.num) * 3 ** min(ap, 13) > PRODUCT_TERM_BUDGET:
+    if len(a_terms) * len(sterms) * len(b_terms) * 3 ** min(ap, 13) > PRODUCT_TERM_BUDGET:
         formed = 0
         sizes: Dict[int, int] = {}
-        for (pk, word), factors in groups.items():
+        for (pk, word, j), factors in groups.items():
             size = sizes.get(pk)
             if size is None:
-                sizes[pk] = size = sum(len(_p_expansion(pk, bk, t[0], d)) for t in b_terms)
+                sizes[pk] = size = sum(len(_p_expansion(pk, t[0], t[1], d)) for t in b_terms)
             formed += len(factors) * size
             if formed > PRODUCT_TERM_BUDGET:
                 raise ValueError(f"a product of {len(a.num)} by {len(b.num)} terms exceeds the product-term budget of {PRODUCT_TERM_BUDGET:,}")
@@ -775,13 +864,12 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
     if target is None:
         out[den] = target = {}
     get = target.get
-    shift = a.denom_pow
-    for (pk, word), factors in groups.items():
+    for (pk, word, shift), factors in groups.items():
         # p^pk word b, one term of b at a time: p^pk passes r^-2bk x^bxk by
         # the expansion table, word meets bw by the word table, and the
         # term's own p^bpk is added to each expansion term's momenta
         pushed = []
-        for bxk, bpk, bw, ba, be, br, bi in b_terms:
+        for bk, bxk, bpk, bw, ba, be, br, bi in b_terms:
             v, sign = _word_product(word, bw, d)
             if sign < 0:
                 br, bi = -br, -bi

@@ -397,6 +397,22 @@ def test_reduce_within_the_expansion_budget(capsys):
     assert "the adjoint of 1001 terms" in err and "product-term budget" in err
 
 
+def test_reduce_and_oracle_do_not_build_the_registry():
+    # verify builds its registry when imported; only verify and list need it
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from spinlrl import cli\n"
+        "assert cli.main(['reduce', '--d', '3', 'p1 rinv2 x1']) == 0\n"
+        "assert cli.main(['oracle', '--d', '2', 'p1 x1', 'x1 p1 - i', '--trials', '1']) == 0\n"
+        "print('spinlrl.verify' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_python_m_spinlrl_runs_the_cli():
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -310,3 +310,19 @@ def test_opsum_apply_uses_the_given_single_apply():
     f = oracle.random_function(2, 3)
     assert comm(a, b).apply(f, apply_one) == comm(a, b).apply(f) == oracle.apply(weyl.commutator(a, b), f)
     assert len(seen) == 4
+
+
+def test_unit_coefficients_are_shared():
+    from spinlrl.coeff import P_I, P_ONE
+    from spinlrl.verify import OpSum, acomm, comm
+
+    a, b = weyl.x(2, 1), weyl.p(2, 1)
+    assert [c for c, _ in comm(a, b).terms] == [P_ONE, -P_ONE]
+    assert [c for c, _ in (-comm(a, b)).terms] == [-P_ONE, P_ONE]
+    assert [c for c, _ in OpSum(2, [(P_I, (a,)), (-P_I, (b,)), (3, ()), (0, (a,))]).terms] == [P_I, -P_I, 3]
+    # one scalar object per unit value, however many terms carry it
+    pairs = verify.get_check("S-SO(D)").pairs(3) + verify.get_check("LRL-ALG").pairs(3)
+    units = {c for _, lhs, rhs in pairs for c, _ in lhs.terms + rhs.terms + (-rhs).terms if c in (P_ONE, -P_ONE, P_I, -P_I)}
+    assert len(units) == 4
+    assert len({id(c) for _, lhs, rhs in pairs for c, _ in lhs.terms + (-rhs).terms if c in units}) == 4
+    assert len({id(c) for c, _ in acomm(a, b).terms + comm(b, a).terms}) == 2

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spinlrl import expr, oracle, verify, weyl
+from spinlrl import cli, expr, oracle, verify, weyl
 from spinlrl.coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from spinlrl.weyl import (
     DimensionMismatch,
@@ -989,3 +989,140 @@ def test_product_term_budget_holds_through_a_shared_last_factor(monkeypatch):
     monkeypatch.setattr(weyl, "PRODUCT_TERM_BUDGET", 3)
     with pytest.raises(ValueError, match="product-term budget of 3"):
         weyl.combine_products(d, terms)
+
+
+# -- operands read level by level -------------------------------------------------------------
+
+
+def _stored_read(a):
+    """The kernel's read with no split: every stored term at level denom_pow."""
+    m = a.denom_pow
+    return [(m, xk, pk, word, al, ae, re, im) for (xk, pk, word, al, ae), (re, im) in a.num.items()]
+
+
+def rand_level_operand(d, rng):
+    """A sum of random operators times rinv2^k, k = 0..2, so its numerator
+    carries lower levels multiplied up by powers of r^2; or rinv2 (x1^n + xd),
+    whose split has more terms than its numerator."""
+    r = weyl.rinv2(d)
+    if rng.random() < 0.25:
+        return multiply(r, weyl.x(d, 1) ** rng.randint(2, 6) + weyl.x(d, d))
+    parts = [(rng.choice(CHAIN_SCALES), multiply(r ** rng.randint(0, 2), rand_operator(d, rng, factors=3))) for _ in range(rng.randint(2, 3))]
+    return linear_combine(parts, d=d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_level_read_matches_the_stored_read(d, monkeypatch):
+    rng = random.Random(19000 + d)
+    operands = [rand_level_operand(d, rng) for _ in range(8)]
+    operands.append(multiply(weyl.rinv2(d), weyl.x(d, 1) ** 5))
+    pairs = [(rng.choice(operands), rng.choice(operands)) for _ in range(25)]
+    sums = []
+    for _ in range(6):
+        chains = []
+        for _ in range(rng.randint(2, 4)):
+            c = rng.choice(CHAIN_SCALES)
+            factors = tuple(rng.choice(operands) for _ in range(rng.randint(2, 3)))
+            chains.append((c, factors))
+            if rng.random() < 0.5:
+                chains.append((rng.choice((c, -c)), (factors[1], factors[0]) + factors[2:]))
+        sums.append(chains)
+
+    def results():
+        out = []
+        for a, b in pairs:
+            out += [multiply(a, b), commutator(a, b), anticommutator(a, b)]
+        return out + [weyl.combine_products(d, terms) for terms in sums]
+
+    split = [weyl._split_levels(a) for a in operands]
+    # each split is the operand itself, at fewer terms
+    for a, levels in zip(operands, split):
+        if levels is not None:
+            assert len(levels) < len(a.num)
+            rebuilt = {a.den: {(j, xk, pk, word, al, ae): (re, im) for j, xk, pk, word, al, ae, re, im in levels}}
+            assert weyl._finalize(d, rebuilt) == a
+    paying = sum(levels is not None for levels in split)
+    if d == 1:
+        # r^2 = x1^2 is one monomial: a level holds as many terms as it took from N
+        assert paying == 0
+    else:
+        assert 2 <= paying < len(operands)
+    with_split = results()
+    monkeypatch.setattr(weyl, "_level_terms", _stored_read)
+    assert results() == with_split
+
+
+# stdout, stderr and exit code as they were before the kernel read operands level by
+# level, for operands whose numerators r^2 divides only after many quotient steps, or not at all
+BUDGET = "error: dividing by r^2 exceeds the division-step budget of 100,000\n"
+HOSTILE = [
+    ("reduce --d 3", "p2 (rinv2 x1^300)", 0, "rinv2^2 (x1^302 p2 + x1^300 x2^2 p2 + x1^300 x3^2 p2 + 2i x1^300 x2)\n", ""),
+    ("reduce --d 3", "p1 (rinv2 x1^2000)", 2, "", BUDGET),
+    (
+        "reduce --d 3",
+        "[p1, rinv2^2 x1^200 + rinv2 x2]",
+        0,
+        "rinv2^3 ((-196i) x1^201 + (-200i) x1^199 x2^2 + (-200i) x1^199 x3^2 + 2i x1^3 x2 + 2i x1 x2^3 + 2i x1 x2 x3^2)\n",
+        "",
+    ),
+    ("reduce --d 6", "p2 (rinv2 x1^300)", 2, "", BUDGET),
+    ("reduce --d 6", "p1 (rinv2 x1^2000)", 2, "", BUDGET),
+    ("reduce --d 6", "[p1, rinv2^2 x1^200 + rinv2 x2]", 2, "", BUDGET),
+    ("reduce --d 3", "p1 rinv2 x1^65534", 2, "", "error: total degree 65536 exceeds the exponent limit 65535\n"),
+    ("reduce --d 3", "rinv2 x1^65535 - rinv2^2 x1", 2, "", "error: total degree 65537 exceeds the exponent limit 65535\n"),
+    ("oracle --d 3 x1", "x1 + rinv2^30000", 2, "", "error: (r^2)^30000 at d=3 has 450,045,001 terms, past the product-term budget of 1,000,000\n"),
+]
+
+
+@pytest.mark.parametrize("command, text, code, out, err", HOSTILE, ids=[f"{command}:{text}" for command, text, *_ in HOSTILE])
+def test_hostile_operands_behave_as_before_the_level_read(capsys, command, text, code, out, err):
+    name, *args = command.split()
+    assert cli.main([name, text, *args]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize(
+    "d, text",
+    [
+        # dividing x1^200 at d = 3 would take C(101, 2) = 5,050 quotient steps
+        (3, "rinv2^2 x1^200 + rinv2 x2"),
+        (3, "rinv2 (x1^400 + x2)"),
+        (6, "rinv2 (x1^20 + x2)"),
+        # the p1 group divides in one step, then x1^20 + x2 would take 55
+        (3, "rinv2 (x1^2 p1 + x2^2 p1 + x3^2 p1 + x1^20 + x2)"),
+    ],
+)
+def test_split_attempt_stops_within_its_step_cap(monkeypatch, d, text):
+    a = expr.evaluate(text, d)
+    steps = []
+    divide = weyl.divide_xpoly_by_r2
+
+    def counting(xpoly, d):
+        quotient, remainder = divide(xpoly, d)
+        steps.append(len(quotient))
+        return quotient, remainder
+
+    monkeypatch.setattr(weyl, "divide_xpoly_by_r2", counting)
+    assert weyl._split_levels(a) is None
+    assert sum(steps) <= len(a.num)
+    assert weyl._level_terms(a) == _stored_read(a)
+    assert a._split is None
+
+
+def test_lrl_alg_level_read_term_pairs_at_d6(monkeypatch):
+    # the term pairs the kernel reads over LRL-ALG at d = 6: 369,090 when every
+    # operand was read as its stored numerator, whose lower r^-2 levels carry
+    # powers of r^2 (at d = 8, H has 72 stored terms and 16 level-read ones)
+    d = 6
+    pairs = verify.get_check("LRL-ALG").pairs(d)
+    formed = []
+    kernel = weyl._multiply_acc
+
+    def counting(a, b, out, scale=weyl._UNIT, swapped=0):
+        formed.append(len(weyl._level_terms(a)) * len(scale[1]) * len(weyl._level_terms(b)))
+        kernel(a, b, out, scale, swapped)
+
+    monkeypatch.setattr(weyl, "_multiply_acc", counting)
+    for _, lhs, rhs in pairs:
+        assert weyl.combine_products(d, lhs.terms + (-rhs).terms).is_zero()
+    assert sum(formed) == 28_490
