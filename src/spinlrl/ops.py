@@ -1,26 +1,55 @@
-"""Builders for every named operator of the model at a fixed dimension.
+"""Every named operator of the model, stated once as a row of one table.
 
-All repeated-index sums are expanded at build time, so each builder returns a
-concrete canonical OperatorExpr.  Builders are cached per (name, d, indices)
-and therefore cheap to call repeatedly from the verification registry.
+A row is name -> (index letters, ``(coefficient, chain)`` terms), written in
+the paper's index notation, the notation the registry's sides use too:
+
+* A chain is space-separated factors ``NAME`` or ``NAME_letters``:
+  ``"x_i P2"``, ``"J_jk J_jk"``, ``""`` for a scalar.  A factor is another
+  row, a generator x, p, g or rinv2, or one of the scalar factors
+  ``delta_ij`` and ``eps_ijk`` (the d = 3 Levi-Civita symbol, an
+  ``IndexError_`` at any other d).
+* The row's own letters are bound to the indices it is built at; every
+  other letter is summed over 1..d.  A chain with a zero factor (S_ii,
+  L_ii, J_ii) or a zero delta or eps is left out; a delta or eps is dropped
+  from its chain, an eps of -1 negating the coefficient.
+* Consecutive terms that sum over the same letters are expanded together,
+  one index tuple at a time; sums meant to follow one another take
+  different letters, A_j A_j - M_k M_k.
+* A coefficient is a number, or a function of d where it depends on d (T's
+  -i(d-1)/2).  The chains do not depend on d, so each row's expansion
+  ``_plan`` is read once, at import.
+
+``build(d, name, *indices)`` is the one builder: it expands the row with
+``_expand`` and canonicalises the chains with ``weyl.combine_products``.  It
+is cached, so each (d, name, indices) is one object in every chain that
+names it.  The CLI vocabulary, ``BUILDER_ARITY``, is the table's first
+part; its second holds the factors the registry's sides fuse (Y, W, HmE,
+the brackets with Y, ...).  ``verify`` reads its sides with the same
+``_plan`` and ``_expand``.
 
 Conventions: the Hamiltonian couples through alpha/r^2 times (gamma . x); the
 radial eigenproblem uses K = (gamma . x)(p^2/2 - E) with E kept symbolic; the
 conserved vector in the Schroedinger picture is built both as B_i + x_i(H - E)
-and from its closed form, which the suite checks to agree.
+(LRL) and from its closed form (LRLX), which the suite checks to agree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from operator import itemgetter
+from typing import Sequence, Tuple
 
 from . import weyl
 from .coeff import P_ALPHA, P_E, P_I
 from .weyl import OperatorExpr
 
 HALF = Fraction(1, 2)
-I = P_I
+_QUARTER_I = P_I * Fraction(1, 4)
+_MINUS_E = -P_E
+
+EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
 
 
 class IndexError_(ValueError):
@@ -34,232 +63,187 @@ def _check_index(d: int, *indices: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementary contractions
+# the table
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def p_squared(d: int) -> OperatorExpr:
-    return weyl.linear_combine([(1, weyl.p(d, i) ** 2) for i in range(1, d + 1)])
+# the CLI vocabulary, as name -> (index letters, terms)
+_OPERATORS = {
+    # contractions of the generators
+    "P2": ("", [(1, "p_j p_j")]),
+    "XP": ("", [(1, "x_j p_j")]),
+    "GX": ("", [(1, "x_j g_j")]),
+    "GP": ("", [(1, "p_j g_j")]),
+    "R2": ("", [(1, "x_j x_j")]),
+    # the so(d+1,1) generators: rotations, dilation, both boosts
+    "L": ("ij", [(1, "x_i p_j"), (-1, "x_j p_i")]),
+    "S": ("ij", [(-_QUARTER_I, "g_i g_j"), (_QUARTER_I, "g_j g_i")]),
+    "J": ("ij", [(1, "L_ij"), (1, "S_ij")]),
+    "T": ("", [(1, "XP"), (lambda d: P_I * Fraction(1 - d, 2), "")]),
+    "A": ("i", [(HALF, "x_i P2"), (-1, "T p_i"), (1, "B2_i"), (-HALF, "x_i")]),
+    "M": ("i", [(1, "A_i"), (1, "x_i")]),
+    # Hamiltonian, radial operator and ladder operators
+    "H": ("", [(HALF, "P2"), (P_ALPHA, "Y")]),
+    "K": ("", [(HALF, "GX P2"), (_MINUS_E, "GX")]),
+    "G0": ("", [(HALF, "GX P2"), (HALF, "GX")]),
+    "Gd1": ("", [(HALF, "GX P2"), (-HALF, "GX")]),
+    "G": ("i", [(1, "GX p_i")]),
+    # Sturm's B_i, its spin-free and spin parts, and the conserved vector
+    "B1": ("i", [(HALF, "x_i P2"), (-1, "T p_i"), (P_E, "x_i")]),
+    "B2": ("i", [(1, "S_ij p_j")]),
+    "B": ("i", [(1, "B1_i"), (1, "B2_i")]),
+    "LRL": ("i", [(1, "B_i"), (1, "x_i H"), (_MINUS_E, "x_i")]),
+    # quadratic contractions and the Casimir
+    "J2": ("", [(HALF, "J_jk J_jk")]),
+    "L2": ("", [(HALF, "L_jk L_jk")]),
+    "S2": ("", [(HALF, "S_jk S_jk")]),
+    "LS": ("", [(1, "L_jk S_jk")]),
+    "Q2": ("", [(1, "J2"), (1, "A_j A_j"), (-1, "M_k M_k"), (-1, "T T")]),
+    # the d = 3 vectors
+    "Jvec": ("i", [(HALF, "eps_ijk J_jk")]),
+    "Lvec": ("i", [(HALF, "eps_ijk L_jk")]),
+    "Svec": ("i", [(HALF, "eps_ijk S_jk")]),
+    "XS": ("", [(1, "x_j Svec_j")]),
+    "PS": ("", [(1, "p_j Svec_j")]),
+}
+
+# the factors the registry's sides fuse, as name -> (index letters, terms);
+# not part of the CLI vocabulary
+_FUSED = {
+    "Y": ("", [(1, "rinv2 GX")]),
+    "W": ("", [
+        (1, "R2 P2"),
+        (-2, "XP XP"),
+        (lambda d: P_I * 2 * (d - 1), "XP"),
+        (1, "LS"),
+        (lambda d: Fraction(d * (d - 1), 2), ""),
+        (2 * P_E, "R2"),
+    ]),
+    "LRLX": ("i", [(1, "x_i P2"), (-1, "T p_i"), (1, "B2_i"), (P_ALPHA, "x_i Y")]),
+    "HmE": ("", [(1, "H"), (_MINUS_E, "")]),
+    "KpA": ("", [(1, "K"), (P_ALPHA, "")]),
+    "P2h": ("", [(HALF, "P2")]),
+    "TP": ("i", [(1, "T p_i")]),
+    "Acore": ("i", [(1, "A_i"), (HALF, "x_i")]),
+    "MmA": ("i", [(1, "M_i"), (-1, "A_i")]),
+    "XPXP": ("", [(1, "XP XP")]),
+    "cP2Y": ("", [(1, "P2 Y"), (-1, "Y P2")]),
+    "cXPXPY": ("", [(1, "XPXP Y"), (-1, "Y XPXP")]),
+    "cXPY": ("", [(1, "XP Y"), (-1, "Y XP")]),
+    "cLSY": ("", [(1, "LS Y"), (-1, "Y LS")]),
+}
 
 
-@lru_cache(maxsize=None)
-def x_dot_p(d: int) -> OperatorExpr:
-    return weyl.linear_combine([(1, weyl.multiply(weyl.x(d, i), weyl.p(d, i))) for i in range(1, d + 1)])
+# the generators, as name -> (index letters, weyl constructor)
+_GENERATORS = {"x": ("i", weyl.x), "p": ("i", weyl.p), "g": ("i", weyl.gamma), "rinv2": ("", weyl.rinv2)}
 
 
-@lru_cache(maxsize=None)
-def gamma_dot_x(d: int) -> OperatorExpr:
-    return weyl.linear_combine([(1, weyl.multiply(weyl.x(d, i), weyl.gamma(d, i))) for i in range(1, d + 1)])
+def _eps(d: int, ijk: tuple) -> int:
+    if d != 3:
+        raise IndexError_("epsilon-contracted vector operators exist only at d=3")
+    return EPS3.get(ijk, 0)
 
 
-@lru_cache(maxsize=None)
-def gamma_dot_p(d: int) -> OperatorExpr:
-    return weyl.linear_combine([(1, weyl.multiply(weyl.p(d, i), weyl.gamma(d, i))) for i in range(1, d + 1)])
+# the scalar factors, as name -> (index letters, weight(d, indices))
+_SCALARS = {"delta": ("ij", lambda d, ij: ij[0] == ij[1]), "eps": ("ijk", _eps)}
 
 
-@lru_cache(maxsize=None)
-def r_squared(d: int) -> OperatorExpr:
-    return weyl.r_squared(d)
-
-
-@lru_cache(maxsize=None)
-def rinv2(d: int) -> OperatorExpr:
-    return weyl.rinv2(d)
-
-
-@lru_cache(maxsize=None)
-def gx_over_r2(d: int) -> OperatorExpr:
-    """(gamma . x) r^-2; position factors commute with the denominator."""
-    return weyl.multiply(weyl.rinv2(d), gamma_dot_x(d))
-
-
-# ---------------------------------------------------------------------------
-# rotation generators
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def angular(d: int, i: int, j: int) -> OperatorExpr:
-    """Orbital rotation generator x_i p_j - x_j p_i."""
-    _check_index(d, i, j)
-    if i == j:
-        return weyl.zero(d)
-    return weyl.multiply(weyl.x(d, i), weyl.p(d, j)) - weyl.multiply(weyl.x(d, j), weyl.p(d, i))
-
-
-@lru_cache(maxsize=None)
-def spin(d: int, i: int, j: int) -> OperatorExpr:
-    """Spin generator -(i/4)(g_i g_j - g_j g_i) as a Clifford-word operator."""
-    _check_index(d, i, j)
-    if i == j:
-        return weyl.zero(d)
-    gi, gj = weyl.gamma(d, i), weyl.gamma(d, j)
-    quarter = P_I * Fraction(-1, 4)
-    return quarter * (weyl.multiply(gi, gj) - weyl.multiply(gj, gi))
-
-
-@lru_cache(maxsize=None)
-def so_j(d: int, i: int, j: int) -> OperatorExpr:
-    """Total rotation generator: orbital plus spin."""
-    return angular(d, i, j) + spin(d, i, j)
-
-
-@lru_cache(maxsize=None)
-def dilation(d: int) -> OperatorExpr:
-    """x . p - i(d-1)/2."""
-    return x_dot_p(d) + weyl.scalar(d, P_I * Fraction(-(d - 1), 2))
-
-
-@lru_cache(maxsize=None)
-def boost_a(d: int, i: int) -> OperatorExpr:
-    _check_index(d, i)
-    xi = weyl.x(d, i)
-    core = HALF * weyl.multiply(xi, p_squared(d)) - weyl.multiply(dilation(d), weyl.p(d, i)) + spin_dot_p(d, i)
-    return core - HALF * xi
-
-
-@lru_cache(maxsize=None)
-def boost_m(d: int, i: int) -> OperatorExpr:
-    _check_index(d, i)
-    return boost_a(d, i) + weyl.x(d, i)
-
-
-@lru_cache(maxsize=None)
-def spin_dot_p(d: int, i: int) -> OperatorExpr:
-    """Contraction sum_j S_ij p_j (the spin piece of the boosts)."""
-    _check_index(d, i)
-    parts = [(1, weyl.multiply(spin(d, i, j), weyl.p(d, j))) for j in range(1, d + 1) if j != i]
-    return weyl.linear_combine(parts, d=d)
+_TABLE = {**_OPERATORS, **_FUSED}
+BUILDER_ARITY = {name: len(letters) for name, (letters, _) in _OPERATORS.items()}
+_ARITY = {name: len(letters) for table in (_TABLE, _GENERATORS, _SCALARS) for name, (letters, _) in table.items()}
+_TAKES = ("no indices", "exactly one index", "exactly two indices")
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian and radial operator
+# the expander
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def hamiltonian(d: int) -> OperatorExpr:
-    """H = p^2/2 + alpha r^-2 (gamma . x)."""
-    return HALF * p_squared(d) + P_ALPHA * gx_over_r2(d)
+def _token(word: str) -> Tuple[str, str]:
+    """A factor ``NAME`` or ``NAME_letters`` as (name, letters)."""
+    name, _, letters = word.partition("_")
+    arity = _ARITY.get(name)
+    if arity is None:
+        raise ValueError(f"unknown factor {word!r}")
+    if arity != len(letters):
+        raise ValueError(f"factor {word!r}: {name} takes {arity} index letter(s)")
+    return name, letters
+
+
+def _plan(chains: Sequence[str], bound: Tuple[str, ...]) -> tuple:
+    """How terms' chains expand, read once: runs of consecutive chains that
+    sum over one set of letters, as (number of summed letters, [(chain
+    position, [(name, pick)], [(scalar weight, pick)])]).  A pick takes a
+    factor's indices, as a tuple, from the ``bound`` letters' values, then
+    the summed ones in the order the run's first chain names them; None
+    takes none."""
+    runs: list = []  # [(summed letters, where, width, steps)]
+    for n, chain in enumerate(chains):
+        tokens = [_token(word) for word in chain.split()]
+        summed = tuple(dict.fromkeys([c for _, letters in tokens for c in letters if c not in bound])) if "_" in chain else ()
+        if not runs or runs[-1][0] != set(summed):
+            runs.append((set(summed), {c: k for k, c in enumerate(bound + summed)}, len(summed), []))
+        _, where, _, steps = runs[-1]
+        factors = []
+        scalars = []
+        for name, letters in tokens:
+            at = [where[c] for c in letters]
+            # a one-letter slice keeps a single index a tuple
+            pick = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1)) if at else None
+            if name in _SCALARS:
+                scalars.append((_SCALARS[name][1], pick))
+            else:
+                factors.append((name, pick))
+        steps.append((n, tuple(factors), tuple(scalars)))
+    return tuple((width, tuple(steps)) for _, _, width, steps in runs)
+
+
+def _expand(d: int, terms: Sequence[tuple], plan: tuple, fixed: tuple) -> list:
+    """The ``(coefficient, chain)`` terms expanded by their ``_plan`` at d,
+    with ``fixed`` the values of the letters it binds, as (coefficient,
+    factors) pairs; each factor is ``build``'s object."""
+    out = []
+    indices = range(1, d + 1)
+    for width, run in plan:
+        for values in product(indices, repeat=width):
+            at = fixed + values
+            for n, factors, scalars in run:
+                coeff = terms[n][0]
+                if scalars:
+                    weight = 1
+                    for scalar, pick in scalars:
+                        weight *= scalar(d, pick(at))
+                    if not weight:
+                        continue
+                    if weight < 0:
+                        coeff = -coeff
+                chain = []
+                for name, pick in factors:
+                    f = build(d, name, *pick(at)) if pick else build(d, name)
+                    if not f.num:
+                        break
+                    chain.append(f)
+                else:
+                    out.append((coeff, chain))
+    return out
+
+
+_PLANS = {name: _plan([chain for _, chain in terms], tuple(letters)) for name, (letters, terms) in _TABLE.items()}
 
 
 @lru_cache(maxsize=None)
-def sturm_k(d: int) -> OperatorExpr:
-    """K = (gamma . x)(p^2/2 - E) with symbolic E."""
-    return weyl.multiply(gamma_dot_x(d), HALF * p_squared(d) - weyl.scalar(d, P_E))
-
-
-# ---------------------------------------------------------------------------
-# ladder sector
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def gamma0(d: int) -> OperatorExpr:
-    return HALF * weyl.multiply(gamma_dot_x(d), p_squared(d) + weyl.one(d))
-
-
-@lru_cache(maxsize=None)
-def gamma_d1(d: int) -> OperatorExpr:
-    return HALF * weyl.multiply(gamma_dot_x(d), p_squared(d) - weyl.one(d))
-
-
-@lru_cache(maxsize=None)
-def gamma_i(d: int, i: int) -> OperatorExpr:
-    _check_index(d, i)
-    return weyl.multiply(gamma_dot_x(d), weyl.p(d, i))
-
-
-# ---------------------------------------------------------------------------
-# radial-picture invariants
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def sturm_b(d: int, i: int) -> OperatorExpr:
-    """B_i = x_i p^2/2 - (x.p - i(d-1)/2) p_i + S_ij p_j + E x_i."""
-    _check_index(d, i)
-    return sturm_b1(d, i) + sturm_b2(d, i)
-
-
-@lru_cache(maxsize=None)
-def sturm_b1(d: int, i: int) -> OperatorExpr:
-    """Spin-independent part of B_i."""
-    _check_index(d, i)
-    xi = weyl.x(d, i)
-    return HALF * weyl.multiply(xi, p_squared(d)) - weyl.multiply(dilation(d), weyl.p(d, i)) + P_E * xi
-
-
-@lru_cache(maxsize=None)
-def sturm_b2(d: int, i: int) -> OperatorExpr:
-    """Spin part of B_i."""
-    return spin_dot_p(d, i)
-
-
-@lru_cache(maxsize=None)
-def lrl(d: int, i: int) -> OperatorExpr:
-    """Conserved vector in the Schroedinger picture: B_i + x_i (H - E)."""
-    _check_index(d, i)
-    return sturm_b(d, i) + weyl.multiply(weyl.x(d, i), hamiltonian(d) - weyl.scalar(d, P_E))
-
-
-@lru_cache(maxsize=None)
-def lrl_explicit(d: int, i: int) -> OperatorExpr:
-    """Closed form: x_i p^2 - (x.p - i(d-1)/2) p_i + S_ij p_j + alpha x_i (gamma.x) r^-2."""
-    _check_index(d, i)
-    xi = weyl.x(d, i)
-    return (
-        weyl.multiply(xi, p_squared(d))
-        - weyl.multiply(dilation(d), weyl.p(d, i))
-        + spin_dot_p(d, i)
-        + P_ALPHA * weyl.multiply(xi, gx_over_r2(d))
-    )
-
-
-# ---------------------------------------------------------------------------
-# quadratic contractions
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def j_squared(d: int) -> OperatorExpr:
-    """J^2 = (1/2) J_ij J_ij summed over all index pairs."""
-    parts = [(1, weyl.multiply(so_j(d, i, j), so_j(d, i, j))) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
-    return weyl.linear_combine(parts, d=d)
-
-
-@lru_cache(maxsize=None)
-def l_squared(d: int) -> OperatorExpr:
-    parts = [(1, weyl.multiply(angular(d, i, j), angular(d, i, j))) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
-    return weyl.linear_combine(parts, d=d)
-
-
-@lru_cache(maxsize=None)
-def s_squared(d: int) -> OperatorExpr:
-    parts = [(1, weyl.multiply(spin(d, i, j), spin(d, i, j))) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
-    return weyl.linear_combine(parts, d=d)
-
-
-@lru_cache(maxsize=None)
-def ls_contraction(d: int) -> OperatorExpr:
-    """L_ij S_ij summed over all ordered pairs."""
-    parts = [
-        (1, weyl.multiply(angular(d, i, j), spin(d, i, j)))
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        if i != j
-    ]
-    return weyl.linear_combine(parts, d=d)
-
-
-@lru_cache(maxsize=None)
-def casimir_q2(d: int) -> OperatorExpr:
-    """Quadratic Casimir J^2 + A^2 - M^2 - T^2, built from the contractions."""
-    a2 = weyl.linear_combine([(1, weyl.multiply(boost_a(d, i), boost_a(d, i))) for i in range(1, d + 1)])
-    m2 = weyl.linear_combine([(1, weyl.multiply(boost_m(d, i), boost_m(d, i))) for i in range(1, d + 1)])
-    t2 = weyl.multiply(dilation(d), dilation(d))
-    return j_squared(d) + a2 - m2 - t2
+def build(d: int, name: str, *indices: int) -> OperatorExpr:
+    """The named operator ``name`` at ``indices``: a row of the table, or a
+    generator.  ``BUILDER_ARITY``'s names are the ones the CLI reads."""
+    if name not in _ARITY or name in _SCALARS:
+        raise KeyError(f"unknown operator name {name!r}")
+    if len(indices) != _ARITY[name]:
+        raise IndexError_(f"{name} takes {_TAKES[_ARITY[name]]}")
+    _check_index(d, *indices)
+    if name in _GENERATORS:
+        return _GENERATORS[name][1](d, *indices)
+    terms = [(c(d) if callable(c) else c, chain) for c, chain in _TABLE[name][1]]
+    return weyl.combine_products(d, _expand(d, terms, _PLANS[name], indices))
 
 
 # ---------------------------------------------------------------------------
@@ -286,125 +270,9 @@ def lorentz_generator(d: int, a: int, b: int) -> OperatorExpr:
     if a > b:
         return -lorentz_generator(d, b, a)
     if b <= d:
-        return so_j(d, a, b)
+        return build(d, "J", a, b)
     if b == d + 1:
-        return boost_a(d, a)
+        return build(d, "A", a)
     if a <= d:
-        return boost_m(d, a)
-    return dilation(d)
-
-
-# ---------------------------------------------------------------------------
-# three-dimensional vector forms
-# ---------------------------------------------------------------------------
-
-EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
-
-
-def _require_d3(d: int) -> None:
-    if d != 3:
-        raise IndexError_("epsilon-contracted vector operators exist only at d=3")
-
-
-def _vector_from(d: int, pair_builder, i: int) -> OperatorExpr:
-    _require_d3(d)
-    _check_index(d, i)
-    parts = []
-    for j in range(1, 4):
-        for k in range(1, 4):
-            sign = EPS3.get((i, j, k), 0)
-            if sign:
-                parts.append((Fraction(sign, 2), pair_builder(d, j, k)))
-    return weyl.linear_combine(parts, d=d)
-
-
-@lru_cache(maxsize=None)
-def vector_j(d: int, i: int) -> OperatorExpr:
-    return _vector_from(d, so_j, i)
-
-
-@lru_cache(maxsize=None)
-def vector_l(d: int, i: int) -> OperatorExpr:
-    return _vector_from(d, angular, i)
-
-
-@lru_cache(maxsize=None)
-def vector_s(d: int, i: int) -> OperatorExpr:
-    return _vector_from(d, spin, i)
-
-
-@lru_cache(maxsize=None)
-def x_dot_s(d: int) -> OperatorExpr:
-    """sum_i x_i S_i at d=3."""
-    _require_d3(d)
-    return weyl.linear_combine([(1, weyl.multiply(weyl.x(d, i), vector_s(d, i))) for i in range(1, 4)])
-
-
-@lru_cache(maxsize=None)
-def p_dot_s(d: int) -> OperatorExpr:
-    """sum_i p_i S_i at d=3."""
-    _require_d3(d)
-    return weyl.linear_combine([(1, weyl.multiply(weyl.p(d, i), vector_s(d, i))) for i in range(1, 4)])
-
-
-# ---------------------------------------------------------------------------
-# name dispatch (shared vocabulary with the expression language)
-# ---------------------------------------------------------------------------
-
-_NULLARY = {
-    "H": hamiltonian,
-    "K": sturm_k,
-    "T": dilation,
-    "G0": gamma0,
-    "Gd1": gamma_d1,
-    "Q2": casimir_q2,
-    "J2": j_squared,
-    "L2": l_squared,
-    "S2": s_squared,
-    "LS": ls_contraction,
-    "XP": x_dot_p,
-    "GX": gamma_dot_x,
-    "GP": gamma_dot_p,
-    "XS": x_dot_s,
-    "PS": p_dot_s,
-    "R2": r_squared,
-    "P2": p_squared,
-}
-
-_UNARY = {
-    "A": boost_a,
-    "M": boost_m,
-    "B": sturm_b,
-    "B1": sturm_b1,
-    "B2": sturm_b2,
-    "G": gamma_i,
-    "LRL": lrl,
-    "Jvec": vector_j,
-    "Lvec": vector_l,
-    "Svec": vector_s,
-}
-
-_BINARY = {
-    "J": so_j,
-    "L": angular,
-    "S": spin,
-}
-
-BUILDER_ARITY = {**{k: 0 for k in _NULLARY}, **{k: 1 for k in _UNARY}, **{k: 2 for k in _BINARY}}
-
-
-def build(d: int, name: str, *indices: int) -> OperatorExpr:
-    """Build a named operator; the name set doubles as the CLI vocabulary."""
-    if name in _NULLARY:
-        if indices:
-            raise IndexError_(f"{name} takes no indices")
-        return _NULLARY[name](d)
-    if name in _UNARY:
-        if len(indices) != 1:
-            raise IndexError_(f"{name} takes exactly one index")
-        return _UNARY[name](d, indices[0])
-    if name in _BINARY:
-        if len(indices) != 2:
-            raise IndexError_(f"{name} takes exactly two indices")
-        return _BINARY[name](d, *indices)
-    raise KeyError(f"unknown operator name {name!r}")
+        return build(d, "M", a)
+    return build(d, "T")

@@ -8,7 +8,7 @@ never used to simplify itself: left and right sides are built independently
 from the named operators.
 
 How a check is stated.  A law over free indices is written once, by one of
-three combinators that the registry table calls with the operator builders:
+three combinators that the registry table calls with ``ops.build``:
 
 * ``closure(name, X, index_pairs, metric=None)``: the closure law
   [X_ij, X_kl] = i(g_i d_ik X_jl + g_i d_il X_kj + g_j d_jk X_li + g_j d_jl X_ik)
@@ -19,24 +19,18 @@ three combinators that the registry table calls with the operator builders:
   tuple against its right side, vanishing ones included.
 
 The other checks (contractions, squares, the appendix chains) write each
-side in the paper's index notation, as ``(coefficient, chain)`` terms that
-``_Sides`` expands into an ``OpSum``:
-
-* A chain is space-separated factors ``NAME`` or ``NAME_letters``:
-  ``"S_ij S_ik p_j p_k"``, ``"LRL_i LRL_i"``, ``"B_i Y KpA"``, ``""`` for a
-  scalar.  Names are ``ops.build``'s, the generators x, p and g, the
-  Kronecker delta ``delta_ij`` and the fused factors of ``_FACTORS``.
-* ``_stated(state, free)`` expands a pair once per tuple of its free
-  letters, which are substituted; every other letter is summed over 1..d.
-* A chain with a zero factor (S_ii, L_ii, J_ii) or an unequal delta is left
-  out; an equal delta is dropped from its chain.
-* Consecutive terms that sum over the same letters are expanded together,
-  one index tuple at a time, so L L / L S / S S of one (i, j) stay together
-  and {S_ij, S_ik} stays a bracket pair; sums meant to follow one another
-  take different letters, A_i A_i - M_j M_j.
-* Each factor is built once per ``pairs(d)`` call: one name with one index
-  tuple is one object in every chain, and the chains ending in it are
-  summed before it multiplies them.
+side in the paper's index notation, as ``(coefficient, chain)`` terms, the
+notation of the ``ops`` table: ``"S_ij S_ik p_j p_k"``, ``"LRL_i LRL_i"``,
+``"B_i Y KpA"``, ``""`` for a scalar.  A factor is any row of that table,
+the fused factors (Y, W, HmE, ...) included, a generator x, p, g or rinv2,
+or ``delta_ij``.  ``_stated(state, free)`` reads each side's ``ops._plan``
+once and expands a pair with ``ops._expand`` once per tuple of its free
+letters, which are substituted; every other letter is summed over 1..d.
+Consecutive terms that sum over the same letters are expanded together,
+one index tuple at a time, so L L / L S / S S of one (i, j) stay together
+and {S_ij, S_ik} stays a bracket pair.  Every factor is ``ops.build``'s
+cached object, so one name with one index tuple is one object in every
+chain, and the chains ending in it are summed before it multiplies them.
 
 Either way lhs and rhs stay separate formal sums, and a bracket enters as
 its two factor chains (``comm``, or ``acomm`` for the Clifford relation).
@@ -59,7 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
-from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import MAX_DIMENSION, SUITES, __version__, ops, oracle, weyl
@@ -225,7 +218,7 @@ def covariant(name: str, V: Callable[[int], OperatorExpr]) -> Pairs:
     d = V(1).d
     return family(
         f"[J{{}}{{}},{name}{{}}]",
-        lambda i, j, k: ops.so_j(d, i, j),
+        lambda i, j, k: ops.build(d, "J", i, j),
         lambda i, j, k: V(k),
         lambda i, j, k: [(I_, (V(j),))] * (i == k) + [(_MINUS_I, (V(i),))] * (j == k),
         [(i, j, k) for i, j in combinations(_idx(d), 2) for k in _idx(d)],
@@ -269,119 +262,6 @@ Terms = Sequence[Tuple[ScalarLike, str]]
 Stated = List[Tuple[str, Terms, Terms]]
 
 
-def _w(d: int) -> OperatorExpr:
-    """W = r^2 p^2 - 2(x.p)^2 + 2i(d-1) x.p + LS + d(d-1)/2 + 2E r^2."""
-    terms = [
-        (1, "R2 P2"),
-        (-2, "XP XP"),
-        (I_ * 2 * (d - 1), "XP"),
-        (1, "LS"),
-        (Fraction(d * (d - 1), 2), ""),
-        (2 * P_E, "R2"),
-    ]
-    return _Sides(d)(terms).to_expr()
-
-
-# The factor names besides ops.build's and delta, as name -> (index letters,
-# builder(d, *indices)): the generators and the factors the sides fuse.
-_FACTORS = {
-    "x": ("i", weyl.x),
-    "p": ("i", weyl.p),
-    "g": ("i", weyl.gamma),
-    "rinv2": ("", ops.rinv2),
-    "Y": ("", ops.gx_over_r2),
-    "W": ("", _w),
-    "LRLX": ("i", ops.lrl_explicit),
-    "HmE": ("", lambda d: ops.hamiltonian(d) - weyl.scalar(d, P_E)),
-    "KpA": ("", lambda d: ops.sturm_k(d) + weyl.scalar(d, P_ALPHA)),
-    "P2h": ("", lambda d: Fraction(1, 2) * ops.p_squared(d)),
-    "TP": ("i", lambda d, i: weyl.multiply(ops.dilation(d), weyl.p(d, i))),
-    "Acore": ("i", lambda d, i: ops.boost_a(d, i) + Fraction(1, 2) * weyl.x(d, i)),
-    "MmA": ("i", lambda d, i: ops.boost_m(d, i) - ops.boost_a(d, i)),
-    "XPXP": ("", lambda d: weyl.multiply(ops.x_dot_p(d), ops.x_dot_p(d))),
-    "cP2Y": ("", lambda d: weyl.commutator(ops.p_squared(d), ops.gx_over_r2(d))),
-    "cXPXPY": ("", lambda d: weyl.commutator(weyl.multiply(ops.x_dot_p(d), ops.x_dot_p(d)), ops.gx_over_r2(d))),
-    "cXPY": ("", lambda d: weyl.commutator(ops.x_dot_p(d), ops.gx_over_r2(d))),
-    "cLSY": ("", lambda d: weyl.commutator(ops.ls_contraction(d), ops.gx_over_r2(d))),
-}
-
-
-class _Sides:
-    """Expands sides in the index notation at one d, building each factor
-    once: one name with one index tuple is one object in every chain."""
-
-    def __init__(self, d: int):
-        self.d = d
-        self.indices = _idx(d)
-        self.built: dict = {}  # (name, indices) -> factor
-
-    def __call__(self, terms: Terms, **bound: int) -> OpSum:
-        """The ``(coefficient, chain)`` terms with the ``bound`` letters
-        substituted and every other letter summed over 1..d."""
-        return self.expand(terms, _plan([chain for _, chain in terms], tuple(bound)), tuple(bound.values()))
-
-    def expand(self, terms: Terms, plan: tuple, fixed: tuple) -> OpSum:
-        """The terms expanded by their ``_plan``, with ``fixed`` the values
-        of the letters it binds."""
-        built = self.built
-        out = []
-        for width, run in plan:
-            for values in product(self.indices, repeat=width):
-                at = fixed + values
-                for n, factors, deltas in run:
-                    if deltas and any(i != j for i, j in (pick(at) for pick in deltas)):
-                        continue
-                    chain = []
-                    for name, pick in factors:
-                        ix = pick(at) if pick else ()
-                        f = built.get((name, ix))
-                        if f is None:
-                            f = built[name, ix] = self._build(name, ix)
-                        if not f.num:
-                            break
-                        chain.append(f)
-                    else:
-                        out.append((terms[n][0], chain))
-        return OpSum(self.d, out)
-
-    def _build(self, name: str, ix) -> OperatorExpr:
-        """The factor ``name`` at ``ix``, one index or a tuple."""
-        ixs = ix if type(ix) is tuple else (ix,)
-        if name in _FACTORS:
-            return _FACTORS[name][1](self.d, *ixs)
-        return ops.build(self.d, name, *ixs)
-
-
-def _plan(chains: Sequence[str], bound: Tuple[str, ...]) -> tuple:
-    """How a side's chains expand, read once: runs of consecutive chains
-    that sum over one set of letters, as (number of summed letters, [(chain
-    position, [(name, pick)], [delta pick])]).  A pick takes indices from
-    the ``bound`` letters' values, then the summed ones in the order the
-    run's first chain names them; None takes none."""
-    runs: list = []  # [(summed letters, where, width, steps)]
-    for n, chain in enumerate(chains):
-        tokens = [_token(word) for word in chain.split()]
-        summed = tuple(dict.fromkeys([c for _, letters in tokens for c in letters if c not in bound])) if "_" in chain else ()
-        if not runs or runs[-1][0] != set(summed):
-            runs.append((set(summed), {c: k for k, c in enumerate(bound + summed)}, len(summed), []))
-        _, where, _, steps = runs[-1]
-        picks = tuple((name, itemgetter(*[where[c] for c in letters]) if letters else None) for name, letters in tokens)
-        deltas = tuple(pick for name, pick in picks if name == "delta")
-        steps.append((n, tuple(p for p in picks if p[0] != "delta") if deltas else picks, deltas))
-    return tuple((width, tuple(steps)) for _, _, width, steps in runs)
-
-
-def _token(word: str) -> Tuple[str, str]:
-    """A factor ``NAME`` or ``NAME_letters`` as (name, letters)."""
-    name, _, letters = word.partition("_")
-    arity = 2 if name == "delta" else len(_FACTORS[name][0]) if name in _FACTORS else ops.BUILDER_ARITY.get(name)
-    if arity is None:
-        raise ValueError(f"unknown factor {word!r}")
-    if arity != len(letters):
-        raise ValueError(f"factor {word!r}: {name} takes {arity} index letter(s)")
-    return name, letters
-
-
 def _stated(state: Callable[[int], Stated], free: str = "") -> Callable[[int], Pairs]:
     """A check's ``pairs(d)`` from ``state(d)``, its ``(label, lhs, rhs)``
     pairs with sides in the index notation: each pair once per tuple of the
@@ -390,17 +270,16 @@ def _stated(state: Callable[[int], Stated], free: str = "") -> Callable[[int], P
     same chains at every d, only their coefficients depend on d, so each
     side is read once, here."""
     letters = tuple(free.replace("<", ""))
-    plans = [[_plan([chain for _, chain in side], letters) for side in (lhs, rhs)] for _, lhs, rhs in state(2)]
+    plans = [[ops._plan([chain for _, chain in side], letters) for side in (lhs, rhs)] for _, lhs, rhs in state(2)]
 
     def pairs(d: int) -> Pairs:
-        sides = _Sides(d)
         stated = state(d)
         tuples = combinations(_idx(d), len(letters)) if "<" in free else product(_idx(d), repeat=len(letters))
         out = []
         for ix in tuples:
             bound = dict(zip(letters, ix))
             for (label, lhs, rhs), (lhs_plan, rhs_plan) in zip(stated, plans):
-                out.append((label.format(**bound), sides.expand(lhs, lhs_plan, ix), sides.expand(rhs, rhs_plan, ix)))
+                out.append((label.format(**bound), OpSum(d, ops._expand(d, lhs, lhs_plan, ix)), OpSum(d, ops._expand(d, rhs, rhs_plan, ix))))
         return out
 
     return pairs
@@ -946,35 +825,35 @@ def _registry() -> Tuple[Check, ...]:
     checks = [
         # defining relations
         c("GAMMA-CLIFF", "Clifford generators anticommute to 2 delta", "{g_i, g_j} = 2 d_ij", "core", _ALL, lambda d: family("{{g{},g{}}}", lambda i, j: weyl.gamma(d, i), lambda i, j: weyl.gamma(d, j), lambda i, j: [(2 * (i == j), ())], combinations_with_replacement(_idx(d), 2), acomm)),
-        c("S-SO(D)", "spin matrices close the rotation algebra", "[S_ij, S_kl] = i(d_ik S_jl + d_il S_kj + d_jk S_li + d_jl S_ik)", "core", _ALL, lambda d: closure("S", partial(ops.spin, d), product(_idx(d), repeat=2))),
+        c("S-SO(D)", "spin matrices close the rotation algebra", "[S_ij, S_kl] = i(d_ik S_jl + d_il S_kj + d_jk S_li + d_jl S_ik)", "core", _ALL, lambda d: closure("S", partial(ops.build, d, "S"), product(_idx(d), repeat=2))),
         c("GX-SQUARE", "the coupling vector squares to r^2", "(g.x)^2 = r^2", "core", _ALL, _stated(_pr_gx_square)),
         c("K-H-REL", "radial and Schroedinger operators interconvert", "K = (g.x)(H-E) - alpha; H = (g.x)/r^2 (K+alpha) + E", "core", _ALL, _stated(_pr_k_h_rel)),
         # so(d+1,1) commutators
-        c("SO-COM-JJ", "rotation-rotation commutators", "[J_ij, J_kl] = i(d_ik J_jl + d_il J_kj + d_jk J_li + d_jl J_ik)", "core", _ALL, lambda d: closure("J", partial(ops.so_j, d), combinations(_idx(d), 2))),
-        c("SO-COM-JA", "rotations act on the first boost vector", "[J_ij, A_k] = i(d_ik A_j - d_jk A_i)", "core", _ALL, lambda d: covariant("A", partial(ops.boost_a, d))),
-        c("SO-COM-JM", "rotations act on the second boost vector", "[J_ij, M_k] = i(d_ik M_j - d_jk M_i)", "core", _ALL, lambda d: covariant("M", partial(ops.boost_m, d))),
-        c("SO-COM-JT", "rotations commute with the dilation", "[J_ij, T] = 0", "core", _ALL, lambda d: family("[J{}{},T]", partial(ops.so_j, d), lambda i, j: ops.dilation(d), vanishes, combinations(_idx(d), 2))),
-        c("SO-COM-AA", "first boosts close on rotations", "[A_i, A_j] = i J_ij", "core", _ALL, lambda d: family("[A{},A{}]", lambda i, j: ops.boost_a(d, i), lambda i, j: ops.boost_a(d, j), lambda i, j: [(I_, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
-        c("SO-COM-MM", "second boosts close on rotations with a sign", "[M_i, M_j] = -i J_ij", "core", _ALL, lambda d: family("[M{},M{}]", lambda i, j: ops.boost_m(d, i), lambda i, j: ops.boost_m(d, j), lambda i, j: [(_MINUS_I, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
-        c("SO-COM-AM", "mixed boosts produce the dilation", "[A_i, M_j] = i d_ij T", "core", _ALL, lambda d: family("[A{},M{}]", lambda i, j: ops.boost_a(d, i), lambda i, j: ops.boost_m(d, j), lambda i, j: [(I_, (ops.dilation(d),))] * (i == j), product(_idx(d), repeat=2))),
-        c("SO-COM-AT", "dilation rotates A into M", "[A_i, T] = -i M_i", "core", _ALL, lambda d: family("[A{},T]", partial(ops.boost_a, d), lambda i: ops.dilation(d), lambda i: [(_MINUS_I, (ops.boost_m(d, i),))], product(_idx(d)))),
-        c("SO-COM-MT", "dilation rotates M into A", "[M_i, T] = -i A_i", "core", _ALL, lambda d: family("[M{},T]", partial(ops.boost_m, d), lambda i: ops.dilation(d), lambda i: [(_MINUS_I, (ops.boost_a(d, i),))], product(_idx(d)))),
+        c("SO-COM-JJ", "rotation-rotation commutators", "[J_ij, J_kl] = i(d_ik J_jl + d_il J_kj + d_jk J_li + d_jl J_ik)", "core", _ALL, lambda d: closure("J", partial(ops.build, d, "J"), combinations(_idx(d), 2))),
+        c("SO-COM-JA", "rotations act on the first boost vector", "[J_ij, A_k] = i(d_ik A_j - d_jk A_i)", "core", _ALL, lambda d: covariant("A", partial(ops.build, d, "A"))),
+        c("SO-COM-JM", "rotations act on the second boost vector", "[J_ij, M_k] = i(d_ik M_j - d_jk M_i)", "core", _ALL, lambda d: covariant("M", partial(ops.build, d, "M"))),
+        c("SO-COM-JT", "rotations commute with the dilation", "[J_ij, T] = 0", "core", _ALL, lambda d: family("[J{}{},T]", partial(ops.build, d, "J"), lambda i, j: ops.build(d, "T"), vanishes, combinations(_idx(d), 2))),
+        c("SO-COM-AA", "first boosts close on rotations", "[A_i, A_j] = i J_ij", "core", _ALL, lambda d: family("[A{},A{}]", lambda i, j: ops.build(d, "A", i), lambda i, j: ops.build(d, "A", j), lambda i, j: [(I_, (ops.build(d, "J", i, j),))], combinations(_idx(d), 2))),
+        c("SO-COM-MM", "second boosts close on rotations with a sign", "[M_i, M_j] = -i J_ij", "core", _ALL, lambda d: family("[M{},M{}]", lambda i, j: ops.build(d, "M", i), lambda i, j: ops.build(d, "M", j), lambda i, j: [(_MINUS_I, (ops.build(d, "J", i, j),))], combinations(_idx(d), 2))),
+        c("SO-COM-AM", "mixed boosts produce the dilation", "[A_i, M_j] = i d_ij T", "core", _ALL, lambda d: family("[A{},M{}]", lambda i, j: ops.build(d, "A", i), lambda i, j: ops.build(d, "M", j), lambda i, j: [(I_, (ops.build(d, "T"),))] * (i == j), product(_idx(d), repeat=2))),
+        c("SO-COM-AT", "dilation rotates A into M", "[A_i, T] = -i M_i", "core", _ALL, lambda d: family("[A{},T]", partial(ops.build, d, "A"), lambda i: ops.build(d, "T"), lambda i: [(_MINUS_I, (ops.build(d, "M", i),))], product(_idx(d)))),
+        c("SO-COM-MT", "dilation rotates M into A", "[M_i, T] = -i A_i", "core", _ALL, lambda d: family("[M{},T]", partial(ops.build, d, "M"), lambda i: ops.build(d, "T"), lambda i: [(_MINUS_I, (ops.build(d, "A", i),))], product(_idx(d)))),
         c("SO21-METRIC", "all generators satisfy the metric form of the algebra", "[L_ab, L_cd] = i(g_ac L_bd + g_ad L_cb + g_bc L_da + g_bd L_ac), g = diag(1..1,-1)", "core", _METRIC_DIMS, lambda d: closure("L", partial(ops.lorentz_generator, d), product(range(1, d + 3), repeat=2), ops.metric_signature(d))),
         c("CASIMIR-Q2", "quadratic Casimir reduces to a constant", "J^2 + A^2 - M^2 - T^2 = -(d-1)(d+2)/8", "core", _ALL, _stated(_pr_casimir_q2)),
         # ladder operators
-        c("SO-GAMMA-JGK", "rotations act on the ladder vector", "[J_ij, G_k] = i(d_ik G_j - d_jk G_i)", "core", _ALL, lambda d: covariant("G", partial(ops.gamma_i, d))),
-        c("SO-GAMMA-AGD1", "first boost lowers the ladder pair", "[A_i, G_d+1] = -i G_i", "core", _ALL, lambda d: family("[A{},Gd1]", partial(ops.boost_a, d), lambda i: ops.gamma_d1(d), lambda i: [(_MINUS_I, (ops.gamma_i(d, i),))], product(_idx(d)))),
-        c("SO-GAMMA-MG0", "second boost raises the ladder pair", "[M_i, G_0] = i G_i", "core", _ALL, lambda d: family("[M{},G0]", partial(ops.boost_m, d), lambda i: ops.gamma0(d), lambda i: [(I_, (ops.gamma_i(d, i),))], product(_idx(d)))),
-        c("SO-GAMMA-TG0", "dilation maps G_0 to G_d+1", "[T, G_0] = i G_d+1", "core", _ALL, lambda d: family("[T,G0]", lambda: ops.dilation(d), lambda: ops.gamma0(d), lambda: [(I_, (ops.gamma_d1(d),))], [()])),
-        c("SO-GAMMA-TGD1", "dilation maps G_d+1 to G_0", "[T, G_d+1] = i G_0", "core", _ALL, lambda d: family("[T,Gd1]", lambda: ops.dilation(d), lambda: ops.gamma_d1(d), lambda: [(I_, (ops.gamma0(d),))], [()])),
+        c("SO-GAMMA-JGK", "rotations act on the ladder vector", "[J_ij, G_k] = i(d_ik G_j - d_jk G_i)", "core", _ALL, lambda d: covariant("G", partial(ops.build, d, "G"))),
+        c("SO-GAMMA-AGD1", "first boost lowers the ladder pair", "[A_i, G_d+1] = -i G_i", "core", _ALL, lambda d: family("[A{},Gd1]", partial(ops.build, d, "A"), lambda i: ops.build(d, "Gd1"), lambda i: [(_MINUS_I, (ops.build(d, "G", i),))], product(_idx(d)))),
+        c("SO-GAMMA-MG0", "second boost raises the ladder pair", "[M_i, G_0] = i G_i", "core", _ALL, lambda d: family("[M{},G0]", partial(ops.build, d, "M"), lambda i: ops.build(d, "G0"), lambda i: [(I_, (ops.build(d, "G", i),))], product(_idx(d)))),
+        c("SO-GAMMA-TG0", "dilation maps G_0 to G_d+1", "[T, G_0] = i G_d+1", "core", _ALL, lambda d: family("[T,G0]", lambda: ops.build(d, "T"), lambda: ops.build(d, "G0"), lambda: [(I_, (ops.build(d, "Gd1"),))], [()])),
+        c("SO-GAMMA-TGD1", "dilation maps G_d+1 to G_0", "[T, G_d+1] = i G_0", "core", _ALL, lambda d: family("[T,Gd1]", lambda: ops.build(d, "T"), lambda: ops.build(d, "Gd1"), lambda: [(I_, (ops.build(d, "G0"),))], [()])),
         c("SO-GAMMA-ZEROS-J", "rotations commute with both scalar ladders", "[J_ij, G_0] = [J_ij, G_d+1] = 0", "core", _ALL, lambda d: _interleave(
-            family("[J{}{},G0]", partial(ops.so_j, d), lambda i, j: ops.gamma0(d), vanishes, combinations(_idx(d), 2)),
-            family("[J{}{},Gd1]", partial(ops.so_j, d), lambda i, j: ops.gamma_d1(d), vanishes, combinations(_idx(d), 2)),
+            family("[J{}{},G0]", partial(ops.build, d, "J"), lambda i, j: ops.build(d, "G0"), vanishes, combinations(_idx(d), 2)),
+            family("[J{}{},Gd1]", partial(ops.build, d, "J"), lambda i, j: ops.build(d, "Gd1"), vanishes, combinations(_idx(d), 2)),
         )),
         c("SO-GAMMA-ZEROS-AMT", "vanishing boost and dilation actions", "[A_i, G_0] = [M_i, G_d+1] = [T, G_i] = 0", "core", _ALL, lambda d: _interleave(
-            family("[A{},G0]", partial(ops.boost_a, d), lambda i: ops.gamma0(d), vanishes, product(_idx(d))),
-            family("[M{},Gd1]", partial(ops.boost_m, d), lambda i: ops.gamma_d1(d), vanishes, product(_idx(d))),
-            family("[T,G{}]", lambda i: ops.dilation(d), partial(ops.gamma_i, d), vanishes, product(_idx(d))),
+            family("[A{},G0]", partial(ops.build, d, "A"), lambda i: ops.build(d, "G0"), vanishes, product(_idx(d))),
+            family("[M{},Gd1]", partial(ops.build, d, "M"), lambda i: ops.build(d, "Gd1"), vanishes, product(_idx(d))),
+            family("[T,G{}]", lambda i: ops.build(d, "T"), partial(ops.build, d, "G"), vanishes, product(_idx(d))),
         )),
         # non-closure of the extended set
         c("NONCLOSE-G0GD1", "scalar ladder commutator leaves the algebra", "[G_0, G_d+1] = i(T + i(d-1)/2 + i L_ij S_ij)", "core", _ALL, _stated(_pr_nonclose_g0gd1), tier="transcription"),
@@ -986,9 +865,9 @@ def _registry() -> Tuple[Check, ...]:
         c("CAS-GAMMA", "ladder Casimir-like combination", "G_0^2 - G_d+1^2 - T^2 = J^2 + (d-1)(d-2)/8", "core", _ALL, _stated(_pr_cas_gamma)),
         # radial picture
         c("K-DECOMP", "radial operator from the ladder pair", "K = (1-2E)/2 G_0 + (1+2E)/2 G_d+1", "sturm", _ALL, _stated(_pr_k_decomp)),
-        c("STURM-INV", "rotations and B are radial integrals of motion", "[J_ij, K] = [B_i, K] = 0", "sturm", _ALL, lambda d: family("[J{}{},K]", partial(ops.so_j, d), lambda i, j: ops.sturm_k(d), vanishes, combinations(_idx(d), 2)) + family("[B{},K]", partial(ops.sturm_b, d), lambda i: ops.sturm_k(d), vanishes, product(_idx(d)))),
+        c("STURM-INV", "rotations and B are radial integrals of motion", "[J_ij, K] = [B_i, K] = 0", "sturm", _ALL, lambda d: family("[J{}{},K]", partial(ops.build, d, "J"), lambda i, j: ops.build(d, "K"), vanishes, combinations(_idx(d), 2)) + family("[B{},K]", partial(ops.build, d, "B"), lambda i: ops.build(d, "K"), vanishes, product(_idx(d)))),
         c("B-EXPLICIT", "B from boosts equals its closed form", "B_i = (1-2E)/2 A_i + (1+2E)/2 M_i", "sturm", _ALL, _stated(_pr_b_explicit, "i")),
-        c("JB-ALG", "invariants close with an energy factor", "[J_ij, B_k] = i(d_ik B_j - d_jk B_i); [B_i, B_j] = -2iE J_ij", "sturm", _ALL, lambda d: covariant("B", partial(ops.sturm_b, d)) + family("[B{},B{}]", lambda i, j: ops.sturm_b(d, i), lambda i, j: ops.sturm_b(d, j), lambda i, j: [(-2 * I_ * P_E, (ops.so_j(d, i, j),))], combinations(_idx(d), 2))),
+        c("JB-ALG", "invariants close with an energy factor", "[J_ij, B_k] = i(d_ik B_j - d_jk B_i); [B_i, B_j] = -2iE J_ij", "sturm", _ALL, lambda d: covariant("B", partial(ops.build, d, "B")) + family("[B{},B{}]", lambda i, j: ops.build(d, "B", i), lambda i, j: ops.build(d, "B", j), lambda i, j: [(-2 * I_ * P_E, (ops.build(d, "J", i, j),))], combinations(_idx(d), 2))),
         c("B1-SQUARE", "spin-free part of B squared", "(B1)^2 = (r^2 p^4 - 2iT p^2 + 4E[...] + 4E^2 r^2)/4", "sturm", _ALL, _stated(_pr_b1_square)),
         c("B-CROSS", "cross terms of the B split", "B1.B2 + B2.B1 = L_ij S_ij (p^2 + 2E)/2", "sturm", _ALL, _stated(_pr_b_cross)),
         c("B2-SQUARE", "spin part of B squared", "(B2)^2 = S_ij S_ik p_j p_k = (d-1) p^2 / 4", "sturm", _ALL, _stated(_pr_b2_square)),
@@ -997,22 +876,22 @@ def _registry() -> Tuple[Check, ...]:
         c("K-SQUARE", "radial operator squared; companion bracket encoded as [p^2, g.x] = -2i g.p (not the -p^2 variant)", "K^2 explicit expansion", "sturm", _ALL, _stated(_pr_k_square)),
         c("B2-K2-J2", "B, K, and J squares are linearly related", "B^2 = K^2 + 2E(J^2 + d(d-1)/8)", "sturm", _ALL, _stated(_pr_b2_k2_j2)),
         # Schroedinger picture
-        c("JH-COM", "rotations are integrals of motion", "[J_ij, H] = 0", "schrodinger", _ALL, lambda d: family("[J{}{},H]", partial(ops.so_j, d), lambda i, j: ops.hamiltonian(d), vanishes, combinations(_idx(d), 2))),
-        c("LRL-CONSERVED", "the conserved vector commutes with H", "[LRL_i, H] = 0", "schrodinger", _ALL, lambda d: family("[LRL{},H]", partial(ops.lrl, d), lambda i: ops.hamiltonian(d), vanishes, product(_idx(d)))),
+        c("JH-COM", "rotations are integrals of motion", "[J_ij, H] = 0", "schrodinger", _ALL, lambda d: family("[J{}{},H]", partial(ops.build, d, "J"), lambda i, j: ops.build(d, "H"), vanishes, combinations(_idx(d), 2))),
+        c("LRL-CONSERVED", "the conserved vector commutes with H", "[LRL_i, H] = 0", "schrodinger", _ALL, lambda d: family("[LRL{},H]", partial(ops.build, d, "LRL"), lambda i: ops.build(d, "H"), vanishes, product(_idx(d)))),
         c("XH-COM", "position commutator with H", "[x_i, H] = [x_i, p^2/2] = i p_i", "schrodinger", _ALL, _stated(_pr_xh_comm, "i")),
         c("BH-CHAIN", "proof chain for conservation of the vector", "[B_i, H] = [B_i, Y](K+alpha) = [B_i, Y](g.x)(H-E); [B_i,Y](g.x) = -i p_i; [B_i, Y] = -i p_i Y", "schrodinger", _ALL, _stated(_pr_bh_chain, "i")),
         c("LRL-EXPLICIT", "conserved vector closed form", "LRL_i = x_i p^2 - (x.p - i(d-1)/2) p_i + S_ij p_j + alpha x_i (g.x)/r^2", "schrodinger", _ALL, _stated(_pr_lrl_explicit, "i")),
-        c("LRL-ALG", "conserved vector algebra", "[J_ij, LRL_k] = i(d_ik LRL_j - d_jk LRL_i); [LRL_i, LRL_j] = -2iH J_ij", "schrodinger", _ALL, lambda d: covariant("LRL", partial(ops.lrl, d)) + family("[LRL{},LRL{}]", lambda i, j: ops.lrl(d, i), lambda i, j: ops.lrl(d, j), lambda i, j: [(-2 * I_, (ops.hamiltonian(d), ops.so_j(d, i, j)))], combinations(_idx(d), 2))),
+        c("LRL-ALG", "conserved vector algebra", "[J_ij, LRL_k] = i(d_ik LRL_j - d_jk LRL_i); [LRL_i, LRL_j] = -2iH J_ij", "schrodinger", _ALL, lambda d: covariant("LRL", partial(ops.build, d, "LRL")) + family("[LRL{},LRL{}]", lambda i, j: ops.build(d, "LRL", i), lambda i, j: ops.build(d, "LRL", j), lambda i, j: [(-2 * I_, (ops.build(d, "H"), ops.build(d, "J", i, j)))], combinations(_idx(d), 2))),
         c("LRL-AUX-1", "antisymmetrized mixed commutator", "[B_i, x_j(H-E)] - [B_j, x_i(H-E)] = (-2i J_ij + i L_ij)(H-E)", "schrodinger", _ALL, _stated(_pr_lrl_aux_1, "i<j")),
         c("LRL-AUX-2", "commutator of the position-weighted pieces", "[x_i(H-E), x_j(H-E)] = -i L_ij (H-E)", "schrodinger", _ALL, _stated(_pr_lrl_aux_2, "i<j")),
         c("LRL-AUX-3", "B against positions", "[B_i, x_j] = i d_ij T - i J_ij", "schrodinger", _ALL, _stated(_pr_lrl_aux_3, "ij")),
         c("LRL-SQUARE", "squared conserved vector", "LRL^2 = 2H(J^2 + d(d-1)/8) + alpha^2", "schrodinger", _ALL, _stated(_pr_lrl_square)),
         # three-dimensional vector identities
-        c("D3-VEC-COM", "epsilon-contracted vectors close su(2)-style", "[J_i, J_j] = i e_ijk J_k (same for L, S)", "d3", _D3, lambda d: [pair for name, V in (("J", ops.vector_j), ("L", ops.vector_l), ("S", ops.vector_s)) for pair in family(
+        c("D3-VEC-COM", "epsilon-contracted vectors close su(2)-style", "[J_i, J_j] = i e_ijk J_k (same for L, S)", "d3", _D3, lambda d: [pair for name in ("J", "L", "S") for pair in family(
             f"[{name}{{}},{name}{{}}]",
-            lambda i, j: V(d, i),
-            lambda i, j: V(d, j),
-            lambda i, j: [(I_ if ops.EPS3[i, j, k] > 0 else _MINUS_I, (V(d, k),)) for k in _idx(d) if (i, j, k) in ops.EPS3],
+            lambda i, j: ops.build(d, name + "vec", i),
+            lambda i, j: ops.build(d, name + "vec", j),
+            lambda i, j: [(I_ if ops.EPS3[i, j, k] > 0 else _MINUS_I, (ops.build(d, name + "vec", k),)) for k in _idx(d) if (i, j, k) in ops.EPS3],
             combinations(_idx(d), 2),
         )]),
         c("D3-DOTS", "dot products of the vector split", "L.B1 = 0; L.B2, S.B1, S.B2 explicit", "d3", _D3, _stated(_pr_d3_dots)),

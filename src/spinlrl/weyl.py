@@ -59,7 +59,8 @@ term pairs, and ``_finalize`` brings any mix of levels back to the one
 minimal form.  The split is tried once per operand with a denominator and at
 least two terms, and kept on it.  It stops, and N is read as stored, once its
 divisions could take len(N) quotient steps or it has produced len(N) terms,
-so it never raises and costs O(d len(N)).  The kernel groups the level terms
+so it never raises and costs O(d len(N)).  ``adjoint`` reads its operand
+by the same level terms, each moved past its own r^-2j.  The kernel groups the level terms
 of a by their momenta, word and level, r^-2j x^xk p^pk w, and moves p^pk w
 past b one level term of b at a time through two tables:
 ``_p_expansion(pk, k, xk, d)``, the normal-ordered expansion of p^pk r^-2k
@@ -1149,22 +1150,23 @@ def adjoint(a: OperatorExpr) -> OperatorExpr:
     d = a.d
     if not a.num:
         return zero(d)
-    m = a.denom_pow
     xdeg, pdeg = a.max_degrees()
-    check_degree(xdeg + (pdeg if m else 0))
+    check_degree(xdeg + (pdeg if a.denom_pow else 0))
+    # a is read as the product kernel reads it, level by level
+    terms = _level_terms(a)
     # each term moves its momenta past its positions: sum_t 3^t <= 3^(|pk|+1)
     # bounds one expansion's work, and past the budget the expansions are
     # counted before any is built
-    if len(a.num) * 3 ** min(pdeg + 1, 14) > PRODUCT_TERM_BUDGET:
-        work = sum(_p_expansion_work(key[1], m, key[0], d) for key in a.num)
+    if len(terms) * 3 ** min(pdeg + 1, 14) > PRODUCT_TERM_BUDGET:
+        work = sum(_p_expansion_work(pk, j, xk, d) for j, xk, pk, *_ in terms)
         if work > PRODUCT_TERM_BUDGET:
             raise ValueError(f"the adjoint of {len(a.num)} terms may form {work:,} terms, past the product-term budget of {PRODUCT_TERM_BUDGET:,}")
     out: Dict[tuple, tuple] = {}
-    for (xk, pk, word, al, ae), (re, im) in a.num.items():
-        # (r^-2m x^xk p^pk w)^+ = w^+ p^pk r^-2m x^xk, and w^+ = sign * w
+    for j, xk, pk, word, al, ae, re, im in terms:
+        # (r^-2j x^xk p^pk w)^+ = w^+ p^pk r^-2j x^xk, and w^+ = sign * w
         w_adj, sign = word_adjoint(word)
         fr, fi = (re, -im) if sign > 0 else (-re, im)
-        for k, xk2, pk2, cr, ci in _p_expansion(pk, m, xk, d):
+        for k, xk2, pk2, cr, ci in _p_expansion(pk, j, xk, d):
             merge_term(out, (k, xk2, pk2, w_adj, al, ae), cr * fr - ci * fi, cr * fi + ci * fr)
     return _finalize(d, {a.den: out})
 

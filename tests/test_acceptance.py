@@ -55,11 +55,11 @@ def test_criterion_1_so_closure():
 
 def test_criterion_2_casimir_constant():
     failures, _ = _run_ids(["CASIMIR-Q2"], CORE_DIMS)
-    values_ok = ops.casimir_q2(2) == weyl.scalar(2, Fraction(-1, 2)) and ops.casimir_q2(3) == weyl.scalar(
+    values_ok = ops.build(2, "Q2") == weyl.scalar(2, Fraction(-1, 2)) and ops.build(3, "Q2") == weyl.scalar(
         3, Fraction(-5, 4)
     )
     for d in CORE_DIMS:
-        values_ok &= ops.casimir_q2(d) == weyl.scalar(d, Fraction(-(d - 1) * (d + 2), 8))
+        values_ok &= ops.build(d, "Q2") == weyl.scalar(d, Fraction(-(d - 1) * (d + 2), 8))
     _announce(2, "Casimir reduces to -(d-1)(d+2)/8, d=2..6", not failures and values_ok)
 
 

@@ -122,6 +122,14 @@ def test_reduce_substitution_rejects_non_scalar(capsys):
     assert code == 2 and "scalar" in err
 
 
+@pytest.mark.parametrize("name", ["HmE", "Y", "cLSY"])
+def test_reduce_of_a_fused_factor_exits_two(capsys, name):
+    # the registry's fused factors are rows of the operator table, not CLI names
+    code, out, err = run(capsys, "reduce", "--d", "3", name)
+    assert code == 2 and out == ""
+    assert "unknown identifier" in err
+
+
 # -- verify output formats ------------------------------------------------------------
 
 

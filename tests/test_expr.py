@@ -24,13 +24,13 @@ def test_anticommutator_braces():
 
 
 def test_radial_operator_linear_combination():
-    assert expr.evaluate("(1-2E)/2 * G0 + (1+2E)/2 * Gd1", 2) == ops.sturm_k(2)
+    assert expr.evaluate("(1-2E)/2 * G0 + (1+2E)/2 * Gd1", 2) == ops.build(2, "K")
 
 
 def test_builders_with_indices():
-    assert expr.evaluate("LRL(1)", 3) == ops.lrl(3, 1)
-    assert expr.evaluate("J(1,2)", 3) == ops.so_j(3, 1, 2)
-    assert expr.evaluate("B1(2) + B2(2)", 3) == ops.sturm_b(3, 2)
+    assert expr.evaluate("LRL(1)", 3) == ops.build(3, "LRL", 1)
+    assert expr.evaluate("J(1,2)", 3) == ops.build(3, "J", 1, 2)
+    assert expr.evaluate("B1(2) + B2(2)", 3) == ops.build(3, "B", 2)
 
 
 def test_power_and_juxtaposition():
@@ -57,7 +57,7 @@ def test_unary_minus():
 def test_case_sensitivity():
     # g1 is a generator, G(1) the ladder operator built from it
     assert expr.evaluate("g1", 2) == weyl.gamma(2, 1)
-    assert expr.evaluate("G(1)", 2) == ops.gamma_i(2, 1)
+    assert expr.evaluate("G(1)", 2) == ops.build(2, "G", 1)
 
 
 def test_known_identities_reduce_to_zero():

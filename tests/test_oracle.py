@@ -29,7 +29,7 @@ def test_derivative_action():
 def test_hamiltonian_action_on_linear_function():
     # H (x1 e1) = alpha r^-2 (x1^2 + i x1 x2) e2 in two dimensions
     f = basis_function(2, 0, (1, 0), 1)
-    got = oracle.apply(ops.hamiltonian(2), f)
+    got = oracle.apply(ops.build(2, "H"), f)
     expected = SpinorFunction(
         2,
         {
@@ -41,7 +41,7 @@ def test_hamiltonian_action_on_linear_function():
 
 
 def test_coupling_square_acts_as_r2():
-    gx = ops.gamma_dot_x(2)
+    gx = ops.build(2, "GX")
     r2 = weyl.r_squared(2)
     for t in range(10):
         f = oracle.random_function(2, t)
@@ -121,7 +121,7 @@ def test_crosscheck_confirms_reordering():
 
 
 def test_crosscheck_confirms_conserved_vector():
-    residual = weyl.commutator(ops.lrl(3, 1), ops.hamiltonian(3))
+    residual = weyl.commutator(ops.build(3, "LRL", 1), ops.build(3, "H"))
     assert oracle.crosscheck(residual, weyl.zero(3)).ok
 
 
@@ -337,7 +337,7 @@ def level_test_operators(d, rng):
     """H, LRL_i, B_i and r^-4 x1^3 p2, alone and in seeded sums with
     scalar coefficients and extra r^-2 factors: denom_pow 0..3."""
     i = rng.randint(1, d)
-    pool = [ops.hamiltonian(d), ops.lrl(d, i), ops.sturm_b(d, i), weyl.rinv2(d) ** 2 * weyl.x(d, 1) ** 3 * weyl.p(d, 2)]
+    pool = [ops.build(d, "H"), ops.build(d, "LRL", i), ops.build(d, "B", i), weyl.rinv2(d) ** 2 * weyl.x(d, 1) ** 3 * weyl.p(d, 2)]
     out = list(pool)
     for _ in range(8):
         total = weyl.zero(d)
@@ -364,8 +364,8 @@ def test_level_by_level_apply_matches_the_whole_operator_reference(d):
 def test_level_split_keeps_only_remainders_above_level_zero():
     # H at d = 3 is 12 stored terms at r^-2; read by level it is 6
     d = 3
-    terms = oracle._levels(ops.hamiltonian(d))
-    assert len(terms) == 6 and len(ops.hamiltonian(d).num) == 12
+    terms = oracle._levels(ops.build(d, "H"))
+    assert len(terms) == 6 and len(ops.build(d, "H").num) == 12
     for j, xk, *_ in terms:
         assert j == 0 or weyl.exponent_of(xk, 1, d) < 2
 

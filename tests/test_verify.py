@@ -72,11 +72,18 @@ def test_registry_sides_match_golden():
 # -- sides in index notation ----------------------------------------------------
 
 
+def expand(d, terms, **bound):
+    """A side's terms expanded as ``verify._stated`` expands them, with the
+    ``bound`` letters substituted."""
+    plan = ops._plan([chain for _, chain in terms], tuple(bound))
+    return verify.OpSum(d, ops._expand(d, terms, plan, tuple(bound.values())))
+
+
 def test_unbound_letters_are_summed_and_zero_factors_left_out():
     d = 3
-    side = verify._Sides(d)([(1, "S_ij S_ik p_j p_k")])
+    side = expand(d, [(1, "S_ij S_ik p_j p_k")])
     expected = [
-        (ops.spin(d, i, j), ops.spin(d, i, k), weyl.p(d, j), weyl.p(d, k))
+        (ops.build(d, "S", i, j), ops.build(d, "S", i, k), weyl.p(d, j), weyl.p(d, k))
         for i, j, k in itertools.product(range(1, d + 1), repeat=3)
         if i != j and i != k
     ]
@@ -86,21 +93,20 @@ def test_unbound_letters_are_summed_and_zero_factors_left_out():
 
 def test_bound_letters_are_not_summed():
     d = 3
-    expand = verify._Sides(d)
-    side = expand([(2, "S_ij x_j")], i=2)
-    assert [factors for _, factors in side.terms] == [(ops.spin(d, 2, 1), weyl.x(d, 1)), (ops.spin(d, 2, 3), weyl.x(d, 3))]
+    side = expand(d, [(2, "S_ij x_j")], i=2)
+    assert [factors for _, factors in side.terms] == [(ops.build(d, "S", 2, 1), weyl.x(d, 1)), (ops.build(d, "S", 2, 3), weyl.x(d, 3))]
     assert [c for c, _ in side.terms] == [2, 2]
     # a delta keeps the chains whose letters agree, and is left out of them
-    assert [factors for _, factors in expand([(1, "delta_ij g_j")], i=2).terms] == [(weyl.gamma(d, 2),)]
-    assert [factors for _, factors in expand([(1, "delta_ij g_i")], i=2, j=2).terms] == [(weyl.gamma(d, 2),)]
-    assert expand([(1, "delta_ij g_i")], i=2, j=3).terms == ()
+    assert [factors for _, factors in expand(d, [(1, "delta_ij g_j")], i=2).terms] == [(weyl.gamma(d, 2),)]
+    assert [factors for _, factors in expand(d, [(1, "delta_ij g_i")], i=2, j=2).terms] == [(weyl.gamma(d, 2),)]
+    assert expand(d, [(1, "delta_ij g_i")], i=2, j=3).terms == ()
 
 
 def test_a_run_over_the_same_letters_interleaves_and_shares_factors():
     d = 3
-    side = verify._Sides(d)([(1, "S_ij S_ik"), (1, "S_ik S_ij")])
+    side = expand(d, [(1, "S_ij S_ik"), (1, "S_ik S_ij")])
     tuples = [(i, j, k) for i, j, k in itertools.product(range(1, d + 1), repeat=3) if i != j and i != k]
-    expected = [chain for i, j, k in tuples for chain in ((ops.spin(d, i, j), ops.spin(d, i, k)), (ops.spin(d, i, k), ops.spin(d, i, j)))]
+    expected = [chain for i, j, k in tuples for chain in ((ops.build(d, "S", i, j), ops.build(d, "S", i, k)), (ops.build(d, "S", i, k), ops.build(d, "S", i, j)))]
     chains = [factors for _, factors in side.terms]
     assert chains == expected
     # each adjacent pair is a bracket of the same two objects, so combine_products cuts its leading terms
@@ -113,7 +119,7 @@ def test_a_run_over_the_same_letters_interleaves_and_shares_factors():
 @pytest.mark.parametrize("chain, token", [("S_ij Foo_i", "Foo_i"), ("x_ij", "x_ij"), ("H_i", "H_i")])
 def test_an_unknown_or_misindexed_factor_names_its_token(chain, token):
     with pytest.raises(ValueError, match=repr(token)):
-        verify._Sides(3)([(1, chain)])
+        ops._plan([chain], ())
 
 
 # -- run_check ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spinlrl import cli, expr, oracle, verify, weyl
+from spinlrl import cli, expr, ops, oracle, verify, weyl
 from spinlrl.coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from spinlrl.weyl import (
     DimensionMismatch,
@@ -244,9 +244,7 @@ def test_adjoint_reorders_scaling_term():
 
 def test_adjoint_fixes_rotation_generator():
     d = 3
-    from spinlrl import ops
-
-    j12 = ops.so_j(d, 1, 2)
+    j12 = ops.build(d, "J", 1, 2)
     assert adjoint(j12) == j12
 
 
@@ -258,6 +256,23 @@ def test_adjoint_involution_and_antiautomorphism():
         b = rand_operator(d, rng)
         assert adjoint(adjoint(a)) == a
         assert adjoint(multiply(a, b)) == multiply(adjoint(b), adjoint(a))
+
+
+def test_adjoint_reads_level_terms(monkeypatch):
+    # at d = 8 H stores 72 terms but has 16 level terms, none with a momentum
+    # to move past a denominator: read as stored, the adjoint handed 189
+    # terms to _finalize
+    handed = []
+    finalize = weyl._finalize
+
+    def counting(d, acc):
+        handed.append(sum(len(terms) for terms in acc.values()))
+        return finalize(d, acc)
+
+    H = ops.build(8, "H")
+    monkeypatch.setattr(weyl, "_finalize", counting)
+    assert adjoint(H) == H
+    assert handed == [16]
 
 
 def test_adjoint_conjugates_coefficients():
@@ -917,13 +932,14 @@ def rand_chain_sum(d, rng):
     return terms
 
 
-def term_pair_counter(monkeypatch):
-    """Record the term pairs of every ``_multiply_acc`` call in a list."""
+def term_pair_counter(monkeypatch, read=lambda a: a.num):
+    """Record the term pairs of every ``_multiply_acc`` call in a list, each
+    operand's terms as ``read`` gives them: stored, or ``weyl._level_terms``."""
     formed = []
     kernel = weyl._multiply_acc
 
     def counting(a, b, out, scale=weyl._UNIT, swapped=0):
-        formed.append(len(a.num) * len(scale[1]) * len(b.num))
+        formed.append(len(read(a)) * len(scale[1]) * len(read(b)))
         kernel(a, b, out, scale, swapped)
 
     monkeypatch.setattr(weyl, "_multiply_acc", counting)
@@ -966,15 +982,17 @@ def test_bh_chain_forms_fewer_term_pairs_than_chain_by_chain(monkeypatch):
 
 
 def test_registry_term_pairs_at_d3(monkeypatch):
-    # the term pairs the kernel forms over every pair of the registry at d = 3,
-    # with the sides built first: 74,851 when every chain had its own x_i and
-    # p_i objects and prefixes at two r^-2 levels were never summed
+    # the pairs of level terms the kernel reads over every pair of the
+    # registry at d = 3, with the sides built first: 73,987 pairs of stored
+    # terms, which the kernel formed before it read operands level by level,
+    # and 74,851 when every chain had its own x_i and p_i objects and prefixes
+    # at two r^-2 levels were never summed
     d = 3
     pairs = [pair for check in verify.list_checks() if check.applicable(d) for pair in check.pairs(d)]
-    formed = term_pair_counter(monkeypatch)
+    formed = term_pair_counter(monkeypatch, weyl._level_terms)
     for _, lhs, rhs in pairs:
         weyl.combine_products(d, lhs.terms + (-rhs).terms)
-    assert sum(formed) == 73_987
+    assert sum(formed) == 61_813
 
 
 def test_product_term_budget_holds_through_a_shared_last_factor(monkeypatch):
