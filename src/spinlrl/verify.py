@@ -967,8 +967,11 @@ def run_check(check_id: str, d: int) -> CheckResult:
     start = time.perf_counter()
     residual = weyl.zero(d)
     failed_label = None
+    # the check's pairs share factors, so one table of left multiples serves
+    # them all; it goes when the check returns
+    table: dict = {}
     for label, lhs, rhs in check.pairs(d):
-        diff = weyl.combine_products(d, lhs.terms + (-rhs).terms)
+        diff = weyl.combine_products(d, lhs.terms + (-rhs).terms, table)
         if check.pauli_quotient:
             diff = weyl.pauli_project(diff)
         if not diff.is_zero():

@@ -77,6 +77,27 @@ of their words, since both products read a and b by the same level terms.  So ``
 for each a-word w and b-word v with w v = v w in a commutator, or
 w v = -v w in an anticommutator: there the two leading terms cancel.
 
+Left multiples.  For each group the kernel forms the left multiple
+r^-2j p^pk w b as a list of level terms, a's coefficients not yet applied,
+and the same list serves every product that meets the same group and the
+same b.  A table of left multiples keeps them: keyed by the right operand b
+by value, so equal operands built apart share an entry, then by
+(pk, w, j, swapped), since a bracket's list leaves out the leading terms
+that cancel.  It also keeps b's level terms.  A list is kept when its key is
+met a second time: a key met once, as most are at large d, costs only the
+key, and a product holds one list that is not kept at a time.
+``verify.run_check`` creates one table per check, whose pairs multiply the
+same named operators again and again (SO21-METRIC brackets every pair of its
+generators), and drops it when the check returns; ``combine_products`` uses
+a fresh table per call unless it is handed one.  ``multiply`` alone forms
+one product and the brackets two with different right operands, so they pass
+none: a fresh table would keep nothing for them.  So no table outlives its
+call and none is global.  A table cannot move the output: it is only read by
+key, never iterated, and an entry is a pure function of its key and b's
+value, so the accumulator receives the same terms in the same order as
+without it, and canonical forms are unique.  The degree checks and the
+product-term budget run before the table is read, on a hit as on a miss.
+
 Shared last factors.  ``combine_products`` evaluates the chains of three or
 more factors that end in the same factor object F Horner-style,
 sum_c c X_c F = (sum_c c X_c) F: it forms each prefix X_c and, when the
@@ -479,6 +500,11 @@ def r_squared(d: int) -> OperatorExpr:
 
 Acc = Dict[int, Dict[tuple, tuple]]
 
+# A table of left multiples (see the module docstring) maps a right operand b
+# to (b's level terms, {(pk, word, level, swapped): p^pk word b}), where a
+# key met only once maps to None.
+LeftMultiples = Dict["OperatorExpr", tuple]
+
 
 def _acc_scaled(out: Acc, a: OperatorExpr, scale: tuple) -> None:
     """Accumulate scale * a into out."""
@@ -815,16 +841,19 @@ def _level_terms(a: OperatorExpr) -> Sequence[tuple]:
     return [(m, xk, pk, word, al, ae, re, im) for (xk, pk, word, al, ae), (re, im) in a.num.items()]
 
 
-def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UNIT, swapped: int = 0) -> None:
+def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, table: Optional[LeftMultiples], scale: tuple = _UNIT, swapped: int = 0) -> None:
     """Accumulate scale * a * b into out without canonicalizing.
 
-    ``scale`` is a scalar in the form of ``_int_scalar``.  ``swapped`` is -1
-    when out also receives -scale * b * a, a commutator, and 1 when it
-    receives scale * b * a, an anticommutator.  Then the leading term of each
-    pair of an a-term with word w and a b-term with word v is not formed when
-    the other product's leading term cancels it: when w v = -swapped v w.
-    The caller forms b * a with the same ``swapped``.  Both operands are read
-    by ``_level_terms``, the same way in both orders.
+    ``table`` holds the left multiples of right operands; the caller creates
+    it and passes it to every product that may share a right operand, or
+    passes None for a product on its own, for which a fresh table would keep
+    nothing.  ``scale`` is a scalar in the form of ``_int_scalar``.
+    ``swapped`` is -1 when out also receives -scale * b * a, a commutator,
+    and 1 when it receives scale * b * a, an anticommutator.  Then the
+    leading term of each pair of an a-term with word w and a b-term with word
+    v is not formed when the other product's leading term cancels it: when
+    w v = -swapped v w.  The caller forms b * a with the same ``swapped``.
+    Both operands are read by ``_level_terms``, the same way in both orders.
     """
     d = a.d
     if not a.num or not b.num:
@@ -837,9 +866,16 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
     check_degree(ap + bp)
     sden, sterms = scale
     a_terms = _level_terms(a)
-    b_terms = _level_terms(b)
+    if table is None:
+        b_terms, multiples = _level_terms(b), None
+    else:
+        entry = table.get(b)
+        if entry is None:
+            table[b] = entry = (_level_terms(b), {})
+        b_terms, multiples = entry
     # a's terms grouped by what b has to be pushed past: r^-2j x^xk p^pk w b
-    # = r^-2j x^xk (p^pk w b), and p^pk w b is computed once per group
+    # = r^-2j x^xk (p^pk w b), and p^pk w b is formed once per group, or
+    # read from the table
     groups: Dict[tuple, list] = {}
     for j, xk, pk, word, al, ae, re, im in a_terms:
         factors = groups.get((pk, word, j))
@@ -866,21 +902,13 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
         out[den] = target = {}
     get = target.get
     for (pk, word, shift), factors in groups.items():
-        # p^pk word b, one term of b at a time: p^pk passes r^-2bk x^bxk by
-        # the expansion table, word meets bw by the word table, and the
-        # term's own p^bpk is added to each expansion term's momenta
-        pushed = []
-        for bk, bxk, bpk, bw, ba, be, br, bi in b_terms:
-            v, sign = _word_product(word, bw, d)
-            if sign < 0:
-                br, bi = -br, -bi
-            expansion = _p_expansion(pk, bk, bxk, d)
-            if swapped and _swap_sign(word, bw) == -swapped:
-                # both products lead with r^-2(ka+kb) x^(xa+xb) p^(pa+pb)
-                # times the same coefficients, and their words cancel
-                expansion = expansion[1:]
-            for k, xk2, pk2, er, ei in expansion:
-                pushed.append((k + shift, xk2, pk2 + bpk, v, ba, be, er * br - ei * bi, er * bi + ei * br))
+        group = (pk, word, shift, swapped)
+        pushed = None if multiples is None else multiples.get(group)
+        if pushed is None:
+            pushed = _left_multiple(pk, word, shift, swapped, b_terms, d)
+            if multiples is not None:
+                # kept when its key comes back; a key met once keeps no list
+                multiples[group] = pushed if group in multiples else None
         for xk, al, ae, fr, fi in factors:
             for k, bxk, bpk, bw, ba, be, br, bi in pushed:
                 key = (k, bxk + xk, bpk, bw, ba + al, be + ae)
@@ -896,6 +924,28 @@ def _multiply_acc(a: OperatorExpr, b: OperatorExpr, out: Acc, scale: tuple = _UN
                         target[key] = (re, im)
                     else:
                         del target[key]
+
+
+def _left_multiple(pk: int, word: Tuple[int, ...], shift: int, swapped: int, b_terms: Sequence[tuple], d: int) -> list:
+    """r^-2shift p^pk word b as level terms ``(k, xk, pk, word, alpha power,
+    E power, re, im)`` over b's denominator, one level term of b at a time:
+    p^pk passes r^-2bk x^bxk by the expansion table, word meets bw by the
+    word table, and the term's own p^bpk is added to each expansion term's
+    momenta.  With ``swapped`` the leading terms that cancel in the bracket
+    are left out, as ``_multiply_acc`` says."""
+    pushed = []
+    for bk, bxk, bpk, bw, ba, be, br, bi in b_terms:
+        v, sign = _word_product(word, bw, d)
+        if sign < 0:
+            br, bi = -br, -bi
+        expansion = _p_expansion(pk, bk, bxk, d)
+        if swapped and _swap_sign(word, bw) == -swapped:
+            # both products lead with r^-2(ka+kb) x^(xa+xb) p^(pa+pb)
+            # times the same coefficients, and their words cancel
+            expansion = expansion[1:]
+        for k, xk2, pk2, er, ei in expansion:
+            pushed.append((k + shift, xk2, pk2 + bpk, v, ba, be, er * br - ei * bi, er * bi + ei * br))
+    return pushed
 
 
 def _monomial_product(a: OperatorExpr, b: OperatorExpr) -> Optional[OperatorExpr]:
@@ -921,20 +971,21 @@ def _monomial_product(a: OperatorExpr, b: OperatorExpr) -> Optional[OperatorExpr
     return _make(d, m, a.den * b.den, {(xa + xb, pa + pb, word, aa + ab, ea + eb): (ar * br - ai * bi, ar * bi + ai * br)})
 
 
-def multiply(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
+def multiply(a: OperatorExpr, b: OperatorExpr, table: Optional[LeftMultiples] = None) -> OperatorExpr:
     """Exact noncommutative product in canonical left-fraction form; one-term
-    operands that need no reordering take ``_monomial_product``."""
+    operands that need no reordering take ``_monomial_product``.  ``table``
+    is a table of left multiples shared with other products, if any."""
     _require_same_d(a, b)
     if len(a.num) == 1 and len(b.num) == 1:
         product = _monomial_product(a, b)
         if product is not None:
             return product
     out: Acc = {}
-    _multiply_acc(a, b, out)
+    _multiply_acc(a, b, out, table)
     return _finalize(a.d, out)
 
 
-def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
+def combine_products(d: int, terms: Iterable[tuple], table: Optional[LeftMultiples] = None) -> OperatorExpr:
     """Canonical form of sum coeff * (factor_1 ... factor_n).
 
     All products accumulate into one shared store before the single
@@ -944,8 +995,12 @@ def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
     ``verify.acomm`` build them, and are formed without the leading terms
     that cancel between them.  Chains of three or more factors that end in
     the same factor object F are summed before F multiplies them, by
-    ``_multiply_shared``.
+    ``_multiply_shared``.  Every product reads and fills ``table``, a table
+    of left multiples that the caller may share between sums (``verify``
+    shares one per check); a fresh one by default.
     """
+    if table is None:
+        table = {}
     out: Acc = {}
     terms = list(terms)
     # chains of three or more factors per last factor, counted when the
@@ -971,8 +1026,8 @@ def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
                 scale2 = _int_scalar(coeff2)
                 swapped = _scale_ratio(scale, scale2)
                 if swapped:
-                    _multiply_acc(factors[0], factors[1], out, scale, swapped)
-                    _multiply_acc(factors[1], factors[0], out, scale2, swapped)
+                    _multiply_acc(factors[0], factors[1], out, table, scale, swapped)
+                    _multiply_acc(factors[1], factors[0], out, table, scale2, swapped)
                     n += 1
                     continue
         if len(factors) > 2:
@@ -985,37 +1040,37 @@ def combine_products(d: int, terms: Iterable[tuple]) -> OperatorExpr:
             if last_counts[id(factors[-1])] > 1:
                 shared.setdefault(id(factors[-1]), []).append((scale, factors))
                 continue
-        _multiply_acc(_prefix_product(factors), factors[-1], out, scale)
+        _multiply_acc(_prefix_product(factors, table), factors[-1], out, table, scale)
     for chains in shared.values():
-        _multiply_shared(d, chains, out)
+        _multiply_shared(d, chains, out, table)
     return _finalize(d, out)
 
 
-def _prefix_product(factors: Sequence[OperatorExpr]) -> OperatorExpr:
+def _prefix_product(factors: Sequence[OperatorExpr], table: LeftMultiples) -> OperatorExpr:
     """The product of every factor but the last, folded left to right."""
     prefix = factors[0]
     for factor in factors[1:-1]:
-        prefix = multiply(prefix, factor)
+        prefix = multiply(prefix, factor, table)
     return prefix
 
 
-def _multiply_shared(d: int, chains: list, out: Acc) -> None:
+def _multiply_shared(d: int, chains: list, out: Acc, table: LeftMultiples) -> None:
     """Accumulate sum scale * X * F over ``(scale, (X..., F))`` chains that
     end in one factor F, as (sum scale * X) * F when the prefixes X can
     cancel and their sum has no more terms than they have together, else
     chain by chain."""
     last = chains[0][1][-1]
-    prefixes = [(scale, _prefix_product(factors)) for scale, factors in chains]
+    prefixes = [(scale, _prefix_product(factors, table)) for scale, factors in chains]
     if _prefixes_can_cancel(chains, prefixes):
         acc: Acc = {}
         for scale, prefix in prefixes:
             _acc_scaled(acc, prefix, scale)
         summed = _finalize(d, acc)
         if len(summed.num) <= sum(len(prefix.num) * len(scale[1]) for scale, prefix in prefixes):
-            _multiply_acc(summed, last, out)
+            _multiply_acc(summed, last, out, table)
             return
     for scale, prefix in prefixes:
-        _multiply_acc(prefix, last, out, scale)
+        _multiply_acc(prefix, last, out, table, scale)
 
 
 def _prefixes_can_cancel(chains: list, prefixes: list) -> bool:
@@ -1087,16 +1142,16 @@ def linear_combine(parts: Iterable[tuple], d: Optional[int] = None) -> OperatorE
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     _require_same_d(a, b)
     out: Acc = {}
-    _multiply_acc(a, b, out, _UNIT, -1)
-    _multiply_acc(b, a, out, _MINUS, -1)
+    _multiply_acc(a, b, out, None, _UNIT, -1)
+    _multiply_acc(b, a, out, None, _MINUS, -1)
     return _finalize(a.d, out)
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     _require_same_d(a, b)
     out: Acc = {}
-    _multiply_acc(a, b, out, _UNIT, 1)
-    _multiply_acc(b, a, out, _UNIT, 1)
+    _multiply_acc(a, b, out, None, _UNIT, 1)
+    _multiply_acc(b, a, out, None, _UNIT, 1)
     return _finalize(a.d, out)
 
 

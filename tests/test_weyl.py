@@ -836,7 +836,7 @@ def rand_one_term(d, rng):
 
 def _kernel_product(a, b):
     acc = {}
-    weyl._multiply_acc(a, b, acc)
+    weyl._multiply_acc(a, b, acc, {})
     return weyl._finalize(a.d, acc)
 
 
@@ -878,6 +878,7 @@ def _combine_by_chains(d, terms):
     for summing the chains that share a last factor; adjacent bracket pairs
     keep their leading-term cut."""
     out = {}
+    table = {}
     terms = list(terms)
     n = 0
     while n < len(terms):
@@ -895,14 +896,14 @@ def _combine_by_chains(d, terms):
                 scale2 = weyl._int_scalar(coeff2)
                 swapped = weyl._scale_ratio(scale, scale2)
                 if swapped:
-                    weyl._multiply_acc(factors[0], factors[1], out, scale, swapped)
-                    weyl._multiply_acc(factors[1], factors[0], out, scale2, swapped)
+                    weyl._multiply_acc(factors[0], factors[1], out, table, scale, swapped)
+                    weyl._multiply_acc(factors[1], factors[0], out, table, scale2, swapped)
                     n += 1
                     continue
         prefix = factors[0]
         for factor in factors[1:-1]:
             prefix = multiply(prefix, factor)
-        weyl._multiply_acc(prefix, factors[-1], out, scale)
+        weyl._multiply_acc(prefix, factors[-1], out, table, scale)
     return weyl._finalize(d, out)
 
 
@@ -938,9 +939,9 @@ def term_pair_counter(monkeypatch, read=lambda a: a.num):
     formed = []
     kernel = weyl._multiply_acc
 
-    def counting(a, b, out, scale=weyl._UNIT, swapped=0):
+    def counting(a, b, out, table, scale=weyl._UNIT, swapped=0):
         formed.append(len(read(a)) * len(scale[1]) * len(read(b)))
-        kernel(a, b, out, scale, swapped)
+        kernel(a, b, out, table, scale, swapped)
 
     monkeypatch.setattr(weyl, "_multiply_acc", counting)
     return formed
@@ -1136,11 +1137,80 @@ def test_lrl_alg_level_read_term_pairs_at_d6(monkeypatch):
     formed = []
     kernel = weyl._multiply_acc
 
-    def counting(a, b, out, scale=weyl._UNIT, swapped=0):
+    def counting(a, b, out, table, scale=weyl._UNIT, swapped=0):
         formed.append(len(weyl._level_terms(a)) * len(scale[1]) * len(weyl._level_terms(b)))
-        kernel(a, b, out, scale, swapped)
+        kernel(a, b, out, table, scale, swapped)
 
     monkeypatch.setattr(weyl, "_multiply_acc", counting)
     for _, lhs, rhs in pairs:
         assert weyl.combine_products(d, lhs.terms + (-rhs).terms).is_zero()
     assert sum(formed) == 28_490
+
+
+# -- left multiples shared through one table --------------------------------------------------
+
+
+def _twin(a):
+    """An operator equal to a, built apart: a distinct object with no split read."""
+    return OperatorExpr(a.d, a.denom_pow, a.den, dict(a.num))
+
+
+def split_operand(d):
+    """alpha x1 p2 g1 + r^-2 x2 g2, stored as r^-2 (alpha r^2 x1 p2 g1 + x2 g2):
+    its split holds two level terms against d + 1 stored ones."""
+    r, x1, x2 = weyl.rinv2(d), weyl.x(d, 1), weyl.x(d, 2)
+    return linear_combine([(P_ALPHA, multiply(multiply(x1, weyl.p(d, 2)), weyl.gamma(d, 1))), (1, multiply(multiply(r, x2), weyl.gamma(d, 2)))])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_one_table_of_left_multiples_matches_fresh_tables(d):
+    rng = random.Random(21000 + d)
+    c = gaussian(Fraction(1, 2), -1) * P_ALPHA
+    for n in range(10):
+        a = rand_bracket_operand(d, rng) + weyl.gamma(d, 1) * weyl.p(d, d)
+        b = split_operand(d) if n % 2 else rand_level_operand(d, rng) + weyl.gamma(d, 2)
+        a2, b2 = _twin(a), _twin(b)
+        # a product, a commutator and an anticommutator of one (a, b) read
+        # the same right operands with each value of ``swapped``; the twins
+        # read the entries their equal originals left
+        sums = [
+            [(P_ONE, (a, b))],
+            verify.comm(a, b).terms,
+            verify.acomm(a, b).terms,
+            [(c, (a2, b2))],
+            verify.comm(a2, b2).terms,
+            verify.acomm(a2, b).terms,
+            [(c, (a, b2, a2))],
+            [(P_ONE, (b, a)), (P_I, (b2, a2, b))],
+        ]
+        table = {}
+        shared = [weyl.combine_products(d, terms, table) for terms in sums]
+        assert shared == [weyl.combine_products(d, terms) for terms in sums]
+        ab, ba = multiply(a, b), multiply(b, a)
+        assert shared[:3] == [ab, ab - ba, ab + ba]
+        assert {key[3] for key in table[b][1]} == {-1, 0, 1}
+        if n % 2:
+            assert weyl._split_levels(b) is not None
+            assert table[b][0] == weyl._split_levels(b)
+
+
+def test_registry_left_multiple_terms_at_d3(monkeypatch):
+    # the level terms of left multiples p^pk w b the kernel forms over every
+    # pair of the registry at d = 3, the sides built first, with one table per
+    # check as run_check keeps it: 31,371 when each product formed its own
+    d = 3
+    checks = [check.pairs(d) for check in verify.list_checks() if check.applicable(d)]
+    formed = []
+    left_multiple = weyl._left_multiple
+
+    def counting(*args):
+        pushed = left_multiple(*args)
+        formed.append(len(pushed))
+        return pushed
+
+    monkeypatch.setattr(weyl, "_left_multiple", counting)
+    for pairs in checks:
+        table = {}
+        for _, lhs, rhs in pairs:
+            weyl.combine_products(d, lhs.terms + (-rhs).terms, table)
+    assert sum(formed) == 20_099
