@@ -16,9 +16,15 @@ Operators are read level by level: the engine's r^-2m N is applied as
 sum_j r^-2j N_j, with N_j at j > 0 holding only what r^2 does not divide
 (``_levels``, split by the same reduction, once per operator value).  The
 x-part stands left of p in normal order, so the split is exact, and it
-applies fewer terms.  Canonicalisation touches only the terms r^2 divides,
-those at k < 0 with x1 exponent at least 2; a linear combination of
-canonical functions is canonical already and is not reduced again.
+applies fewer terms.  Each level term keeps its gamma columns already
+multiplied by its coefficient, and a term with no momenta is applied without
+differentiating.  Canonicalisation touches only the terms r^2 divides, those
+at k < 0 with x1 exponent at least 2, and reads each one's canonical form
+from a table keyed by (d, k, x^a) (``_reduction``, built once per monomial
+by ``_reduce_level``); a linear combination of canonical functions is
+canonical already and is not reduced again.  ``verify.crosscheck_check``
+memoizes applications by value within one trial and clears the memo before
+the next, so its memory is that of one trial's functions.
 
 Storage.  A ``SpinorFunction`` keeps one positive int denominator ``den`` and
 a map ``num`` from ``(k, xk, s, alpha_power, e_power)`` to a Gaussian-integer
@@ -149,33 +155,60 @@ def _canonicalize(d: int, raw: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
     """Unique normal form of ``raw``, which is updated in place and returned.
 
     Only a term at a level k < 0 whose x1 exponent is at least 2 has a part
-    that r^2 divides; those terms are taken out and reduced, lowest level
-    first, each level's quotient joining the level above.  Every other term
-    is a remainder already and stays where it is.
+    that r^2 divides; each such term is replaced by its coefficient times the
+    canonical form of its monomial (``_reduction``).  Every other term is a
+    remainder already and stays where it is.  Raises ValueError when the
+    tables' quotient steps for one call pass ``weyl.DIVISION_STEP_BUDGET``.
     """
     shift = weyl.FIELD_BITS * (d - 1)
     x1_field = weyl.EXPONENT_LIMIT << shift
     two_x1 = 2 << shift
     divisible = [key for key in raw if key[0] < 0 and key[1] & x1_field >= two_x1]
-    if not divisible:
-        return raw
-    # pending[k][(s, alpha power, E power)] is the x-polynomial still to reduce at level k
-    pending: Dict[int, Dict[tuple, Dict[int, tuple]]] = {}
+    budget = weyl.DIVISION_STEP_BUDGET
+    get = raw.get
     for key in divisible:
         k, xk, s, a, e = key
-        pending.setdefault(k, {}).setdefault((s, a, e), {})[xk] = raw.pop(key)
-    for k in range(min(pending), 0):
-        for (s, a, e), poly in pending.pop(k, {}).items():
-            quotient, remainder = _reduce_level(poly, d)
-            for xk, (re, im) in remainder.items():
-                merge_term(raw, (k, xk, s, a, e), re, im)
-            up = k + 1
-            for xk, (re, im) in quotient.items():
-                if up < 0 and xk & x1_field >= two_x1:
-                    merge_term(pending.setdefault(up, {}).setdefault((s, a, e), {}), xk, re, im)
+        re, im = raw.pop(key)
+        steps, terms = _reduction(d, k, xk)
+        budget -= steps
+        if budget < 0:
+            raise ValueError(f"dividing by r^2 exceeds the division-step budget of {weyl.DIVISION_STEP_BUDGET:,}")
+        if not re and not im:
+            # merging a zero toggles whether its key is stored, so a zero term
+            # leaves its trace where its expansion is odd, as reducing the
+            # whole level did
+            terms = [term for term in terms if term[2] & 1]
+        for k2, x2, c in terms:
+            target = (k2, x2, s, a, e)
+            cur = get(target)
+            if cur is None:
+                raw[target] = (re * c, im * c)
+            else:
+                r = cur[0] + re * c
+                i = cur[1] + im * c
+                if r or i:
+                    raw[target] = (r, i)
                 else:
-                    merge_term(raw, (up, xk, s, a, e), re, im)
+                    del raw[target]
     return raw
+
+
+@lru_cache(maxsize=65536)
+def _reduction(d: int, k: int, xk: int) -> tuple:
+    """``(steps, terms)``: the canonical form of r^(2k) x^xk as terms
+    ``(level, packed x, integer coefficient)``, and the quotient steps
+    ``_reduce_level`` took to reach it, level by level up to level 0."""
+    poly = {xk: (1, 0)}
+    steps = 0
+    terms = []
+    while poly and k < 0:
+        quotient, remainder = _reduce_level(poly, d)
+        steps += len(quotient)
+        terms.extend((k, x, re) for x, (re, _) in remainder.items())
+        poly = quotient
+        k += 1
+    terms.extend((0, x, re) for x, (re, _) in poly.items())
+    return steps, tuple(terms)
 
 
 def _reduce_level(poly: Dict[int, tuple], d: int) -> tuple:
@@ -227,6 +260,24 @@ def linear_combine(d: int, parts: Iterable[tuple]) -> SpinorFunction:
         target = acc.get(den)
         if target is None:
             acc[den] = target = {}
+        if len(snum) == 1 and (0, 0) in snum:
+            # no alpha or E: every key stays as it is
+            ((sr, si),) = snum.values()
+            get = target.get
+            for key, (re, im) in f.num.items():
+                pr = re * sr - im * si
+                pi = re * si + im * sr
+                c = get(key)
+                if c is None:
+                    target[key] = (pr, pi)
+                else:
+                    pr += c[0]
+                    pi += c[1]
+                    if pr or pi:
+                        target[key] = (pr, pi)
+                    else:
+                        del target[key]
+            continue
         for (k, xk, s, a, e), (re, im) in f.num.items():
             for (sa, se), (sr, si) in snum.items():
                 merge_term(target, (k, xk, s, a + sa, e + se), re * sr - im * si, re * si + im * sr)
@@ -257,14 +308,26 @@ def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
     weyl.check_degree(weyl.degree(max(key[1] for key in f.num), d) + sum(op.max_degrees()))
     out: Dict[tuple, tuple] = {}
     get = out.get
-    f_items = list(f.num.items())
-    for j, xk, pk, cols, al, ae, ore, oim in _levels(op):
-        for (k, fx, s, fa, fe), (fr, fi) in f_items:
-            t, er, ei = cols[s - 1]
-            cr = fr * ore - fi * oim
-            ci = fr * oim + fi * ore
-            tr = cr * er - ci * ei
-            ti = cr * ei + ci * er
+    # (k, x, spinor index - 1, alpha power, E power, re, im), unpacked once
+    f_terms = [(k, fx, s - 1, fa, fe, fr, fi) for (k, fx, s, fa, fe), (fr, fi) in f.num.items()]
+    for j, xk, pk, cols, al, ae in _levels(op):
+        for k, fx, s, fa, fe, fr, fi in f_terms:
+            t, cr, ci = cols[s]
+            tr = fr * cr - fi * ci
+            ti = fr * ci + fi * cr
+            if not pk:
+                key = (k - j, fx + xk, t, al + fa, ae + fe)
+                c = get(key)
+                if c is None:
+                    out[key] = (tr, ti)
+                else:
+                    re = c[0] + tr
+                    im = c[1] + ti
+                    if re or im:
+                        out[key] = (re, im)
+                    else:
+                        del out[key]
+                continue
             a = al + fa
             e = ae + fe
             for k2, fx2, mr, mi in _derivative_terms(d, pk, k, fx):
@@ -287,8 +350,10 @@ def apply(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
 @lru_cache(maxsize=4096)
 def _levels(op: OperatorExpr) -> tuple:
     """The operator r^-2m N as a sum of levels r^-2j N_j, j = m .. 0, each
-    term as ``(j, x-exponents, p-exponents, gamma columns, alpha power,
-    E power, re, im)`` over ``op.den``.
+    term as ``(j, x-exponents, p-exponents, scaled columns, alpha power,
+    E power)`` over ``op.den``.  Scaled column s - 1 is ``(row, re, im)``:
+    the one entry of column s of the word's matrix times the term's
+    coefficient re + im*i.
 
     N's terms are grouped by (p-part, word, alpha, E).  Each group's
     x-polynomial is q r^2 + rem: rem stays at level j and q joins level
@@ -305,7 +370,9 @@ def _levels(op: OperatorExpr) -> tuple:
         j = op.denom_pow
         while poly:
             quotient, remainder = _reduce_level(poly, d) if j else ({}, poly)
-            terms.extend((j, xk, pk, cols, al, ae, re, im) for xk, (re, im) in remainder.items())
+            for xk, (re, im) in remainder.items():
+                scaled = tuple((t, er * re - ei * im, er * im + ei * re) for t, er, ei in cols)
+                terms.append((j, xk, pk, scaled, al, ae))
             poly = quotient
             j -= 1
     return tuple(terms)

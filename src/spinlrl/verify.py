@@ -1019,16 +1019,21 @@ def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max
     functions modulo r^2 by its own rewriting, not by the engine's division;
     the factors it applies are the engine's canonical forms.
 
-    Single applications are memoized per (operator, function) value: the
-    same operators and the same seeded functions and intermediates recur
-    across the index tuples of one check, often as distinct but equal
-    objects, so this saves most of the work without changing results.
+    The check runs trial by trial: every pair on trial t's function, then
+    trial t + 1 for the pairs that still agree.  A pair's witness is the
+    first trial that separates its sides.  Within a trial, single
+    applications are memoized per (operator, function) value: the same
+    operators and intermediates recur across the index tuples of one check,
+    often as distinct but equal objects, so this saves most of the work
+    without changing results.  The memo is cleared between trials, so it
+    holds one trial's functions at a time.
     """
     if trials < 1:
         raise ValueError(f"crosscheck needs at least one trial, got {trials}")
     check = get_check(check_id)
-    pairs = check.pairs(d)
-    functions = [oracle.random_function(d, oracle.trial_seed(seed, t), max_degree, min_k) for t in range(trials)]
+    pairs = list(check.pairs(d))
+    witnesses: List[Optional[SpinorFunction]] = [None] * len(pairs)
+    open_pairs = range(len(pairs))
     memo: dict = {}
 
     def apply_one(op: OperatorExpr, f: SpinorFunction) -> SpinorFunction:
@@ -1038,18 +1043,20 @@ def crosscheck_check(check_id: str, d: int, trials: int = 20, seed: int = 0, max
             result = memo[key] = oracle.apply(op, f)
         return result
 
-    entries = []
-    for label, lhs, rhs in pairs:
-        agreed = True
-        witness = None
-        for t in range(trials):
-            f = functions[t]
+    for t in range(trials):
+        if not open_pairs:
+            break
+        memo.clear()
+        f = oracle.random_function(d, oracle.trial_seed(seed, t), max_degree, min_k)
+        agreeing = []
+        for n in open_pairs:
+            _, lhs, rhs = pairs[n]
             if lhs.apply(f, apply_one) != rhs.apply(f, apply_one):
-                agreed = False
-                witness = f
-                break
-        entries.append(ConcordanceEntry(check_id, label, agreed, witness))
-    return entries
+                witnesses[n] = f
+            else:
+                agreeing.append(n)
+        open_pairs = agreeing
+    return [ConcordanceEntry(check_id, label, w is None, w) for (label, _, _), w in zip(pairs, witnesses)]
 
 
 def crosscheck_suites(suites: Sequence[str], d: int, trials: int = 20, seed: int = 0, max_degree: int = 4, min_k: int = -2) -> List[ConcordanceEntry]:

@@ -1,11 +1,13 @@
 """Function-application oracle: exact actions, determinism, faithfulness."""
 
+import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from spinlrl import ops, oracle, verify, weyl
+from spinlrl import expr, ops, oracle, verify, weyl
 from spinlrl.coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly
 from spinlrl.oracle import SpinorFunction
 from spinlrl.weyl import DimensionMismatch, divide_xpoly_by_r2
@@ -334,10 +336,17 @@ COEFFICIENTS = (1, -1, Fraction(2, 3), Fraction(-5, 4), P_ALPHA, P_E * 2, I, P_E
 
 
 def level_test_operators(d, rng):
-    """H, LRL_i, B_i and r^-4 x1^3 p2, alone and in seeded sums with
-    scalar coefficients and extra r^-2 factors: denom_pow 0..3."""
+    """H, LRL_i, B_i, r^-4 x1^3 p2 and the momentum-free r^-2 GX + x1 g1 g2,
+    alone and in seeded sums with scalar coefficients and extra r^-2
+    factors: denom_pow 0..3."""
     i = rng.randint(1, d)
-    pool = [ops.build(d, "H"), ops.build(d, "LRL", i), ops.build(d, "B", i), weyl.rinv2(d) ** 2 * weyl.x(d, 1) ** 3 * weyl.p(d, 2)]
+    pool = [
+        ops.build(d, "H"),
+        ops.build(d, "LRL", i),
+        ops.build(d, "B", i),
+        weyl.rinv2(d) ** 2 * weyl.x(d, 1) ** 3 * weyl.p(d, 2),
+        expr.evaluate("rinv2 GX + x1 g1 g2", d),
+    ]
     out = list(pool)
     for _ in range(8):
         total = weyl.zero(d)
@@ -387,6 +396,38 @@ def test_canonicalize_matches_the_all_levels_reduction():
         assert oracle._canonicalize(d, raw) == expected
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_reduction_table_matches_the_all_levels_reduction(d):
+    # each entry is the canonical form of its one monomial r^(2k) x^a
+    for tail in ((0,) * (d - 1), tuple(i % 3 for i in range(1, d))):
+        for k in range(-4, 0):
+            for n in range(7):
+                xk = weyl.pack((n, *tail))
+                _, terms = oracle._reduction(d, k, xk)
+                got = {(level, x, 1, 0, 0): (c, 0) for level, x, c in terms}
+                assert got == _canonicalize_all_levels(d, {(k, xk, 1, 0, 0): (1, 0)}), (k, n, tail)
+
+
+def test_canonicalize_counts_the_table_steps_against_the_budget(monkeypatch):
+    d = 3
+    f = oracle.random_function(d, 11)
+    lift = 2 * weyl.unit_keys(d)[0]
+    # r^-4 x1^2 times a seeded function: r^2 divides a part of every term
+    raw = {(k - 2, xk + lift, s, a, e): value for (k, xk, s, a, e), value in f.num.items()}
+    expected = oracle._canonicalize(d, dict(raw))
+    needed = sum(oracle._reduction(d, k, xk)[0] for k, xk, *_ in raw)
+    assert needed > len(raw)
+    monkeypatch.setattr(weyl, "DIVISION_STEP_BUDGET", needed)
+    assert oracle._canonicalize(d, dict(raw)) == expected
+    # the steps an entry took count again each time it is read from the table
+    monkeypatch.setattr(weyl, "DIVISION_STEP_BUDGET", needed - 1)
+    with pytest.raises(ValueError, match="division-step budget"):
+        oracle._canonicalize(d, dict(raw))
+    oracle._reduction.cache_clear()
+    with pytest.raises(ValueError, match="division-step budget"):
+        oracle._canonicalize(d, dict(raw))
+
+
 def test_linear_combine_of_canonical_functions_needs_no_reduction():
     rng = random.Random(1502)
     for trial in range(60):
@@ -420,3 +461,50 @@ def test_value_keyed_memo_matches_memo_free_evaluation(d):
             witness = next((f for f in functions if lhs.apply(f, oracle.apply) != rhs.apply(f, oracle.apply)), None)
             expected.append(verify.ConcordanceEntry(check.id, label, witness is None, witness))
         assert verify.crosscheck_check(check.id, d, trials=trials) == expected
+
+
+def test_trial_by_trial_concordance_matches_pair_by_pair_evaluation(monkeypatch):
+    d, trials = 2, 4
+    check = verify.get_check("GX-SQUARE")
+    label, lhs, rhs = check.pairs(d)[0]
+
+    def trial_functions(seed):
+        # min_k = 0: polynomial functions, which p1^3 kills unless x1^3 divides a term
+        return [oracle.random_function(d, oracle.trial_seed(seed, t), 4, 0) for t in range(trials)]
+
+    def x1_degree(f):
+        return max(weyl.exponent_of(xk, 1, d) for _, xk, *_ in f.num)
+
+    seed = next(s for s in range(100) if [x1_degree(f) >= 3 for f in trial_functions(s)][:2] == [False, True])
+    functions = trial_functions(seed)
+    pairs = [
+        (label, lhs, rhs),
+        ("late", lhs, rhs + verify.of_expr(weyl.p(d, 1) ** 3)),
+        ("early", lhs, rhs + verify.of_expr(weyl.x(d, 1))),
+    ]
+    monkeypatch.setitem(verify._BY_ID, check.id, dataclasses.replace(check, pairs=lambda _: pairs))
+    expected = []
+    for name, a, b in pairs:
+        witness = next((f for f in functions if a.apply(f) != b.apply(f)), None)
+        expected.append(verify.ConcordanceEntry(check.id, name, witness is None, witness))
+    got = verify.crosscheck_check(check.id, d, trials=trials, seed=seed, min_k=0)
+    assert got == expected
+    assert [(e.agreed, e.witness) for e in got] == [(True, None), (False, functions[1]), (False, functions[0])]
+
+
+def test_concordance_memory_is_bounded_by_one_trial():
+    # the memo holds one trial's functions, so more trials do not raise the
+    # peak; with a memo kept for the whole check this ratio is about 6
+    d = 3
+    check_id = "LRL-AUX-3"
+    verify.crosscheck_check(check_id, d, trials=4)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            verify.crosscheck_check(check_id, d, trials=trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= 1.5 * peak(1)
