@@ -13,7 +13,7 @@ Grammar (precedence low to high):
 Brackets are the commutator, braces the anticommutator.  Division is only by
 integer literals (operators have no general inverses here).  Identifiers are
 case-sensitive: g1 is a Clifford generator, G(1) the ladder operator built
-from it.  Tokens are ASCII and are read one at a time.
+from it.  Tokens are ASCII, plain named tuples, and are read one at a time.
 
 The text is read in one pass: each grammar rule returns the operator it has
 read, so no syntax tree is built.  Every step is checked as it is read, at
@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 import re
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from . import ops, weyl
 from .coeff import P_ALPHA, P_E, P_I
@@ -59,8 +58,7 @@ _TOKEN = re.compile(r"[ \t\n\r\f\v]*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^
 _BAD = re.compile(r"[^ \t\n\r\f\v0-9A-Za-z_+\-*/^()\[\]{},]")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "ident", punctuation, "eof"
     text: str
     pos: int  # offset into the source text

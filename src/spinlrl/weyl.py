@@ -123,14 +123,18 @@ denominator r^-2m, every level below m is a multiple of r^2; {r^2} is a
 Groebner basis of its ideal, so the division remainder is linear and zero on
 those multiples, and the numerator divides by r^2 exactly when its top level
 does.  So only the top level is divided; its quotient joins the level below,
-and the division repeats until it leaves a remainder.  Only the levels still
-below the final m are then expanded by powers of r^2, never to a denominator
-that the division would take back.
+and the division repeats until it leaves a remainder.  Since lead(q r^2) =
+x1^2 lead(q), a group whose leading term has x1 to a power below 2 ends it
+before that group is divided.  Only the levels still below the final m are
+then expanded by powers of r^2, never to a denominator that the division
+would take back.
 
 Rendering.  ``render`` prints the canonical text straight from the packed
 ints: terms grouped by monomial and sorted on the packed keys, whose top
 field is the total degree, and each coefficient printed by
-``coeff.format_ints`` from its numerators over ``den``.  The atom text of a
+``coeff.format_ints`` from its numerators over ``den``.  Monomials share few
+distinct coefficients, so a call keeps one text per distinct coefficient,
+keyed by its sorted ``(alpha, E) -> numerator`` items.  The atom text of a
 packed exponent vector comes from ``_exponent_text``, an ``lru_cache`` table
 of at most 4,096 entries.
 """
@@ -218,6 +222,8 @@ def exponent_of(key: int, i: int, d: int) -> int:
 
 def _int_scalar(value: ScalarLike) -> Optional[tuple]:
     """A scalar as ``(den, ((alpha_power, e_power, re, im), ...))``, None for 0."""
+    if type(value) is int:
+        return (1, ((0, 0, value, 0),)) if value else None
     den, num = ParamPoly.of(value).int_form()
     if not num:
         return None
@@ -381,6 +387,11 @@ class OperatorExpr(PackedTerms):
         return NotImplemented
 
     def __truediv__(self, other):
+        if type(other) is int:
+            if not other:
+                raise ZeroDivisionError("operator divided by zero")
+            num = self.num if other > 0 else {key: (-re, -im) for key, (re, im) in self.num.items()}
+            return _make(self.d, self.denom_pow, self.den * abs(other), num)
         if isinstance(other, (int, Fraction)):
             return _scale(self, 1 / Fraction(other))
         return NotImplemented
@@ -459,6 +470,8 @@ def one(d: int) -> OperatorExpr:
 
 
 def scalar(d: int, value: ScalarLike) -> OperatorExpr:
+    if type(value) is int:
+        return OperatorExpr(d, 0, 1, {(0, 0, (), 0, 0): (value, 0)} if value else {})
     den, num = ParamPoly.of(value).int_form()
     return OperatorExpr(d, 0, den, {(0, 0, (), a, e): v for (a, e), v in num.items()})
 
@@ -671,9 +684,15 @@ def _x_polynomials(num: Dict[tuple, tuple]) -> Dict[tuple, dict]:
 
 
 def _try_divide_numerator(num: Dict[tuple, tuple], d: int) -> Optional[Dict[tuple, tuple]]:
-    """One left division of a numerator map by r^2, or None when impossible."""
+    """One left division of a numerator map by r^2, or None when impossible.
+
+    In graded lex order lead(q r^2) = x1^2 lead(q), so a group whose leading
+    term has x1 to a power below 2 cannot divide and is not divided."""
+    x1_shift = FIELD_BITS * (d - 1)
     out: Dict[tuple, tuple] = {}
     for (pk, word, a, e), xpoly in _x_polynomials(num).items():
+        if (max(xpoly) >> x1_shift) & _MASK < 2:
+            return None
         quotient, remainder = divide_xpoly_by_r2(xpoly, d)
         if remainder:
             return None
@@ -1288,6 +1307,8 @@ def render(a: OperatorExpr) -> str:
     # of total x-degree, total p-degree, word length, then the exponents
     shift = FIELD_BITS * d
     order = sorted(groups, key=lambda m: (m[0] >> shift, m[1] >> shift, len(m[2]), m[0], m[1], m[2]), reverse=True)
+    # keyed by sorted items, so equal coefficients stored in different orders share a text
+    texts: Dict[tuple, str] = {}
     parts = []
     for mono in order:
         atoms = _monomial_text(mono[0], mono[1], mono[2], d)
@@ -1295,9 +1316,13 @@ def render(a: OperatorExpr) -> str:
         if atoms and len(group) == 1 and group.get((0, 0)) == (den, 0):
             parts.append(atoms)
             continue
-        coeff = format_ints(den, group)
-        if needs_parens(coeff):
-            coeff = f"({coeff})"
+        items = tuple(group.items()) if len(group) == 1 else tuple(sorted(group.items()))
+        coeff = texts.get(items)
+        if coeff is None:
+            coeff = format_ints(den, group)
+            if needs_parens(coeff):
+                coeff = f"({coeff})"
+            texts[items] = coeff
         parts.append(f"{coeff} {atoms}" if atoms else coeff)
     body = " + ".join(parts)
     if a.denom_pow == 0:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from spinlrl import cli, expr, ops, oracle, verify, weyl
-from spinlrl.coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly
+from spinlrl.coeff import P_ALPHA, P_E, P_I, P_ONE, ParamPoly, merge_term
 from spinlrl.weyl import (
     DimensionMismatch,
     OperatorExpr,
@@ -374,6 +374,32 @@ def test_division_takes_ints_and_fractions():
         x1 / P_I
 
 
+@pytest.mark.parametrize("n", [0, 1, -1, 7, -10**30])
+def test_int_scalars_equal_the_param_poly_route(n):
+    assert weyl._int_scalar(n) == weyl._int_scalar(ParamPoly.of(n))
+    for d in (1, 3):
+        a = weyl.scalar(d, n)
+        assert a == weyl.scalar(d, ParamPoly.of(n)) and (a.den, a.num) == (1, {(0, 0, (), 0, 0): (n, 0)} if n else {})
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_int_division_equals_scaling_by_the_inverse(d):
+    rng = random.Random(2300 + d)
+    rinv2 = weyl.rinv2(d)
+    operands = [weyl.zero(d), rinv2, rinv2 ** 2 * Fraction(3, 4)] + [rand_operator(d, rng) for _ in range(8)]
+    assert any(a.denom_pow for a in operands[3:])
+    for a in operands:
+        for n in (1, -1, 3, -3, 2 ** 70):
+            got = a / n
+            assert got == a * Fraction(1, n) and hash(got) == hash(a * Fraction(1, n))
+        with pytest.raises(ZeroDivisionError):
+            a / 0
+        # a bool is not taken for an int: it divides through a Fraction, as before
+        assert a / True == a
+        with pytest.raises(ZeroDivisionError):
+            a / False
+
+
 def test_cancellation_gives_canonical_zero():
     d = 3
     a = rand_operator(d, random.Random(4)) / 7
@@ -535,6 +561,82 @@ def test_division_step_budget_counts_quotient_steps(monkeypatch):
     assert str(multiply(weyl.rinv2(d), x1 ** 4 * x2)) == "rinv2 (x1^4 x2)"
     with pytest.raises(ValueError, match="division-step budget"):
         multiply(weyl.rinv2(d), x1 ** 4 * x2 + weyl.x(d, 3))
+
+
+def _divide_every_group(num, d):
+    """One left division of a numerator by r^2: every group divided, None at
+    the first that leaves a remainder."""
+    out = {}
+    for (pk, word, a, e), xpoly in weyl._x_polynomials(num).items():
+        quotient, remainder = divide_xpoly_by_r2(xpoly, d)
+        if remainder:
+            return None
+        for xk, value in quotient.items():
+            out[(xk, pk, word, a, e)] = value
+    return out
+
+
+def rand_divisible_xpoly(d, rng):
+    """q r^2 for a random q of one to three terms of degree up to 3."""
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * d
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(d)] += 1
+        re, im = rng.randint(-3, 3), rng.randint(-2, 2)
+        if not re and not im:
+            re = 1
+        for j in range(d):
+            key = list(exps)
+            key[j] += 2
+            merge_term(out, weyl.pack(key), re, im)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_try_divide_numerator_equals_dividing_every_group(d):
+    rng = random.Random(2330 + d)
+    divided = undivided = 0
+    for _ in range(200):
+        num = {}
+        count = rng.randint(1, 4)
+        # half the numerators have one group that leaves a remainder
+        spoiled = rng.randrange(-count, count)
+        for n in range(count):
+            group = (weyl.pack([rng.randint(0, 1) for _ in range(d)]), tuple(sorted(rng.sample(range(1, d + 1), rng.randint(0, min(d, 2))))), rng.randint(0, 1), rng.randint(0, 1))
+            xpoly = rand_divisible_xpoly(d, rng)
+            mode = rng.randrange(3) if n == spoiled else None
+            if mode == 0:
+                # a remainder term below the lead
+                merge_term(xpoly, weyl.pack([rng.randint(0, 1) for _ in range(d)]), 1, 0)
+            elif mode == 1:
+                # x1^b xd^(5 - b) with b < 2, the lead unless q r^2 has degree 5
+                b = rng.randint(0, 1)
+                merge_term(xpoly, weyl.pack([b] + [0] * (d - 2) + [5 - b] if d > 1 else [1]), 0, 1)
+            elif mode == 2:
+                # a lead of x-degree 6 with x1^2: x1^2 xd^4, divisible only at d = 1
+                merge_term(xpoly, weyl.pack([2] + [0] * (d - 2) + [4] if d > 1 else [6]), 2, 0)
+            for xk, value in xpoly.items():
+                num[(xk, *group)] = value
+        want = _divide_every_group(num, d)
+        assert weyl._try_divide_numerator(num, d) == want
+        divided += want is not None
+        undivided += want is None
+    assert divided > 20 and undivided > 20
+    if d == 1:
+        # r^2 = x1^2 divides every monomial x1^k with k >= 2
+        assert weyl._try_divide_numerator({(weyl.pack([5]), 0, (), 0, 0): (1, 0)}, 1) == {(weyl.pack([3]), 0, (), 0, 0): (1, 0)}
+
+
+def test_try_divide_numerator_keeps_the_step_budget(monkeypatch):
+    d = 3
+    # x1^4 x2 takes three quotient steps; x2 cannot divide and is not divided
+    heavy = (weyl.pack((4, 1, 0)), 0, (), 0, 0)
+    light = (weyl.pack((0, 1, 0)), weyl.pack((1, 0, 0)), (), 0, 0)
+    monkeypatch.setattr(weyl, "DIVISION_STEP_BUDGET", 2)
+    with pytest.raises(ValueError, match="division-step budget of 2"):
+        weyl._try_divide_numerator({heavy: (1, 0), light: (1, 0)}, d)
+    assert weyl._try_divide_numerator({light: (1, 0), heavy: (1, 0)}, d) is None
 
 
 # -- top-down r^2 canonicalisation ----------------------------------------------------------
@@ -803,6 +905,42 @@ def test_render_matches_the_decoding_reference(d):
         for a in (weyl.scalar(d, c), c * weyl.x(d, 1), c * weyl.rinv2(d), c * weyl.rinv2(d) + weyl.p(d, d)):
             assert weyl.render(a) == _render_by_decoding(a)
     assert {0, 1, 2, 3} <= seen
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_render_of_shared_coefficients_is_independent_of_insertion_order(d):
+    rng = random.Random(2340 + d)
+    pool = [
+        {(0, 0): (1, 0)},
+        {(0, 0): (-1, 0)},
+        {(0, 0): (0, 3)},
+        {(1, 0): (1, 0)},
+        {(1, 0): (2, -1), (0, 0): (0, 1)},
+        {(1, 1): (-3, 0), (0, 1): (1, 1), (2, 0): (5, 0)},
+        {(0, 1): (1, 1), (1, 1): (-3, 0), (2, 0): (5, 0)},
+        {(2, 0): (-1, 0), (0, 0): (7, 0), (0, 2): (0, -1), (1, 0): (4, 4)},
+    ]
+    for _ in range(40):
+        monomials = {(weyl.pack([rng.randint(0, 1) for _ in range(d)]), weyl.pack([rng.randint(0, 2) for _ in range(d)]), tuple(sorted(rng.sample(range(1, d + 1), rng.randint(0, 2))))) for _ in range(rng.randint(1, 30))}
+        if rng.random() < 0.3:
+            monomials.add((0, 0, ()))
+        chosen = {mono: rng.choice(pool) for mono in monomials}
+        m, den = rng.randint(0, 2), rng.choice((1, 2, 6, 7))
+        texts = set()
+        for _ in range(3):
+            num = {}
+            for mono in rng.sample(sorted(monomials), len(monomials)):
+                group = list(chosen[mono].items())
+                rng.shuffle(group)
+                for (al, ae), value in group:
+                    num[(*mono, al, ae)] = value
+            # no x-monomial here has x1^2, so no numerator divides by r^2
+            a = weyl._make(d, m, den, num)
+            text = weyl.render(a)
+            assert text == _render_by_decoding(a)
+            assert expr.evaluate(text, d) == a
+            texts.add(text)
+        assert len(texts) == 1
 
 
 def test_param_poly_text_matches_the_fraction_reference():
